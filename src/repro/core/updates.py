@@ -15,6 +15,9 @@ from dataclasses import dataclass
 
 from repro.exceptions import UpdateError
 
+#: Header bytes of a framed patch (see :meth:`UpdatePatch.to_framed_bytes`).
+FRAMED_HEADER_BYTES = 4
+
 
 @dataclass(frozen=True)
 class UpdatePatch:
@@ -124,7 +127,7 @@ class UpdatePatch:
     @property
     def framed_size_bytes(self) -> int:
         """Serialized size of the framed patch."""
-        return 4 + len(self.insert_bytes)
+        return FRAMED_HEADER_BYTES + len(self.insert_bytes)
 
     # ------------------------------------------------------------------
     # Application
@@ -204,24 +207,13 @@ def apply_patch_chain(
     return current
 
 
-def diff_as_patch(old: bytes, new: bytes) -> UpdatePatch:
-    """Build a minimal single-span patch that rewrites ``old`` into ``new``.
+def diff_span(old: bytes, new: bytes) -> tuple[int, int, bytes]:
+    """The single edit that rewrites ``old`` into ``new``.
 
-    The patch format supports one deletion span and one insertion span, so
-    the minimal patch removes the differing middle of ``old`` and inserts
-    the differing middle of ``new`` (after trimming the common prefix and
-    suffix).  This is how a digital front-end would coalesce a small edit
-    into a patch before synthesis.
-
-    Raises:
-        UpdateError: if the blocks are too large for the one-byte offset
-            fields of the wetlab patch format.
+    Trims the common prefix and suffix and returns ``(start,
+    delete_length, insert_bytes)``: delete ``delete_length`` bytes of
+    ``old`` at ``start`` and insert ``insert_bytes`` there.
     """
-    if len(old) > 0xFF + 1 or len(new) > 0xFF + 1:
-        # Offsets are single bytes (0..255); blocks of 256 bytes still work
-        # because offsets index positions 0..255.
-        if len(old) > 256 or len(new) > 256:
-            raise UpdateError("diff_as_patch supports blocks of at most 256 bytes")
     prefix = 0
     limit = min(len(old), len(new))
     while prefix < limit and old[prefix] == new[prefix]:
@@ -232,11 +224,29 @@ def diff_as_patch(old: bytes, new: bytes) -> UpdatePatch:
         and old[len(old) - 1 - suffix] == new[len(new) - 1 - suffix]
     ):
         suffix += 1
-    delete_length = len(old) - prefix - suffix
-    insert_bytes = new[prefix : len(new) - suffix]
+    return prefix, len(old) - prefix - suffix, new[prefix : len(new) - suffix]
+
+
+def diff_as_patch(old: bytes, new: bytes) -> UpdatePatch:
+    """Build a minimal single-span patch that rewrites ``old`` into ``new``.
+
+    The patch format supports one deletion span and one insertion span, so
+    the minimal patch removes the differing middle of ``old`` and inserts
+    the differing middle of ``new`` (see :func:`diff_span`).  This is how a
+    digital front-end would coalesce a small edit into a patch before
+    synthesis.
+
+    Raises:
+        UpdateError: if a block exceeds 256 bytes, or the patch must
+            delete all 256 bytes of a 256-byte block — offsets and the
+            delete length are single bytes (0..255).
+    """
+    if len(old) > 256 or len(new) > 256:
+        raise UpdateError("diff_as_patch supports blocks of at most 256 bytes")
+    start, delete_length, insert_bytes = diff_span(old, new)
     return UpdatePatch(
-        delete_start=prefix,
+        delete_start=start,
         delete_length=delete_length,
-        insert_position=prefix,
+        insert_position=start,
         insert_bytes=insert_bytes,
     )

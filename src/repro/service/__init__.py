@@ -25,6 +25,9 @@ caller — for reads *and* writes.
   decode-failure retry cycles and a bounded wetlab lane pool — and
   reports throughput, tail latency, cache hit rate, synthesis volume and
   amplification waste.
+* :mod:`repro.service.barrier` — :class:`~repro.service.barrier.
+  ObjectBarrier`: the loop's per-object write barrier (reads observe
+  exactly the writes admitted before them; O(1) per operation).
 * :mod:`repro.service.scheduler_qos` — :class:`SharedLanePool` (the
   run-global thermocycler/flow-cell lanes every cycle books onto, giving
   true per-lane utilization ≤ 1.0) and the tenant QoS admission layer:

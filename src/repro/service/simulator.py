@@ -17,11 +17,28 @@ wetlab cycle the latency the paper's sequencing models predict
 **Writes** (``put`` / ``update`` / ``delete``) are queued like reads and
 coalesced into per-partition :class:`SynthesisOrder` s charged synthesis
 latency (array setup plus per-base manufacturing time) the way reads are
-charged PCR + sequencing.  Per-object read/write ordering is enforced: a
-read admitted while a write on its object is pending waits for the
-write's synthesis to commit (so it observes the written bytes), and a
-write waits for in-flight reads of its object before mutating the store —
-no request ever observes a torn state.
+charged PCR + sequencing.
+
+**Ordering contract.**  Per object, requests take effect in admission
+order, as the paper's update log replays patches in version order
+(Section 5.2):
+
+* a read observes exactly the writes admitted before it: admitted while
+  such a write is outstanding, it is held until that write commits (or
+  is rejected), and a later write never applies under it;
+* a write joins a synthesis order only when everything admitted before
+  it on its object has reached its terminal event or is another queued
+  write joining the same order — it never overtakes an earlier read or
+  a write riding an uncommitted order;
+* every request reaches exactly one terminal outcome (served, committed
+  or failed); ``run`` raises :class:`ServiceError` if one is still
+  outstanding when the event heap drains.
+
+:class:`~repro.service.barrier.ObjectBarrier` keeps that state.  Per
+operation it costs O(1) to enter, leave, test whether a read must wait
+and mark a write dispatched; releasing held reads costs O(reads
+released), and the write-eligibility test stops at the first entry that
+blocks.
 
 **Wetlab cycles run on a shared, persistent lane pool**
 (``config.wetlab_lanes``, one :class:`~repro.service.scheduler_qos.
@@ -41,7 +58,7 @@ weighted-fair division of a per-window block budget decide which queued
 reads enter each batch (:class:`~repro.service.scheduler_qos.
 QoSAdmission`); everything else stays queued for a later window.  Like
 tracing, enabling QoS never changes a request's decoded bytes — the
-per-object FIFO barrier pins what every read observes — it only reshapes
+per-object write barrier pins what every read observes — it only reshapes
 when work is admitted.  The unbatched policy has no admission window and
 ignores QoS.
 
@@ -125,6 +142,7 @@ from repro.exceptions import DnaStorageError, ServiceError
 from repro.observability.export import RunObservability
 from repro.observability.stages import collect_stages, record_stages
 from repro.observability.tracing import activate, maybe_wall_span, tracing_enabled
+from repro.service.barrier import ObjectBarrier
 from repro.service.cache import (
     ADMISSION_POLICIES,
     CacheStats,
@@ -698,43 +716,11 @@ class ServicePipeline:
         requests: list[ServiceRequest] = []
         failed: list[FailedRequest] = []
 
-        # Per-object FIFO of outstanding operations, in admission order.
-        # An operation leaves its FIFO only at its terminal event (read
-        # served/failed; write committed or apply-failed), which yields
-        # exact per-object ordering:
-        #   * a read proceeds only once every write admitted *before* it
-        #     is terminal — it observes exactly those writes, never a
-        #     later one;
-        #   * a write applies only once everything admitted before it is
-        #     terminal or riding the same synthesis order — it can never
-        #     overtake an earlier read or write.
-        # Entries are mutable [kind, request_id, dispatched] triples.
-        object_fifo: dict[str, list[list]] = {}
-        held_reads: dict[int, ServiceRequest] = {}
-
-        def fifo_append(request: ServiceRequest) -> None:
-            object_fifo.setdefault(request.object_name, []).append(
-                ["write" if request.is_write else "read", request.request_id, False]
-            )
-
-        def fifo_remove(name: str, request_id: int) -> None:
-            entries = object_fifo.get(name)
-            if not entries:
-                return
-            remaining = [entry for entry in entries if entry[1] != request_id]
-            if remaining:
-                object_fifo[name] = remaining
-            else:
-                del object_fifo[name]
-
-        def write_ahead(name: str, request_id: int) -> bool:
-            """Is a write admitted before this request still outstanding?"""
-            for kind, rid, _ in object_fifo.get(name, ()):
-                if rid == request_id:
-                    return False
-                if kind == "write":
-                    return True
-            return False
+        # Every request that joins the per-object ordering leaves it at its
+        # terminal event (read served/failed; write committed or
+        # apply-failed), so a read observes exactly the writes admitted
+        # before it and a write never overtakes an earlier operation.
+        barrier = ObjectBarrier()
 
         def reject(
             index: int,
@@ -744,7 +730,7 @@ class ServicePipeline:
             now: float | None = None,
             attempts: int = 0,
         ) -> None:
-            fifo_remove(event.object_name, index)
+            barrier.leave(event.object_name, index)
             if tel is not None:
                 tel.failed(index, now if now is not None else event.time_hours, reason)
             failed.append(
@@ -756,7 +742,7 @@ class ServicePipeline:
                     length=event.length,
                     arrival_hours=event.time_hours,
                     reason=reason,
-                    op=getattr(event, "op", "read"),
+                    op=event.op,
                     failure_hours=now if now is not None else event.time_hours,
                     attempts=attempts,
                 )
@@ -776,13 +762,11 @@ class ServicePipeline:
                         offset=event.offset,
                         length=event.length,
                         arrival_hours=event.time_hours,
-                        # Duck-typed events predating the write path may
-                        # lack op/payload/as_of; default to a plain read.
-                        op=getattr(event, "op", "read"),
-                        payload=getattr(event, "payload", None),
-                        as_of=getattr(event, "as_of", None),
-                        priority=getattr(event, "priority", None),
-                        deadline_hours=getattr(event, "deadline_hours", None),
+                        op=event.op,
+                        payload=event.payload,
+                        as_of=event.as_of,
+                        priority=event.priority,
+                        deadline_hours=event.deadline_hours,
                     )
                 )
             except DnaStorageError as exc:
@@ -941,7 +925,7 @@ class ServicePipeline:
                     attempts=attempts,
                 )
             )
-            fifo_remove(request.object_name, request.request_id)
+            barrier.leave(request.object_name, request.request_id)
             if config.qos is not None and request.op == "read":
                 # Deadline accounting (reads only): the request's own
                 # budget wins over its tenant profile's; violations are
@@ -962,20 +946,13 @@ class ServicePipeline:
                 )
 
         def release_ready(name: str, now: float) -> None:
-            """Re-admit held reads no longer behind an outstanding write.
-
-            Only the FIFO prefix up to the first still-outstanding write
-            is releasable — reads behind a later write keep waiting for
-            exactly that write.
-            """
-            for kind, rid, _ in list(object_fifo.get(name, ())):
-                if kind == "write":
-                    break
-                request = held_reads.pop(rid, None)
-                if request is not None:
-                    if tel is not None:
-                        tel.released(request, now)
-                    admit_read(request, now, released=True)
+            """Re-admit held reads no longer behind an outstanding write
+            (reads behind a later write keep waiting for exactly that
+            write)."""
+            for request in barrier.release(name):
+                if tel is not None:
+                    tel.released(request, now)
+                admit_read(request, now, released=True)
 
         def charge(batch: ScheduledBatch, reads_per_block: int) -> None:
             # A dispatch fully covered by the cache is not a wetlab cycle.
@@ -1057,8 +1034,8 @@ class ServicePipeline:
                         block_cache=view,
                     )
                 else:
-                    # The rider's FIFO entry stays until it is served, so
-                    # no write to its object can apply under the cycle.
+                    # The rider stays in the barrier until it is served,
+                    # so no write to its object can apply under the cycle.
                     riders.append(request)
             if riders:
                 start_cycle(
@@ -1255,23 +1232,11 @@ class ServicePipeline:
             per-partition jobs run in parallel at the vendor.
             """
 
-            def eligible(request: ServiceRequest) -> bool:
-                if not request.is_write:
-                    return False
-                for kind, rid, dispatched in object_fifo.get(
-                    request.object_name, ()
-                ):
-                    if rid == request.request_id:
-                        return True
-                    if kind == "read" or dispatched:
-                        # An outstanding read, or a write already riding
-                        # an uncommitted order, must not be overtaken
-                        # (queue order guarantees earlier queued writes
-                        # of this object were ruled eligible first).
-                        return False
-                return False
-
-            writes = queue.take(eligible)
+            # Queue order guarantees earlier queued writes of an object are
+            # ruled eligible first, so they ride the same order.
+            writes = queue.take(
+                lambda request: request.is_write and barrier.write_eligible(request)
+            )
             if not writes:
                 return
             if tel is not None:
@@ -1287,14 +1252,11 @@ class ServicePipeline:
             for outcome in order.outcomes:
                 name = outcome.request.object_name
                 if outcome.applied:
-                    for entry in object_fifo.get(name, ()):
-                        if entry[1] == outcome.request.request_id:
-                            entry[2] = True  # dispatched, awaiting commit
-                            break
+                    barrier.mark_dispatched(outcome.request)
                 else:
                     # The store rejected it (duplicate name, exhausted
                     # update slots, bad range): this write fails alone,
-                    # at dispatch time (reject drops its FIFO entry).
+                    # at dispatch time (reject makes it leave the barrier).
                     rejected = True
                     reject(
                         outcome.request.request_id,
@@ -1335,7 +1297,7 @@ class ServicePipeline:
             for outcome in order.applied:
                 request = outcome.request
                 name = request.object_name
-                fifo_remove(name, request.request_id)
+                barrier.leave(name, request.request_id)
                 released[name] = None
                 totals["written_bytes"] += outcome.bytes_written
                 payload_bytes = request.payload or b""
@@ -1367,7 +1329,6 @@ class ServicePipeline:
         def admit_read(
             request: ServiceRequest, now: float, *, released: bool = False
         ) -> None:
-            name = request.object_name
             view_at = None
             if request.as_of is not None:
                 # Time-travel read: resolve the committed-state snapshot
@@ -1377,13 +1338,11 @@ class ServicePipeline:
                 # snapshot keeps the old blocks) and never delays one.
                 view_at = resolve_as_of(request.as_of)
                 asof_views[request.request_id] = view_at
-            elif not released:
-                fifo_append(request)
-            if view_at is None and write_ahead(name, request.request_id):
+            elif not released and barrier.enter(request):
                 # Read-after-write ordering: the read waits for exactly
                 # the writes admitted before it to commit, then observes
-                # their bytes (never a later write's).
-                held_reads[request.request_id] = request
+                # their bytes (never a later write's).  A released read
+                # is already ahead of every outstanding write.
                 if tel is not None:
                     tel.held(request, now)
                 return
@@ -1454,7 +1413,7 @@ class ServicePipeline:
             ensure_dispatch(now)
 
         def admit_write(request: ServiceRequest, now: float) -> None:
-            fifo_append(request)
+            barrier.enter(request)
             queue.push(request)
             if tel is not None:
                 tel.queued(request, now)
@@ -1541,6 +1500,15 @@ class ServicePipeline:
                     complete(
                         batch, riders, view, attempt, reads_per_block, completion=now
                     )
+            if barrier:
+                # Every request leaves the barrier at its terminal event;
+                # one still inside never reached an outcome.
+                operations, held = barrier.pending()
+                raise ServiceError(
+                    f"the run ended with {operations} request(s) that never "
+                    f"reached a terminal outcome ({held} of them reads held "
+                    "behind a write)"
+                )
 
             # Close the tracing/stage scope before reporting; the run's
             # collector shadowed any caller-opened one for the loop's

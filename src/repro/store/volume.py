@@ -39,7 +39,7 @@ from repro.codec.molecule import Molecule, MoleculeLayout
 from repro.core.addressing import BlockAddress
 from repro.core.partition import Partition
 from repro.core.pool_manager import DnaPoolManager
-from repro.core.updates import diff_as_patch
+from repro.core.updates import FRAMED_HEADER_BYTES, UpdatePatch, diff_span
 from repro.exceptions import StoreError
 from repro.store.objects import Extent, ObjectRecord
 from repro.store.snapshots import VolumeSnapshot
@@ -631,7 +631,6 @@ class DnaVolume:
                 # Shared with a live snapshot: redirect, don't patch.
                 redirects.append((block_offset, new))
                 continue
-            patch = diff_as_patch(old, new)
             slots = partition.config.slots_per_block
             if partition.update_count(partition_block) + 1 >= slots:
                 raise StoreError(
@@ -639,14 +638,19 @@ class DnaVolume:
                     f"has no free update slot (limit {slots - 1}); "
                     "no patch of this update was applied"
                 )
-            if patch.framed_size_bytes > self.block_size:
+            # Size the framed patch before building it: rewriting a whole
+            # block needs a delete length the one-byte field cannot hold,
+            # and such a patch could never fit the block anyway.
+            start, delete_length, insert_bytes = diff_span(old, new)
+            framed_size = FRAMED_HEADER_BYTES + len(insert_bytes)
+            if framed_size > self.block_size:
                 raise StoreError(
-                    f"patch of {patch.framed_size_bytes} bytes for block "
+                    f"patch of {framed_size} bytes for block "
                     f"{partition_block} exceeds the block size; "
                     "no patch of this update was applied"
                 )
             planned.append((partition, extent.partition, partition_block))
-            patches.append(patch)
+            patches.append(UpdatePatch(start, delete_length, start, insert_bytes))
         # Write every redirected block before remapping anything: an
         # allocation failure here leaves the record untouched — and the
         # blocks already written for this batch are dropped again, so a

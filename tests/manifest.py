@@ -53,6 +53,7 @@ NUMPY_FREE: tuple[str, ...] = (
     "test_reed_solomon.py",
     "test_reprolint.py",
     "test_sequence.py",
+    "test_service_barrier.py",
     "test_service_cache.py",
     "test_service_pipeline.py",
     "test_service_qos.py",

@@ -193,6 +193,38 @@ class TestSynthesisOrders:
         assert len(report.completed) == 1
         assert report.completed[0].request.op == "read"
 
+    def test_whole_block_rewrite_fails_alone_in_its_order(self):
+        """An update rewriting every byte of a block needs a framed patch
+        larger than the block: it fails alone, with the store's typed
+        reason, while the other write of its synthesis order commits."""
+        store, catalog = build_store(objects=2)
+        block_size = store.volume.block_size
+        sim = pipeline(store, window_hours=1.0)
+        old = store.get("obj-0", length=block_size)
+        trace = [
+            RequestEvent(
+                time_hours=0.1, tenant="a", object_name="obj-0",
+                op="update", payload=bytes((byte + 1) % 256 for byte in old),
+            ),
+            RequestEvent(
+                time_hours=0.2, tenant="b", object_name="obj-1",
+                op="update", payload=b"PATCH-B",
+            ),
+        ]
+        report = sim.run(trace, "batched")
+        assert [f.tenant for f in report.failed] == ["a"]
+        failure = report.failed[0]
+        assert failure.reason == (
+            f"patch of {block_size + 4} bytes for block 0 exceeds the block "
+            "size; no patch of this update was applied"
+        )
+        # Rejected when the window's synthesis order formed.
+        assert failure.failure_hours == pytest.approx(1.1)
+        assert [c.request.tenant for c in report.completed] == ["b"]
+        assert report.synthesis_orders == 1
+        assert store.get("obj-0", length=block_size) == old
+        assert store.get("obj-1")[:7] == b"PATCH-B"
+
     @pytest.mark.parametrize("policy", ["unbatched", "batched", "batched+cache"])
     def test_rejected_order_never_strands_later_writes(self, policy):
         """An all-rejected synthesis order whose release instantly serves
@@ -748,29 +780,3 @@ class TestMixedTraceDeterminism:
 
     def test_simulator_alias_is_pipeline(self):
         assert ServiceSimulator is ServicePipeline
-
-    def test_duck_typed_events_without_op_fields_still_serve(self):
-        """Event objects carrying only the original read-trace fields
-        (no op/payload attributes) are valid input: they admit as reads
-        instead of crashing the run."""
-
-        class LegacyEvent:
-            def __init__(self, time_hours, tenant, object_name):
-                self.time_hours = time_hours
-                self.tenant = tenant
-                self.object_name = object_name
-                self.offset = 0
-                self.length = None
-
-        store, catalog = build_store(objects=2)
-        sim = pipeline(store)
-        trace = [
-            LegacyEvent(0.1, "a", "obj-0"),
-            LegacyEvent(0.2, "b", "no-such-object"),  # fails alone
-        ]
-        report = sim.run(trace, "batched", keep_data=True)
-        assert len(report.completed) == 1
-        served = report.completed[0]
-        assert served.request.op == "read"
-        assert report.payloads[served.request.request_id] == store.get("obj-0")
-        assert len(report.failed) == 1 and report.failed[0].op == "read"

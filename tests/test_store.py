@@ -194,6 +194,30 @@ class TestUpdates:
             first.start_block
         ) == 0
 
+    @pytest.mark.parametrize("rewritten", [253, 256])
+    def test_oversized_patch_rejected_before_anything_applies(self, rewritten):
+        """A rewrite of ``rewritten`` differing bytes needs a framed patch of
+        ``rewritten + 4`` bytes.  A whole 256-byte block gets the same typed
+        rejection as a 253-byte rewrite, not an UpdateError from building a
+        patch whose delete length overflows its one-byte field."""
+        store = small_store()
+        block_size = store.volume.block_size
+        data = synthetic_object(block_size * 2, seed=22)
+        record = store.put("obj", data)
+        rewrite = bytes((byte + 1) % 256 for byte in data[:rewritten])
+        with pytest.raises(
+            StoreError,
+            match=rf"patch of {rewritten + 4} bytes for block \d+ exceeds the "
+            "block size; no patch of this update was applied",
+        ):
+            store.update("obj", 0, rewrite)
+        assert store.get("obj") == data
+        assert store.record("obj").version == 0
+        first = record.extents[0]
+        assert store.volume.partition(first.partition).update_count(
+            first.start_block
+        ) == 0
+
     def test_stacked_updates_apply_in_order(self):
         store = small_store()
         data = synthetic_object(600, seed=10)
