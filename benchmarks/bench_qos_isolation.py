@@ -258,7 +258,7 @@ def test_qos_isolation():
     rows = [
         f"{len(trace_attack)} requests ({aggressor_requests} from the "
         f"scanning aggressor), {TENANTS} tenants, {LANES} lanes "
-        f"(simulated in {elapsed:.1f}s)",
+        f"(in {elapsed:.1f}s wall)",
         f"victim p99: clean {clean_p99:.2f}h, attacked {unprotected_p99:.2f}h, "
         f"protected {protected_p99:.2f}h (bound {VICTIM_P99_BOUND}x clean)",
         f"protection factor {protection_factor:.2f}x; "
@@ -277,7 +277,7 @@ def test_qos_isolation():
             "requests": len(trace_attack),
             "aggressor_requests": aggressor_requests,
             "tenants": TENANTS,
-            "simulated_seconds": round(elapsed, 2),
+            "wall_seconds": round(elapsed, 2),
             "clean_victim_p99_hours": round(clean_p99, 4),
             "unprotected_victim_p99_hours": round(unprotected_p99, 4),
             "protected_victim_p99_hours": round(protected_p99, 4),

@@ -21,7 +21,11 @@ charged latency the way read cycles are charged PCR + sequencing.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping
 
 from repro.exceptions import DnaStorageError, ServiceError
 from repro.service.cache import DecodedBlockCache
@@ -29,57 +33,158 @@ from repro.service.requests import ServiceRequest
 from repro.store.object_store import ObjectStore
 from repro.store.planner import BatchReadPlan, plan_partition_ranges
 
+#: A queue entry: ``(push stamp, request)``.
+QueueEntry = tuple[int, ServiceRequest]
+
+_STAMP = itemgetter(0)
+
+
+def _in_push_order(entries: list[QueueEntry]) -> list[ServiceRequest]:
+    entries.sort(key=_STAMP)
+    return [request for _, request in entries]
+
 
 class RequestQueue:
-    """FIFO admission queue of pending requests, any operation.
+    """Admission queue of pending requests: one FIFO of reads per tenant
+    and one FIFO of writes.
 
-    ``drain`` empties the whole queue; ``drain_op``/``take`` remove
-    selectively (the pipeline drains reads at each dispatch but leaves
-    barrier-blocked writes queued for a later cycle).
+    Every entry is ``(push stamp, request)``, so whatever the queue hands
+    back across FIFOs comes back in push order.  The QoS admission pass
+    reads the per-tenant view (:meth:`reads_by_tenant`) and removes what it
+    admitted with :meth:`take_reads`; the write pump walks only the writes
+    (:meth:`take`).  Costs, with ``n`` the queued requests:
+
+    * ``push``, ``len()``, :attr:`read_count` and :meth:`reads_by_tenant`
+      are O(1);
+    * :meth:`take_reads` walks each named tenant's FIFO from its head to
+      the last read taken: O(r log r) for ``r`` reads taken when they are
+      FIFO prefixes, which is what admission takes unless a per-request
+      priority or its progress guarantee reaches past a head;
+    * :meth:`take` is O(queued writes);
+    * :meth:`drain`, :meth:`drain_op` and :meth:`peek_op` merge FIFOs by
+      stamp, O(n log n).
     """
 
     def __init__(self) -> None:
-        self._pending: list[ServiceRequest] = []
+        self._stamp = 0
+        # A tenant leaves the map with its last queued read.
+        self._reads: dict[str, deque[QueueEntry]] = {}
+        self._read_count = 0
+        self._writes: list[QueueEntry] = []
 
     def __len__(self) -> int:
-        return len(self._pending)
+        return self._read_count + len(self._writes)
+
+    @property
+    def read_count(self) -> int:
+        """Queued reads, over every tenant."""
+        return self._read_count
 
     def push(self, request: ServiceRequest) -> None:
-        """Admit one request at the tail of the queue."""
-        self._pending.append(request)
+        """Admit one request at the tail of its FIFO."""
+        entry = (self._stamp, request)
+        self._stamp += 1
+        if request.is_write:
+            self._writes.append(entry)
+            return
+        fifo = self._reads.get(request.tenant)
+        if fifo is None:
+            fifo = self._reads[request.tenant] = deque()
+        fifo.append(entry)
+        self._read_count += 1
+
+    def reads_by_tenant(self) -> Mapping[str, deque[QueueEntry]]:
+        """Read-only view: tenant -> its queued read entries, oldest first.
+
+        Only tenants with queued reads appear.  The view is live; callers
+        must not mutate the FIFOs (remove reads with :meth:`take_reads`).
+        """
+        return MappingProxyType(self._reads)
+
+    def take_reads(self, requests: Iterable[ServiceRequest]) -> list[ServiceRequest]:
+        """Remove the given queued reads and return them in push order.
+
+        Reads of other tenants are not visited, and every read left queued
+        keeps its place.
+
+        Raises:
+            ServiceError: if a request is not a queued read (the queue is
+                then left unchanged).
+        """
+        wanted: dict[str, dict[int, None]] = {}
+        for request in requests:
+            wanted.setdefault(request.tenant, {})[id(request)] = None
+        # Find how far each tenant's walk reaches before changing anything.
+        reach: dict[str, int] = {}
+        for tenant, ids in wanted.items():
+            found = 0
+            for index, (_, queued) in enumerate(self._reads.get(tenant, ())):
+                if id(queued) in ids:
+                    found += 1
+                    if found == len(ids):
+                        reach[tenant] = index + 1
+                        break
+            else:
+                raise ServiceError(
+                    f"cannot take {len(ids) - found} read(s) of tenant "
+                    f"{tenant!r}: not in the queue"
+                )
+        taken: list[QueueEntry] = []
+        for tenant, length in reach.items():
+            fifo = self._reads[tenant]
+            ids = wanted[tenant]
+            passed: list[QueueEntry] = []
+            for _ in range(length):
+                entry = fifo.popleft()
+                (taken if id(entry[1]) in ids else passed).append(entry)
+            fifo.extendleft(reversed(passed))
+            if not fifo:
+                del self._reads[tenant]
+        self._read_count -= len(taken)
+        return _in_push_order(taken)
 
     def drain(self) -> list[ServiceRequest]:
         """Remove and return every pending request, oldest first."""
-        drained = self._pending
-        self._pending = []
-        return drained
+        entries = [entry for fifo in self._reads.values() for entry in fifo]
+        entries += self._writes
+        self._reads = {}
+        self._read_count = 0
+        self._writes = []
+        return _in_push_order(entries)
 
     def drain_op(self, op: str) -> list[ServiceRequest]:
-        """Remove and return the pending requests of one operation."""
-        return self.take(lambda request: request.op == op)
+        """Remove and return the pending requests of one operation, oldest
+        first."""
+        if op != "read":
+            return self.take(lambda request: request.op == op)
+        drained = self.peek_op("read")
+        self._reads = {}
+        self._read_count = 0
+        return drained
 
     def peek_op(self, op: str) -> list[ServiceRequest]:
-        """The pending requests of one operation, oldest first, *not* removed.
+        """The pending requests of one operation, oldest first, *not* removed."""
+        if op != "read":
+            return [request for _, request in self._writes if request.op == op]
+        return _in_push_order([entry for fifo in self._reads.values() for entry in fifo])
 
-        The QoS admission engine inspects the queued reads with this
-        before deciding which subset to :meth:`take`; everything else
-        keeps its queue position.
-        """
-        return [request for request in self._pending if request.op == op]
+    def take(self, predicate: Callable[[ServiceRequest], bool]) -> list[ServiceRequest]:
+        """Remove and return the queued *writes* matching ``predicate``, in
+        push order.
 
-    def take(self, predicate) -> list[ServiceRequest]:
-        """Remove and return the requests matching ``predicate`` (in order).
-
-        Non-matching requests keep their relative order in the queue.  The
-        predicate is evaluated exactly once per request, oldest first, so
-        stateful predicates (e.g. "skip every write behind a blocked one")
-        behave deterministically.
+        Reads are not visited.  Non-matching writes keep their relative
+        order.  The predicate is evaluated exactly once per queued write,
+        oldest first, so stateful predicates (e.g. "skip every write behind
+        a blocked one") behave deterministically.
         """
         taken: list[ServiceRequest] = []
-        kept: list[ServiceRequest] = []
-        for request in self._pending:
-            (taken if predicate(request) else kept).append(request)
-        self._pending = kept
+        kept: list[QueueEntry] = []
+        for entry in self._writes:
+            if predicate(entry[1]):
+                taken.append(entry[1])
+            else:
+                kept.append(entry)
+        self._writes = kept
         return taken
 
 

@@ -38,8 +38,8 @@ Everything here is pure Python, deterministic, and sim-clock only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass, field, fields
+from typing import Callable, Collection, Mapping
 
 from repro.exceptions import ServiceError
 from repro.service.requests import ServiceRequest
@@ -155,6 +155,13 @@ def _coerce_profile(value: "TenantQoS | Mapping") -> TenantQoS:
     if isinstance(value, TenantQoS):
         return value
     if isinstance(value, Mapping):
+        expected = tuple(item.name for item in fields(TenantQoS))
+        unknown = sorted(str(name) for name in value if name not in expected)
+        if unknown:
+            raise ServiceError(
+                f"unknown TenantQoS fields in QoS profile: {', '.join(unknown)} "
+                f"(expected {expected})"
+            )
         return TenantQoS(**dict(value))
     raise ServiceError(
         "QoS profiles must be TenantQoS instances or field mappings, "
@@ -304,20 +311,25 @@ class AdmissionDecision:
     """Outcome of one dispatch window's QoS admission pass.
 
     Attributes:
-        admitted: requests entering the batch scheduler this window.
-        throttled: requests a token bucket held back (their tenant's
-            later requests wait behind them — per-tenant FIFO).
-        deferred: bucket-eligible requests the window's block budget
-            could not fit; they stay queued for the next window.
+        admitted: requests entering the batch scheduler this window, in
+            admission order: priority class, then tenant name, then FIFO
+            order (the progress-guarantee grant, if any, alone).
+        throttled: tenant -> requests its token bucket held back this
+            window: the first request the bucket could not afford and the
+            tenant's whole FIFO behind it (per-tenant FIFO).
+        deferred: tenant -> bucket-eligible requests the window's block
+            budget could not fit; they stay queued for the next window.
 
-    A request can appear throttled/deferred at several consecutive
-    dispatches before finally admitting; the pipeline's counters are
-    therefore *event* counts, not request counts.
+    The maps hold one entry per tenant with a nonzero count, so reading
+    or summing them costs O(tenants), never O(requests).  A request can
+    be throttled/deferred at several consecutive dispatches before
+    finally admitting; the counts are therefore *event* counts, not
+    request counts.
     """
 
     admitted: tuple[ServiceRequest, ...] = ()
-    throttled: tuple[ServiceRequest, ...] = ()
-    deferred: tuple[ServiceRequest, ...] = ()
+    throttled: Mapping[str, int] = field(default_factory=dict)
+    deferred: Mapping[str, int] = field(default_factory=dict)
 
 
 class QoSAdmission:
@@ -325,8 +337,8 @@ class QoSAdmission:
 
     One instance lives for one pipeline run; it owns the tenants' token
     buckets and deficit carries.  :meth:`admit` is called at each
-    dispatch with the queued reads (in queue order) and decides which of
-    them enter this window's batch:
+    dispatch with each tenant's queued reads (oldest first) and decides
+    which of them enter this window's batch:
 
     1. **Rate limits** — each tenant's requests are screened oldest
        first against its token bucket; the first unaffordable request
@@ -347,6 +359,16 @@ class QoSAdmission:
        advances, whatever the budget.
 
     Buckets are only charged for requests actually admitted.
+
+    Cost of one :meth:`admit`: each tenant's profile is resolved and its
+    bucket refilled once; ``cost_of`` runs once per request walked, and
+    the walk stops at the first request a bucket cannot afford — the
+    throttled tail is counted, never visited.  That is O(tenants with
+    queued reads + bucket-eligible requests), plus the water-filling
+    over the window's flows and the sort of their keys.  Bucket-eligible
+    requests are the admitted ones plus those the budget defers: each
+    flow's demand sums all of them, and the budget stage stops each flow
+    at its first deferred request.
     """
 
     def __init__(self, config: QoSConfig) -> None:
@@ -354,8 +376,9 @@ class QoSAdmission:
         self._buckets: dict[str, TokenBucket] = {}
         self._carry: dict[str, float] = {}
 
-    def _bucket(self, tenant: str, now: float) -> TokenBucket | None:
-        profile = self._config.profile(tenant)
+    def _bucket(
+        self, tenant: str, profile: TenantQoS, now: float
+    ) -> TokenBucket | None:
         if profile.rate_blocks_per_hour is None:
             return None
         bucket = self._buckets.get(tenant)
@@ -371,54 +394,64 @@ class QoSAdmission:
 
     def admit(
         self,
-        pending: list[ServiceRequest],
+        queued: Mapping[str, Collection[tuple[int, ServiceRequest]]],
         now: float,
         cost_of: Callable[[ServiceRequest], float],
     ) -> AdmissionDecision:
-        """Decide one dispatch window's admissions (see class doc)."""
-        throttled: list[ServiceRequest] = []
-        admitted: list[ServiceRequest] = []
-        deferred: list[ServiceRequest] = []
-        #: (priority, tenant) -> bucket-eligible requests, queue order.
-        flows: dict[tuple[int, str], list[ServiceRequest]] = {}
-        blocked: dict[str, bool] = {}
-        provisional: dict[str, float] = {}
-        for request in pending:
-            tenant = request.tenant
-            cost = cost_of(request)
-            if cost < 0:
-                raise ServiceError("request admission cost must be non-negative")
-            bucket = self._bucket(tenant, now)
-            if blocked.get(tenant):
-                throttled.append(request)
-                continue
-            if bucket is not None:
-                balance = bucket.available(now) - provisional.get(tenant, 0.0)
-                if balance + _EPS < min(cost, bucket.burst):
-                    # Head-of-line: the tenant's tail waits behind this
-                    # request so the bucket paces without reordering.
-                    blocked[tenant] = True
-                    throttled.append(request)
-                    continue
-                provisional[tenant] = provisional.get(tenant, 0.0) + cost
-            profile = self._config.profile(tenant)
-            priority = (
-                request.priority if request.priority is not None else profile.priority
-            )
-            flows.setdefault((priority, tenant), []).append(request)
+        """Decide one dispatch window's admissions (see class doc).
 
+        Args:
+            queued: tenant -> that tenant's queued reads as ``(push
+                stamp, request)`` entries, oldest first
+                (:meth:`repro.service.queue.RequestQueue.reads_by_tenant`).
+            now: the dispatch time (simulated hours).
+            cost_of: a request's admission cost in block accesses.
+
+        Raises:
+            ServiceError: if ``cost_of`` returns a negative cost for a
+                request the walk visits.
+        """
+        throttled: dict[str, int] = {}
+        deferred: dict[str, int] = {}
+        # (priority, tenant) -> bucket-eligible (request, cost), FIFO order.
+        flows: dict[tuple[int, str], list[tuple[ServiceRequest, float]]] = {}
+        for tenant, fifo in queued.items():
+            if not fifo:
+                continue
+            profile = self._config.profile(tenant)
+            bucket = self._bucket(tenant, profile, now)
+            if bucket is not None:
+                balance = bucket.available(now)
+            provisional = 0.0
+            for walked, (_, request) in enumerate(fifo):
+                cost = cost_of(request)
+                if cost < 0:
+                    raise ServiceError("request admission cost must be non-negative")
+                if bucket is not None:
+                    if balance - provisional + _EPS < min(cost, bucket.burst):
+                        # Head-of-line: the tenant's tail waits behind this
+                        # request so the bucket paces without reordering.
+                        throttled[tenant] = len(fifo) - walked
+                        break
+                    provisional += cost
+                priority = (
+                    request.priority if request.priority is not None else profile.priority
+                )
+                flows.setdefault((priority, tenant), []).append((request, cost))
+
+        admitted: list[tuple[ServiceRequest, float]] = []
         budget = self._config.window_block_budget
         if budget is None:
             for key in sorted(flows):
                 admitted.extend(flows[key])
         else:
+            levels: dict[int, list[str]] = {}
+            for priority, tenant in sorted(flows):
+                levels.setdefault(priority, []).append(tenant)
             remaining = float(budget)
-            for level in sorted({priority for priority, _ in flows}):
-                tenants_at = sorted(
-                    tenant for priority, tenant in flows if priority == level
-                )
+            for level, tenants_at in levels.items():
                 demands = {
-                    tenant: sum(cost_of(request) for request in flows[(level, tenant)])
+                    tenant: sum(cost for _, cost in flows[(level, tenant)])
                     for tenant in tenants_at
                 }
                 weights = {
@@ -427,21 +460,21 @@ class QoSAdmission:
                 }
                 shares = weighted_fair_shares(demands, weights, max(remaining, 0.0))
                 for tenant in tenants_at:
+                    flow = flows[(level, tenant)]
                     allowance = shares[tenant] + self._carry.get(tenant, 0.0)
                     taken = 0.0
-                    backlogged = False
-                    for request in flows[(level, tenant)]:
-                        cost = cost_of(request)
-                        if not backlogged and taken + cost <= allowance + _EPS:
-                            admitted.append(request)
-                            taken += cost
-                        else:
+                    fitted = 0
+                    for request, cost in flow:
+                        if not taken + cost <= allowance + _EPS:
                             # Per-flow FIFO: once one request misses the
                             # share, the flow's tail waits with it.
-                            backlogged = True
-                            deferred.append(request)
+                            break
+                        admitted.append((request, cost))
+                        taken += cost
+                        fitted += 1
                     remaining -= taken
-                    if backlogged:
+                    if fitted < len(flow):
+                        deferred[tenant] = deferred.get(tenant, 0) + len(flow) - fitted
                         # Deficit round-robin: unspent allowance carries so
                         # a request costlier than any one share still
                         # accumulates credit (bounded by the budget).
@@ -452,29 +485,32 @@ class QoSAdmission:
                 # Progress guarantee: the window always advances.  The
                 # oldest eligible request of the most urgent class admits
                 # unconditionally (its flow's carry resets — the grant
-                # replaces the credit).
-                level = min(priority for priority, _ in flows)
+                # replaces the credit).  Nothing was admitted, so every
+                # eligible request of the class is a candidate.
+                level = next(iter(levels))
                 oldest = min(
                     (
-                        request
-                        for (priority, _), queued in flows.items()
-                        if priority == level
-                        for request in queued
+                        entry
+                        for tenant in levels[level]
+                        for entry in flows[(level, tenant)]
                     ),
-                    key=lambda request: request.request_id,
+                    key=lambda entry: entry[0].request_id,
                 )
-                deferred.remove(oldest)
+                tenant = oldest[0].tenant
+                deferred[tenant] -= 1
+                if not deferred[tenant]:
+                    del deferred[tenant]
                 admitted.append(oldest)
-                self._carry.pop(oldest.tenant, None)
+                self._carry.pop(tenant, None)
 
-        for request in admitted:
-            bucket = self._bucket(request.tenant, now)
+        for request, cost in admitted:
+            bucket = self._buckets.get(request.tenant)
             if bucket is not None:
-                bucket.charge(cost_of(request), now)
+                bucket.charge(cost, now)
         return AdmissionDecision(
-            admitted=tuple(admitted),
-            throttled=tuple(throttled),
-            deferred=tuple(deferred),
+            admitted=tuple(request for request, _ in admitted),
+            throttled=throttled,
+            deferred=deferred,
         )
 
 

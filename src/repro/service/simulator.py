@@ -60,7 +60,11 @@ QoSAdmission`); everything else stays queued for a later window.  Like
 tracing, enabling QoS never changes a request's decoded bytes — the
 per-object write barrier pins what every read observes — it only reshapes
 when work is admitted.  The unbatched policy has no admission window and
-ignores QoS.
+ignores QoS.  The :class:`RequestQueue` keeps one FIFO of reads per
+tenant and one of writes, so a window's admission visits only the reads
+each tenant's bucket lets through (admitted, or deferred by the block
+budget) plus one per throttled tenant — a throttled backlog is counted,
+not walked — and the write pump visits only the queued writes.
 
 **Decode failures retry instead of aborting.**  Under
 ``fidelity="wetlab"``, a block that fails to decode no longer raises out
@@ -865,6 +869,11 @@ class ServicePipeline:
             if config.qos is not None and policy != "unbatched"
             else None
         )
+
+        def admission_cost(request: ServiceRequest) -> int:
+            """A queued read's QoS cost: the blocks it accesses."""
+            return len(blocks_by_id[request.request_id])
+
         dispatch_scheduled = False
         next_batch_id = 0
 
@@ -1234,9 +1243,7 @@ class ServicePipeline:
 
             # Queue order guarantees earlier queued writes of an object are
             # ruled eligible first, so they ride the same order.
-            writes = queue.take(
-                lambda request: request.is_write and barrier.write_eligible(request)
-            )
+            writes = queue.take(barrier.write_eligible)
             if not writes:
                 return
             if tel is not None:
@@ -1457,22 +1464,14 @@ class ServicePipeline:
                         # their tenant's fair share enter this window's
                         # batch; the rest stay queued (in arrival order)
                         # for the next window.
-                        waiting = queue.peek_op("read")
                         decision = qos_admission.admit(
-                            waiting,
-                            now,
-                            lambda r: len(blocks_by_id[r.request_id]),
+                            queue.reads_by_tenant(), now, admission_cost
                         )
-                        totals["qos_throttled"] += len(decision.throttled)
-                        totals["qos_deferred"] += len(decision.deferred)
+                        totals["qos_throttled"] += sum(decision.throttled.values())
+                        totals["qos_deferred"] += sum(decision.deferred.values())
                         if tel is not None:
                             tel.qos_decision(decision, now)
-                        admitted_ids = {
-                            r.request_id for r in decision.admitted
-                        }
-                        pending = queue.take(
-                            lambda r: r.request_id in admitted_ids
-                        )
+                        pending = queue.take_reads(decision.admitted)
                     if pending:
                         batch = self.scheduler.schedule(
                             pending,
@@ -1491,7 +1490,7 @@ class ServicePipeline:
                     # and the admission's progress guarantee admits at
                     # least one eligible request per window, so this
                     # terminates).
-                    if qos_admission is not None and queue.peek_op("read"):
+                    if qos_admission is not None and queue.read_count:
                         ensure_dispatch(now)
                 elif kind == "synthesis":
                     commit_order(payload, now)

@@ -193,18 +193,21 @@ class RunTelemetry:
         Throttled/deferred are *event* counts (a request deferred across
         three windows counts three times — each window it waited).
         """
-        for verdict, requests in (
-            ("admitted", decision.admitted),
+        admitted: dict[str, int] = {}
+        for request in decision.admitted:
+            admitted[request.tenant] = admitted.get(request.tenant, 0) + 1
+        for verdict, by_tenant in (
+            ("admitted", admitted),
             ("throttled", decision.throttled),
             ("deferred", decision.deferred),
         ):
-            if not requests:
+            if not by_tenant:
                 continue
-            self.metrics.counter(f"service.qos.{verdict}").inc(len(requests))
-            for request in requests:
-                self.metrics.counter(
-                    f"service.qos.{verdict}.{request.tenant}"
-                ).inc()
+            self.metrics.counter(f"service.qos.{verdict}").inc(
+                sum(by_tenant.values())
+            )
+            for tenant, count in by_tenant.items():
+                self.metrics.counter(f"service.qos.{verdict}.{tenant}").inc(count)
 
     def deadline_violation(self, request, completion: float) -> None:
         """A served read overran its deadline budget (counted, not dropped)."""

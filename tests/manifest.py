@@ -49,6 +49,7 @@ NUMPY_FREE: tuple[str, ...] = (
     "test_pool_manager.py",
     "test_prefix_cover.py",
     "test_primers.py",
+    "test_qos_admission_diff.py",
     "test_randomizer.py",
     "test_reed_solomon.py",
     "test_reprolint.py",

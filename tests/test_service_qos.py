@@ -257,14 +257,23 @@ def request(rid, tenant, priority=None):
     )
 
 
+def fifos(requests):
+    """The tenant -> FIFO view admission reads (``(push stamp, request)``
+    entries), from requests in queue order."""
+    view = {}
+    for stamp, queued in enumerate(requests):
+        view.setdefault(queued.tenant, []).append((stamp, queued))
+    return view
+
+
 class TestQoSAdmission:
     def test_unlimited_config_admits_everything(self):
         engine = QoSAdmission(QoSConfig())
         pending = [request(i, "a") for i in range(4)]
-        decision = engine.admit(pending, 0.0, lambda r: 1.0)
+        decision = engine.admit(fifos(pending), 0.0, lambda r: 1.0)
         assert decision.admitted == tuple(pending)
-        assert decision.throttled == ()
-        assert decision.deferred == ()
+        assert decision.throttled == {}
+        assert decision.deferred == {}
 
     def test_rate_limit_throttles_fifo_tail(self):
         config = QoSConfig(
@@ -272,12 +281,12 @@ class TestQoSAdmission:
         )
         engine = QoSAdmission(config)
         pending = [request(i, "a") for i in range(4)]
-        decision = engine.admit(pending, 0.0, lambda r: 1.0)
-        # Two tokens: first two admit, the rest throttle *in order*.
+        decision = engine.admit(fifos(pending), 0.0, lambda r: 1.0)
+        # Two tokens: the FIFO head pair admits, the tail throttles.
         assert [r.request_id for r in decision.admitted] == [0, 1]
-        assert [r.request_id for r in decision.throttled] == [2, 3]
+        assert decision.throttled == {"a": 2}
         # Later, the bucket refilled one token.
-        decision = engine.admit(pending[2:], 0.5, lambda r: 1.0)
+        decision = engine.admit(fifos(pending[2:]), 0.5, lambda r: 1.0)
         assert [r.request_id for r in decision.admitted] == [2]
 
     def test_head_of_line_blocks_cheap_followers(self):
@@ -289,12 +298,12 @@ class TestQoSAdmission:
         cheap = request(1, "a")
         costs = {0: 10.0, 1: 1.0}
         decision = engine.admit(
-            [expensive, cheap], 0.0, lambda r: costs[r.request_id]
+            fifos([expensive, cheap]), 0.0, lambda r: costs[r.request_id]
         )
         # Cost 10 > burst 3 needs a *full* bucket — it has one, so it
         # admits (going into debt) rather than starving.
         assert decision.admitted == (expensive,)
-        assert decision.throttled == (cheap,)
+        assert decision.throttled == {"a": 1}
 
     def test_only_admitted_requests_are_charged(self):
         config = QoSConfig(
@@ -303,13 +312,15 @@ class TestQoSAdmission:
         )
         engine = QoSAdmission(config)
         pending = [request(i, "a") for i in range(4)]
-        decision = engine.admit(pending, 0.0, lambda r: 1.0)
+        decision = engine.admit(fifos(pending), 0.0, lambda r: 1.0)
         assert len(decision.admitted) == 2
-        assert len(decision.deferred) == 2
+        assert decision.deferred == {"a": 2}
         # The deferred pair was rate-eligible but not charged: both
         # still afford admission immediately.
         decision = engine.admit(
-            [r for r in pending if r in decision.deferred], 0.0, lambda r: 1.0
+            fifos([r for r in pending if r not in decision.admitted]),
+            0.0,
+            lambda r: 1.0,
         )
         assert len(decision.admitted) == 2
 
@@ -323,15 +334,17 @@ class TestQoSAdmission:
         )
         engine = QoSAdmission(config)
         pending = [request(0, "bulk"), request(1, "urgent"), request(2, "urgent")]
-        decision = engine.admit(pending, 0.0, lambda r: 1.0)
+        decision = engine.admit(fifos(pending), 0.0, lambda r: 1.0)
         assert [r.request_id for r in decision.admitted] == [1, 2]
-        assert [r.request_id for r in decision.deferred] == [0]
+        assert decision.deferred == {"bulk": 1}
 
     def test_request_priority_overrides_profile(self):
         engine = QoSAdmission(QoSConfig(window_block_budget=1))
         pending = [request(0, "a"), request(1, "a", priority=0)]
-        decision = engine.admit(pending, 0.0, lambda r: 1.0)
+        decision = engine.admit(fifos(pending), 0.0, lambda r: 1.0)
+        # The override admits past the FIFO head, which waits.
         assert [r.request_id for r in decision.admitted] == [1]
+        assert decision.deferred == {"a": 1}
 
     def test_weighted_fair_budget_split(self):
         config = QoSConfig(
@@ -342,7 +355,7 @@ class TestQoSAdmission:
         pending = [request(i, "heavy") for i in range(6)] + [
             request(10 + i, "light") for i in range(6)
         ]
-        decision = engine.admit(pending, 0.0, lambda r: 1.0)
+        decision = engine.admit(fifos(pending), 0.0, lambda r: 1.0)
         admitted = [r.tenant for r in decision.admitted]
         assert admitted.count("heavy") == 3
         assert admitted.count("light") == 1
@@ -357,7 +370,7 @@ class TestQoSAdmission:
         big = request(0, "a")
         outcomes = []
         for window in range(4):
-            decision = engine.admit([big], float(window), lambda r: 5.0)
+            decision = engine.admit(fifos([big]), float(window), lambda r: 5.0)
             outcomes.append(bool(decision.admitted))
             if decision.admitted:
                 break
@@ -373,7 +386,7 @@ class TestQoSAdmission:
         for window in range(10):
             if not pending:
                 break
-            decision = engine.admit(pending, float(window), lambda r: 3.0)
+            decision = engine.admit(fifos(pending), float(window), lambda r: 3.0)
             assert decision.admitted, "a window admitted nothing"
             served += len(decision.admitted)
             admitted_ids = {r.request_id for r in decision.admitted}
@@ -383,7 +396,7 @@ class TestQoSAdmission:
     def test_negative_cost_rejected(self):
         engine = QoSAdmission(QoSConfig())
         with pytest.raises(ServiceError):
-            engine.admit([request(0, "a")], 0.0, lambda r: -1.0)
+            engine.admit(fifos([request(0, "a")]), 0.0, lambda r: -1.0)
 
     def test_profile_validation(self):
         with pytest.raises(ServiceError):
@@ -400,6 +413,13 @@ class TestQoSAdmission:
             QoSConfig(window_block_budget=0)
         with pytest.raises(ServiceError):
             QoSConfig(profiles={"a": 42})
+        # A misspelled field is a typed failure naming it and the fields
+        # a profile takes (not a builtin TypeError from the constructor).
+        with pytest.raises(ServiceError, match="weigth") as caught:
+            QoSConfig(profiles={"a": {"weigth": 2.0}})
+        assert "rate_blocks_per_hour" in str(caught.value)
+        with pytest.raises(ServiceError, match="rate"):
+            QoSConfig(default={"rate": 1.0})
 
     def test_config_coerces_plain_mappings(self):
         config = QoSConfig(
