@@ -143,6 +143,12 @@ def shard_of_signature(signature: str, shards: int) -> int:
     return zlib.crc32(signature.encode("utf-8", "surrogatepass")) % shards
 
 
+def _require_non_negative(name: str, bound: int) -> None:
+    """Reject a negative distance bound: no pair of strings is that close."""
+    if bound < 0:
+        raise ClusteringError(f"{name} must be non-negative, got {bound}")
+
+
 def _signature(read: str, signature_start: int, signature_length: int) -> str:
     return read[signature_start : signature_start + signature_length]
 
@@ -251,6 +257,7 @@ def route_reads(
     """
     if signature_length <= 0:
         raise ClusteringError("signature_length must be positive")
+    _require_non_negative("max_signature_errors", max_signature_errors)
     backend = get_distance_backend(distance_backend)
     fused = fused_kernels_enabled()
     bucket_reads: dict[str, list[int]] = {}
@@ -569,6 +576,7 @@ def cluster_shard(
     only, so payload and result cross the decode-worker pickle boundary
     without custom classes.
     """
+    _require_non_negative("max_read_distance", max_read_distance)
     backend = get_distance_backend(distance_backend)
     bucket_reads: dict[str, list[int]] = {}
     offset = 0
@@ -669,7 +677,13 @@ def cluster_reads(
     Returns:
         Clusters sorted by decreasing size (the order in which the decoder
         consumes them, per Section 8).
+
+    Raises:
+        ClusteringError: for a negative ``max_signature_errors`` or
+            ``max_read_distance``, before any comparison runs.
     """
+    _require_non_negative("max_signature_errors", max_signature_errors)
+    _require_non_negative("max_read_distance", max_read_distance)
     backend = get_distance_backend(distance_backend)
     shard_count = resolve_cluster_shards(shards)
     routed = route_reads(

@@ -8,18 +8,24 @@ interface, mirroring :mod:`repro.codec.backend`:
 * :class:`PythonDistanceBackend` — banded early-exit Levenshtein
   (:func:`repro.sequence.levenshtein_distance`), one comparison at a time,
   stopping at the first match.  No dependencies; the fallback everywhere.
-* :class:`NumpyDistanceBackend` — a vectorized banded Levenshtein that
-  runs *every* (query, candidate) pair of a batch through one dynamic
-  program: rows of all pairs advance together as ``(pairs, 2k+1)`` array
-  operations, so thousands of comparisons amortize the per-row cost.
+* :class:`NumpyDistanceBackend` — screens each query's candidates first:
+  an identical candidate, or an equal-length one within the bound by
+  Hamming count, is a certain match, and a length gap beyond the bound
+  rules a candidate out.  Only the undecided candidates in front of a
+  query's first certain match go through a vectorized banded Levenshtein:
+  each pair is stripped of its shared prefix and suffix, then the rows of
+  all pairs advance together as ``(pairs, 2k+1)`` array operations.
 
 Both backends are exact within the bound, so they produce *identical*
-clusters — ``tests/test_distance_backends.py`` asserts it.  Resolution
+clusters — ``tests/test_distance_backends.py`` asserts it, with the
+python backend as the unchanged reference.  Resolution
 order matches the codec engine: explicit name, then the
 ``REPRO_DISTANCE_BACKEND`` environment variable, then autodetection.
 """
 
 from __future__ import annotations
+
+from operator import ne
 
 from repro import envflags
 
@@ -95,6 +101,30 @@ def _bounded_distance(query: str, candidate: str, allowed: int) -> int:
     return levenshtein_distance(query, candidate, upper_bound=allowed)
 
 
+def _shared_prefix_length(left: str, right: str) -> int:
+    """Length of the longest common prefix, by binary search over slice
+    comparisons (which run at C speed)."""
+    low, high = 0, min(len(left), len(right))
+    while low < high:
+        middle = (low + high + 1) // 2
+        if left[:middle] == right[:middle]:
+            low = middle
+        else:
+            high = middle - 1
+    return low
+
+
+def _trim_shared(left: str, right: str) -> tuple[str, str]:
+    """Both strings without their shared prefix and shared suffix.
+
+    Neither changes an edit distance, and the length gap stays the same.
+    """
+    start = _shared_prefix_length(left, right)
+    left, right = left[start:], right[start:]
+    end = _shared_prefix_length(left[::-1], right[::-1])
+    return left[: len(left) - end], right[: len(right) - end]
+
+
 def _nearest_scalar(
     query: str, candidates: list[str], max_distance: int
 ) -> tuple[int, int] | None:
@@ -145,7 +175,7 @@ class NumpyDistanceBackend(DistanceBackend):
 
     _BIG = 1 << 20  # sentinel for out-of-band cells; survives +/- band width
 
-    #: Below this many candidates the per-call array setup costs more than
+    #: Below this many comparisons the per-call array setup costs more than
     #: the scalar banded loop saves; both paths are exact, so the cutover
     #: is purely a performance knob.
     _MIN_BATCH = 8
@@ -158,14 +188,6 @@ class NumpyDistanceBackend(DistanceBackend):
     def first_within(
         self, query: str, candidates: list[str], max_distance: int
     ) -> int | None:
-        if len(candidates) < self._MIN_BATCH:
-            for index, candidate in enumerate(candidates):
-                distance = levenshtein_distance(
-                    query, candidate, upper_bound=max_distance
-                )
-                if distance <= max_distance:
-                    return index
-            return None
         return self.first_within_batch([query], [candidates], max_distance)[0]
 
     def nearest(
@@ -234,20 +256,50 @@ class NumpyDistanceBackend(DistanceBackend):
         candidate_lists: list[list[str]],
         max_distance: int,
     ) -> list[int | None]:
+        # Screen each query's candidates in order.  An identical candidate,
+        # or an equal-length one within the bound by Hamming count (edit
+        # distance never exceeds it), is a certain match and ends the scan;
+        # a length gap beyond the bound rules a candidate out.  Only the
+        # undecided candidates in front of the first certain match need a
+        # distance, and the earliest of them within the bound wins.  Fewer
+        # than _MIN_BATCH of them go through the scalar kernel, with the
+        # same trimming and a per-query early exit.
+        if max_distance < 0:
+            raise ClusteringError("bound must be non-negative")
         pairs: list[tuple[str, str]] = []
-        spans: list[tuple[int, int]] = []
+        screened: list[tuple[int | None, list[int]]] = []
         for query, candidates in zip(queries, candidate_lists):
-            start = len(pairs)
-            pairs.extend((query, candidate) for candidate in candidates)
-            spans.append((start, len(pairs)))
-        distances = self.batch_distances(pairs, max_distance)
+            length = len(query)
+            certain: int | None = None
+            undecided: list[int] = []
+            for index, candidate in enumerate(candidates):
+                gap = len(candidate) - length
+                if gap == 0:
+                    if candidate == query or sum(map(ne, query, candidate)) <= max_distance:
+                        certain = index
+                        break
+                elif abs(gap) > max_distance:
+                    continue
+                undecided.append(index)
+                pairs.append((query, candidate))
+            screened.append((certain, undecided))
+        batched = len(pairs) >= self._MIN_BATCH
+        distances = self.batch_distances(pairs, max_distance) if batched else []
         results: list[int | None] = []
-        for start, end in spans:
-            match: int | None = None
-            for offset in range(start, end):
-                if distances[offset] <= max_distance:
-                    match = offset - start
+        offset = 0
+        for certain, undecided in screened:
+            match = certain
+            for position, index in enumerate(undecided, start=offset):
+                if batched:
+                    distance = distances[position]
+                else:
+                    distance = levenshtein_distance(
+                        *_trim_shared(*pairs[position]), upper_bound=max_distance
+                    )
+                if distance <= max_distance:
+                    match = index
                     break
+            offset += len(undecided)
             results.append(match)
         return results
 
@@ -258,6 +310,8 @@ class NumpyDistanceBackend(DistanceBackend):
 
         Returns the exact distance when it is ``<= bound`` and any value
         ``> bound`` otherwise (callers only compare against the bound).
+        Each pair is stripped of its shared prefix and suffix first, so the
+        DP runs only over the bases between the first and last difference.
         """
         np = self._np
         if bound < 0:
@@ -268,20 +322,24 @@ class NumpyDistanceBackend(DistanceBackend):
         # mirror the scalar function's full-length shortcut) and pairs whose
         # length gap already exceeds the bound.
         active: list[int] = []
+        work: list[tuple[str, str]] = []
         for index, (a, b) in enumerate(pairs):
             if a == b:
                 out[index] = 0
-            elif not a or not b:
+                continue
+            a, b = _trim_shared(a, b)
+            if not a or not b:
                 out[index] = min(len(a) + len(b), bound + 1)
             elif abs(len(a) - len(b)) > bound:
                 out[index] = bound + 1
             else:
                 active.append(index)
+                work.append((a, b))
         if not active:
             return out.tolist()
 
-        a_lens = np.array([len(pairs[i][0]) for i in active], dtype=np.int32)
-        b_lens = np.array([len(pairs[i][1]) for i in active], dtype=np.int32)
+        a_lens = np.array([len(a) for a, _ in work], dtype=np.int32)
+        b_lens = np.array([len(b) for _, b in work], dtype=np.int32)
         max_a = int(a_lens.max())
         max_b = int(b_lens.max())
         rows = len(active)
@@ -293,10 +351,7 @@ class NumpyDistanceBackend(DistanceBackend):
         # points so the numpy backend accepts exactly the inputs the
         # python backend does.  Sentinels are outside either range.
         try:
-            encoded = [
-                (pairs[i][0].encode("ascii"), pairs[i][1].encode("ascii"))
-                for i in active
-            ]
+            encoded = [(a.encode("ascii"), b.encode("ascii")) for a, b in work]
         except UnicodeEncodeError:
             encoded = None
         if encoded is not None:
@@ -309,8 +364,7 @@ class NumpyDistanceBackend(DistanceBackend):
         # up to `bound` past the longest right string) slices in-range.
         padded_width = max(max_b, max_a + bound) + bound + 1
         right = np.full((rows, padded_width), sentinel, dtype=dtype)
-        for row, index in enumerate(active):
-            a, b = pairs[index]
+        for row, (a, b) in enumerate(work):
             if encoded is not None:
                 left[row, : len(a)] = np.frombuffer(encoded[row][0], dtype=np.uint8)
                 right[row, bound : bound + len(b)] = np.frombuffer(

@@ -110,7 +110,13 @@ def levenshtein_distance(left: str, right: str, *, upper_bound: int | None = Non
     Returns:
         The minimum number of insertions, deletions and substitutions needed
         to turn ``left`` into ``right`` (possibly capped as described above).
+
+    Raises:
+        SequenceError: if ``upper_bound`` is negative (no pair of strings
+            is that close).
     """
+    if upper_bound is not None and upper_bound < 0:
+        raise SequenceError(f"upper_bound must be non-negative, got {upper_bound}")
     if left == right:
         return 0
     if not left:

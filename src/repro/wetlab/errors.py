@@ -68,10 +68,18 @@ class ErrorModel:
     # Application
     # ------------------------------------------------------------------
     def corrupt(self, sequence: str, rng: np.random.Generator) -> str:
-        """Return a noisy copy of ``sequence`` under this error model."""
+        """Return a noisy copy of ``sequence`` under this error model.
+
+        Before base ``i`` a random base is inserted where
+        ``insertion_draws[i]`` falls under the insertion rate; base ``i``
+        is dropped where ``deletion_draws[i]`` falls under the deletion
+        rate, and otherwise replaced by a different random base where
+        ``substitution_draws[i]`` falls under the substitution rate.
+        ``insertion_draws[n]`` appends a base after the last one.  Random
+        bases are consumed in position order.
+        """
         if self.total_error_rate == 0.0:
             return sequence
-        bases = []
         alphabet = DNA_ALPHABET
         n = len(sequence)
         # Draw all random numbers in bulk for speed.
@@ -79,24 +87,35 @@ class ErrorModel:
         insertion_draws = rng.random(n + 1)
         deletion_draws = rng.random(n)
         random_bases = rng.integers(0, 4, size=2 * n + 2)
+        inserted = insertion_draws < self.insertion_rate
+        deleted = deletion_draws < self.deletion_rate
+        substituted = substitution_draws < self.substitution_rate
+        # Errors are rare, so only the event positions are visited; the
+        # untouched runs between them are copied whole.
+        events = (inserted[:n] | deleted | substituted).nonzero()[0].tolist()
+        pieces: list[str] = []
         random_cursor = 0
-        for i in range(n):
-            if insertion_draws[i] < self.insertion_rate:
-                bases.append(alphabet[random_bases[random_cursor]])
+        start = 0
+        for i in events:
+            pieces.append(sequence[start:i])
+            start = i + 1
+            if inserted[i]:
+                pieces.append(alphabet[random_bases[random_cursor]])
                 random_cursor += 1
-            if deletion_draws[i] < self.deletion_rate:
+            if deleted[i]:
                 continue
             base = sequence[i]
-            if substitution_draws[i] < self.substitution_rate:
+            if substituted[i]:
                 replacement = alphabet[random_bases[random_cursor]]
                 random_cursor += 1
                 if replacement == base:
                     replacement = alphabet[(alphabet.index(base) + 1) % 4]
                 base = replacement
-            bases.append(base)
-        if insertion_draws[n] < self.insertion_rate:
-            bases.append(alphabet[random_bases[random_cursor]])
-        return "".join(bases)
+            pieces.append(base)
+        pieces.append(sequence[start:])
+        if inserted[n]:
+            pieces.append(alphabet[random_bases[random_cursor]])
+        return "".join(pieces)
 
     def corrupt_many(
         self, sequences: list[str], rng: np.random.Generator

@@ -107,13 +107,32 @@ class PCRConfig:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class _PrimerBinding:
-    """Pre-computed binding behaviour of one primer against one species."""
+    """How one forward primer misprimes on one species it does not match.
 
-    exact: bool
+    ``product`` is the species the misprimed copies add to: the strand with
+    its prefix overwritten by the primer, or the strand itself.
+    """
+
     mispriming_efficiency: float
-    product: str | None
+    product: str
+
+
+@dataclass(frozen=True)
+class _StrandClass:
+    """How a species amplifies in every cycle of one reaction.
+
+    A strand's sequence and the reaction's primers never change between
+    cycles, so neither does this.  ``misprimes`` holds the bindings with a
+    positive efficiency, in primer order.  ``self_gain`` is the strand's
+    own per-cycle gain per copy: the maximum efficiency for an exact strand
+    (a primer prefix and the reverse suffix), else the residual main
+    primer's efficiency capped at that maximum, or 0.
+    """
+
+    misprimes: tuple[_PrimerBinding, ...]
+    self_gain: float
 
 
 class PCRSimulator:
@@ -136,33 +155,29 @@ class PCRSimulator:
             return primer.sequence
         return primer
 
-    def _binding(
-        self,
-        strand: str,
-        annotations: dict,
-        forward: str,
-        reverse: str,
-    ) -> _PrimerBinding:
-        """Compute how a forward primer binds to a strand."""
+    def _mispriming_efficiency(self, footprint: str, forward: str) -> float:
+        """Per-cycle efficiency of a forward primer annealing to a footprint.
+
+        The footprint is the strand prefix the primer lands on; 0.0 means it
+        is farther than ``max_mispriming_distance`` from the primer.  The
+        two share most of their bases — every strand of a partition starts
+        with its main primer, and an elongated primer is that primer plus
+        address bases — and a shared prefix never changes an edit distance,
+        so only the bases after it are compared.
+        """
         config = self.config
-        if not strand.endswith(reverse):
-            return _PrimerBinding(exact=False, mispriming_efficiency=0.0, product=None)
-        footprint = strand[: len(forward)]
-        if footprint == forward:
-            return _PrimerBinding(exact=True, mispriming_efficiency=0.0, product=None)
+        shared = 0
+        limit = len(footprint)
+        while shared < limit and footprint[shared] == forward[shared]:
+            shared += 1
         distance = levenshtein_distance(
-            footprint, forward, upper_bound=config.max_mispriming_distance
+            footprint[shared:],
+            forward[shared:],
+            upper_bound=config.max_mispriming_distance,
         )
         if distance > config.max_mispriming_distance:
-            return _PrimerBinding(exact=False, mispriming_efficiency=0.0, product=None)
-        efficiency = config.max_efficiency * (config.mismatch_penalty ** distance)
-        product = None
-        if config.overwrite_prefix:
-            product = forward + strand[len(forward):]
-        del annotations
-        return _PrimerBinding(
-            exact=False, mispriming_efficiency=efficiency, product=product
-        )
+            return 0.0
+        return config.max_efficiency * (config.mismatch_penalty ** distance)
 
     # ------------------------------------------------------------------
     # Amplification
@@ -208,62 +223,76 @@ class PCRSimulator:
             metadata={seq: dict(meta) for seq, meta in pool.metadata.items()},
         )
 
-        # Pre-compute bindings for the initial species.  Products created by
-        # prefix overwrite match their primer exactly, so their binding is
-        # known without re-computation.
-        bindings: dict[str, list[_PrimerBinding]] = {}
+        config = self.config
+        max_gain = config.max_efficiency
+        residual_efficiency = config.residual_primer_efficiency
+        residual_primer = residual_forward_primer if residual_efficiency > 0.0 else None
+        exact_prefixes = tuple(forward_sequences)
 
-        def bindings_for(strand: str) -> list[_PrimerBinding]:
-            if strand not in bindings:
-                bindings[strand] = [
-                    self._binding(strand, result.annotations(strand), fwd, reverse_primer)
-                    for fwd in forward_sequences
-                ]
-            return bindings[strand]
+        # A strand's binding behaviour cannot change from one cycle to the
+        # next, so each species is classified once per reaction, on the
+        # first cycle it has copies.  Products created by prefix overwrite
+        # start with their primer, so they classify as exact.  Strands of
+        # one block share their footprint, so each (footprint, primer)
+        # efficiency is computed once per reaction too.
+        classes: dict[str, _StrandClass] = {}
+        efficiencies: dict[tuple[str, str], float] = {}
 
-        exact_prefix_set = set(forward_sequences)
-        residual_efficiency = self.config.residual_primer_efficiency
-        residual_primer = residual_forward_primer
+        def classify(strand: str) -> _StrandClass:
+            if not strand.endswith(reverse_primer):
+                return _StrandClass(misprimes=(), self_gain=0.0)
+            if strand.startswith(exact_prefixes):
+                return _StrandClass(misprimes=(), self_gain=max_gain)
+            misprimes = []
+            for fwd in forward_sequences:
+                key = (strand[: len(fwd)], fwd)
+                efficiency = efficiencies.get(key)
+                if efficiency is None:
+                    efficiency = efficiencies[key] = self._mispriming_efficiency(*key)
+                if efficiency > 0.0:
+                    product = strand
+                    if config.overwrite_prefix:
+                        product = fwd + strand[len(fwd):]
+                    misprimes.append(
+                        _PrimerBinding(mispriming_efficiency=efficiency, product=product)
+                    )
+            self_gain = 0.0
+            # Residual main primers amplify everything in the partition.
+            if residual_primer is not None and strand.startswith(residual_primer):
+                self_gain = residual_efficiency
+            # Per-cycle gain of any single template is physically capped at
+            # one additional copy per existing copy (doubling), no matter
+            # how many primers can bind it.
+            return _StrandClass(
+                misprimes=tuple(misprimes), self_gain=min(self_gain, max_gain)
+            )
 
-        for cycle in range(self.config.cycles):
-            in_touchdown = cycle < self.config.touchdown_cycles
+        for cycle in range(config.cycles):
+            in_touchdown = cycle < config.touchdown_cycles
             misprime_factor = (
-                self.config.touchdown_mispriming_factor if in_touchdown else 1.0
+                config.touchdown_mispriming_factor if in_touchdown else 1.0
             )
             additions: dict[str, float] = {}
             new_products: dict[str, dict] = {}
-            max_gain = self.config.max_efficiency
             for strand, copies in result.species.items():
                 if copies <= 0.0:
                     continue
-                # Per-cycle gain of any single template is physically capped
-                # at one additional copy per existing copy (doubling), no
-                # matter how many primers can bind it.
-                self_gain = 0.0
-                # Products that start with a primer sequence amplify exactly.
-                if any(strand.startswith(fwd) for fwd in exact_prefix_set) and strand.endswith(reverse_primer):
-                    self_gain = max_gain
-                else:
-                    for binding in bindings_for(strand):
-                        if binding.exact:
-                            self_gain = max(self_gain, max_gain)
-                        elif binding.mispriming_efficiency > 0.0:
-                            gain = copies * binding.mispriming_efficiency * misprime_factor
-                            if gain <= 0.0:
-                                continue
-                            product = binding.product or strand
-                            additions[product] = additions.get(product, 0.0) + gain
-                            if product not in result.species and product not in new_products:
-                                source_meta = dict(result.annotations(strand))
-                                source_meta["misprimed"] = True
-                                new_products[product] = source_meta
-                # Residual main primers amplify everything in the partition.
-                if residual_efficiency > 0.0 and residual_primer is not None:
-                    if strand.startswith(residual_primer) and strand.endswith(reverse_primer):
-                        self_gain = max(self_gain, residual_efficiency)
-                if self_gain > 0.0:
-                    additions[strand] = additions.get(strand, 0.0) + copies * min(
-                        self_gain, max_gain
+                strand_class = classes.get(strand)
+                if strand_class is None:
+                    strand_class = classes[strand] = classify(strand)
+                for binding in strand_class.misprimes:
+                    gain = copies * binding.mispriming_efficiency * misprime_factor
+                    if gain <= 0.0:
+                        continue
+                    product = binding.product
+                    additions[product] = additions.get(product, 0.0) + gain
+                    if product not in result.species and product not in new_products:
+                        source_meta = dict(result.annotations(strand))
+                        source_meta["misprimed"] = True
+                        new_products[product] = source_meta
+                if strand_class.self_gain > 0.0:
+                    additions[strand] = (
+                        additions.get(strand, 0.0) + copies * strand_class.self_gain
                     )
             for strand, gain in additions.items():
                 result.species[strand] = result.species.get(strand, 0.0) + gain

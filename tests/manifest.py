@@ -79,6 +79,7 @@ NEEDS_NUMPY: tuple[str, ...] = (
     "test_store_wetlab_roundtrip.py",
     "test_wetlab_errors.py",
     "test_wetlab_pool.py",
+    "test_wetlab_read_path_diff.py",
 )
 
 #: Directory holding the suite (and this manifest).

@@ -149,6 +149,18 @@ class TestDistances:
     def test_levenshtein_upper_bound_length_gap(self):
         assert levenshtein_distance("A", "AAAAAAAA", upper_bound=2) == 3
 
+    @pytest.mark.parametrize("bound", [-1, -2, -100])
+    @pytest.mark.parametrize("left, right", [("A", "C"), ("ACGT", "ACGT"), ("", "A")])
+    def test_levenshtein_negative_upper_bound_rejected(self, left, right, bound):
+        # No pair of strings is at a negative distance; the banded path
+        # used to answer bound + 1 (0 for -1, -1 for -2).
+        with pytest.raises(SequenceError, match="non-negative"):
+            levenshtein_distance(left, right, upper_bound=bound)
+
+    def test_levenshtein_zero_upper_bound(self):
+        assert levenshtein_distance("ACGT", "ACGT", upper_bound=0) == 0
+        assert levenshtein_distance("A", "C", upper_bound=0) == 1
+
     @given(dna, dna)
     def test_levenshtein_symmetric(self, left, right):
         assert levenshtein_distance(left, right) == levenshtein_distance(right, left)
