@@ -80,7 +80,7 @@ def test_sec8_decoding_latency(benchmark, alice_experiment, precise_access_531):
 def _serving_readout():
     """The wetlab-serving workload both engine benchmarks run on.
 
-    Exactly what ``ServiceSimulator`` feeds ``decode_readout`` under
+    Exactly what ``ServicePipeline`` feeds ``decode_readout`` under
     ``fidelity="wetlab"``: a 64-block merged plan of one partition,
     amplified and sequenced at 150 reads per block.
 

@@ -2,7 +2,7 @@
 
 Simulates >= 10k read requests from >= 100 tenants against an object
 store and compares the three serving policies of
-:class:`repro.service.ServiceSimulator`.  Asserts the acceptance criteria
+:class:`repro.service.ServicePipeline`.  Asserts the acceptance criteria
 of the serving-layer subsystem:
 
 * batching reduces total PCR reactions and sequenced reads versus the
@@ -21,7 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from conftest import emit_bench_json, report
-from repro.service import POLICIES, ServiceConfig, ServiceSimulator
+from repro.service import POLICIES, ServiceConfig, ServicePipeline
 from repro.store import DnaVolume, ObjectStore, VolumeConfig
 from repro.workloads import multi_tenant_trace, object_corpus
 
@@ -60,7 +60,7 @@ def run_comparison() -> dict:
         seed=SEED,
     )
     assert len({event.tenant for event in trace}) >= 100
-    simulator = ServiceSimulator(
+    simulator = ServicePipeline(
         store,
         config=ServiceConfig(
             window_hours=0.5,
@@ -74,7 +74,7 @@ def run_comparison() -> dict:
     # observability layer recording and require bit-identical numbers —
     # enabling tracing must not change a single outcome at 10k-request
     # scale.
-    traced = ServiceSimulator(
+    traced = ServicePipeline(
         store, config=replace(simulator.config, tracing=True)
     )
     replay = traced.run(trace, "batched+cache")
@@ -220,7 +220,7 @@ def test_service_wetlab_fidelity_smoke():
     trace = multi_tenant_trace(
         catalog, tenants=5, requests=16, duration_hours=10.0, seed=SEED
     )
-    simulator = ServiceSimulator(
+    simulator = ServicePipeline(
         store,
         config=ServiceConfig(
             window_hours=0.5,
@@ -341,7 +341,7 @@ def test_service_mixed_pipeline_smoke():
     def run(fidelity):
         target.clear()
         store, catalog = build_mixed_store()
-        simulator = ServiceSimulator(
+        simulator = ServicePipeline(
             store,
             config=ServiceConfig(
                 window_hours=0.5,

@@ -22,7 +22,7 @@ from repro import (
     DnaVolume,
     ObjectStore,
     ServiceConfig,
-    ServiceSimulator,
+    ServicePipeline,
     VolumeConfig,
 )
 from repro.service import policy_latency_comparison
@@ -54,7 +54,7 @@ def main() -> None:
     )
     print(f"trace: {len(trace)} requests from 25 tenants over 24 h\n")
 
-    simulator = ServiceSimulator(
+    simulator = ServicePipeline(
         store,
         config=ServiceConfig(
             window_hours=0.5,

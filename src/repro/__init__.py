@@ -49,7 +49,6 @@ from repro.service import (
     ServiceConfig,
     ServicePipeline,
     ServiceRequest,
-    ServiceSimulator,
     SynthesisOrder,
 )
 from repro.store import (
@@ -94,7 +93,6 @@ __all__ = [
     "ServiceConfig",
     "ServicePipeline",
     "ServiceRequest",
-    "ServiceSimulator",
     "SynthesisOrder",
     "CodecBackend",
     "available_backends",

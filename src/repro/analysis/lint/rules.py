@@ -755,16 +755,14 @@ class PickleBoundaryRule(Rule):
     code = "RL008"
     name = "pickle-boundary"
     description = (
-        "Types crossing the DecodeEngine process boundary (DecodeTask / "
-        "DecodeOutcome fields, the _run_task and _run_stage_task "
-        "signatures) must appear in PICKLE_BOUNDARY_TYPES — the declared "
-        "set of types proven to pickle deterministically "
+        "Types in the signature of _run_stage_task, the DecodeEngine's one "
+        "worker entry point, must appear in PICKLE_BOUNDARY_TYPES — the "
+        "declared set of types proven to pickle deterministically "
         "(GaloisField.cached precedent)."
     )
     scopes = ("src/repro/pipeline/parallel.py",)
 
-    _BOUNDARY_CLASSES = ("DecodeTask", "DecodeOutcome")
-    _BOUNDARY_FUNCTIONS: tuple[str, ...] = ("_run_task", "_run_stage_task")
+    _BOUNDARY_FUNCTIONS: tuple[str, ...] = ("_run_stage_task",)
 
     def check(self, ctx: FileContext) -> list[Finding]:
         declared = self._declared_types(ctx.tree)
@@ -780,14 +778,7 @@ class PickleBoundaryRule(Rule):
         findings: list[Finding] = []
         checked_any = False
         for node in ctx.tree.body:
-            if isinstance(node, ast.ClassDef) and node.name in self._BOUNDARY_CLASSES:
-                checked_any = True
-                for stmt in node.body:
-                    if isinstance(stmt, ast.AnnAssign):
-                        findings.extend(
-                            self._check_annotation(ctx, stmt.annotation, declared)
-                        )
-            elif (
+            if (
                 isinstance(node, ast.FunctionDef)
                 and node.name in self._BOUNDARY_FUNCTIONS
             ):
@@ -813,8 +804,7 @@ class PickleBoundaryRule(Rule):
                 self.finding(
                     ctx,
                     1,
-                    "expected DecodeTask/DecodeOutcome/_run_task/"
-                    "_run_stage_task boundary declarations were not found; "
+                    "the _run_stage_task worker entry point was not found; "
                     "update PickleBoundaryRule alongside the engine",
                 )
             )

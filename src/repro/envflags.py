@@ -78,23 +78,6 @@ _FLAGS: tuple[EnvFlag, ...] = (
         "strands (auto follows numpy availability and the fused-kernel switch).",
     ),
     EnvFlag(
-        name="REPRO_DECODE_SHM",
-        default="1",
-        accepted="boolean (0/false/no/off disable)",
-        owner="repro.pipeline.parallel",
-        description="Ship decode-worker read batches >= 1 MiB through "
-        "multiprocessing shared memory instead of the executor pipe.",
-    ),
-    EnvFlag(
-        name="REPRO_DECODE_STAGED",
-        default="1",
-        accepted="boolean (0/false/no/off disable)",
-        owner="repro.pipeline.parallel",
-        description="Let the multi-worker decode engine split readouts into "
-        "profile-staged cluster/consensus/solve pool tasks when clustering "
-        "is sharded (byte-identical either way).",
-    ),
-    EnvFlag(
         name="REPRO_DECODE_WORKERS",
         default="",
         accepted="positive integer (blank = CPU count; 1 = inline serial)",

@@ -24,17 +24,4 @@ def fused_kernels_enabled() -> bool:
     return envflags.enabled("REPRO_FUSED_KERNELS")
 
 
-def staged_decode_enabled() -> bool:
-    """Whether the decode engine may stage readouts across the pool.
-
-    When on (the default) and clustering is sharded, a multi-worker
-    :class:`~repro.pipeline.parallel.DecodeEngine` decomposes each
-    readout into cluster-shard / consensus-batch / syndrome-solve pool
-    tasks instead of one monolithic per-partition task.  Results are
-    byte-identical either way; ``REPRO_DECODE_STAGED=0`` restores the
-    one-task-per-partition scheduling.
-    """
-    return envflags.enabled("REPRO_DECODE_STAGED")
-
-
-__all__ = ["fused_kernels_enabled", "staged_decode_enabled"]
+__all__ = ["fused_kernels_enabled"]

@@ -12,7 +12,7 @@ or a JSON-able snapshot for ``BENCH_*.json``.
 * :mod:`repro.observability.metrics` — :class:`MetricsRegistry` of
   counters, gauges and histograms, snapshot-able per run.
 * :mod:`repro.observability.stages` — the per-stage wall-clock collector
-  of the decode hot path (supersedes ``repro.pipeline.stage_timing``).
+  of the decode hot path.
 * :mod:`repro.observability.export` — Chrome-trace/Perfetto JSON, span
   coverage, text run summaries, and the :class:`RunObservability`
   bundle a traced :meth:`~repro.service.ServicePipeline.run` attaches to

@@ -9,12 +9,11 @@ everything recorded in between lands in the collector's dict.  When no
 collector is active, :func:`stage` is a no-op ``yield``, so ordinary
 decodes pay nothing.
 
-This module supersedes ``repro.pipeline.stage_timing`` (now a
-re-exporting shim).  On top of the aggregate dict, :func:`stage` also
-emits a wall-clock :class:`~repro.observability.tracing.Span` when an
-ambient tracer is active, so traced runs get *individual* stage regions
-(nested under whatever decode span is open) while the collector keeps
-the cheap per-run totals.
+On top of the aggregate dict, :func:`stage` also emits a wall-clock
+:class:`~repro.observability.tracing.Span` when an ambient tracer is
+active, so traced runs get *individual* stage regions (nested under
+whatever decode span is open) while the collector keeps the cheap
+per-run totals.
 
 The collector is process-global (each worker process of the parallel
 engine collects its own stages and ships them back with its result); the

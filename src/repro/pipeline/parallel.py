@@ -4,38 +4,33 @@ One wetlab cycle produces independent per-partition read batches (the
 concatenated reads of the cycle's :class:`~repro.wetlab.readout.ReadoutUnit`
 s, in access order), and decoding a batch — clustering, trace
 reconstruction, Reed-Solomon — is pure CPU work on immutable inputs.  The
-:class:`DecodeEngine` fans those batches out to a pool of worker
+:class:`DecodeEngine` decodes those batches inline or on a pool of worker
 processes:
 
-* **Determinism.**  A task carries everything its decode depends on (the
-  pickled partition, the reads, the target blocks, the decoder options),
-  tasks never share state, and results are collected in submission order —
-  so the decoded bytes, per-block reports and failure strings are
-  byte-identical for *any* worker count, including the inline ``workers=1``
-  path.  Sequencing randomness is seeded per readout unit upstream, so
-  worker scheduling cannot perturb it either.
+* **Determinism.**  A stage task carries everything it depends on (a
+  cluster shard's reads, a batch of cluster read groups, the pickled
+  partition of a solve), stage tasks never share state, and the parent
+  merges their results in a fixed order — so the decoded bytes, per-block
+  reports and failure strings are byte-identical for *any* worker and
+  shard count, including the inline ``workers=1`` path.  Sequencing
+  randomness is seeded per readout unit upstream, so worker scheduling
+  cannot perturb it either.
 * **Worker resolution.**  An explicit ``workers`` argument wins, then the
   ``REPRO_DECODE_WORKERS`` environment variable, then the CPU count.
-  ``workers=1`` decodes inline with no pool and no pickling — today's
-  serial path.
-* **Payload transport.**  Tasks ship as ordinary pickles; read batches at
-  or above :data:`SHARED_MEMORY_MIN_BYTES` take an optional
-  ``multiprocessing.shared_memory`` fast path.  A :class:`_SegmentArena`
-  packs every big blob of a decode batch into **one** segment (length-
-  prefixed ASCII, ``(name, offset, length)`` descriptors) instead of one
-  segment per task, and guarantees the unlink on every exit path,
-  including a broken pool.  ``REPRO_DECODE_SHM=0`` disables it.
-* **Intra-partition staging.**  With ``REPRO_CLUSTER_SHARDS`` > 1 a
-  multi-worker engine decomposes each readout into *stage tasks* —
-  cluster shards (:func:`repro.pipeline.clustering.cluster_shard`),
-  consensus batches
+  ``workers=1`` decodes inline with no pool and no pickling — the serial
+  path.
+* **One pool scheduler.**  A multi-worker engine decomposes each readout
+  into *stage tasks* — cluster shards
+  (:func:`repro.pipeline.clustering.cluster_shard`), consensus batches
   (:func:`repro.pipeline.consensus.split_consensus_batches`) and the
   batched syndrome solve — scheduled by a :class:`StageProfile` (EWMA
   seconds-per-unit fed back from workers), so a hot partition's cluster
   shards interleave with other partitions' consensus work instead of
-  head-of-line blocking one worker.  ``REPRO_DECODE_STAGED=0`` restores
-  one-task-per-partition scheduling; results are byte-identical in every
-  mode because the stage pieces are exactly the serial path's phases.
+  head-of-line blocking one worker.  At one shard
+  (``REPRO_CLUSTER_SHARDS`` unset) each readout is one cluster task and
+  one consensus batch, and the profile keeps cheap solves in the parent.
+  The stage pieces are exactly the serial path's phases.  Payloads travel
+  as ordinary pickles; the distance backend crosses by name.
 * **Robustness.**  A broken pool (a worker killed mid-cycle) falls back to
   decoding the remaining tasks inline rather than failing the cycle.
 
@@ -62,7 +57,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro import envflags
 from repro.exceptions import DecodingError
-from repro.fastpath import staged_decode_enabled
 from repro.observability.stages import collect_stages, record_stages, stage
 from repro.observability.tracing import (
     Tracer,
@@ -84,6 +78,7 @@ from repro.pipeline.clustering import (
     route_reads,
 )
 from repro.pipeline.consensus import split_consensus_batches
+from repro.pipeline.distance import DistanceBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.partition import Partition
@@ -96,12 +91,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     )
 
 _WORKERS_ENV = "REPRO_DECODE_WORKERS"
-_SHM_ENV = "REPRO_DECODE_SHM"
-
-#: Read batches below this many payload bytes always travel as pickles;
-#: the shared-memory fast path only pays off once the blob dwarfs the
-#: segment setup cost.
-SHARED_MEMORY_MIN_BYTES = 1 << 20
 
 #: A syndrome solve predicted to run at least this long goes to a worker;
 #: cheaper solves run inline in the parent, where the submission +
@@ -118,19 +107,18 @@ _STAGE_OF_KIND = {
 }
 
 #: The only type names allowed to cross the worker-process boundary —
-#: :class:`DecodeTask` / :class:`DecodeOutcome` fields and the
-#: :func:`_run_task` / :func:`_run_stage_task` signatures may reference
-#: nothing outside this set (reprolint rule RL008).  Every non-builtin
-#: entry must pickle deterministically: ``Partition`` carries its geometry
-#: by value and its ``GaloisField`` resolves through ``GaloisField.cached``
-#: (``__reduce__``), so workers share one per-process table source instead
-#: of re-deriving exp/log tables per task.
+#: the signature of :func:`_run_stage_task`, the pool's one entry point,
+#: may reference nothing outside this set (reprolint rule RL008), and its
+#: payloads and results carry nothing else.  Every non-builtin entry must
+#: pickle deterministically: ``Partition`` (solve payloads) carries its
+#: geometry by value and its ``GaloisField`` resolves through
+#: ``GaloisField.cached`` (``__reduce__``), so workers share one
+#: per-process table source instead of re-deriving exp/log tables per
+#: task; ``Span`` records ride home with traced results.
 PICKLE_BOUNDARY_TYPES = frozenset(
     {
         "Partition",
-        "DecodeReport",
         "Span",
-        "Sequence",
         "bool",
         "bytes",
         "dict",
@@ -162,25 +150,21 @@ def resolve_worker_count(workers: int | None = None) -> int:
     return workers
 
 
-def shared_memory_enabled(shared_memory: bool | None = None) -> bool:
-    """Whether large read batches ride shared memory (argument, then env)."""
-    if shared_memory is not None:
-        return shared_memory
-    return envflags.enabled(_SHM_ENV)
-
-
 @dataclass(frozen=True)
 class DecodeTask:
     """One partition readout to decode.
 
     Attributes:
-        partition: the partition whose blocks the reads encode (pickled to
-            the worker; it carries primers, layout and ECC geometry).
+        partition: the partition whose blocks the reads encode (it carries
+            primers, layout and ECC geometry; solve-stage tasks pickle it
+            to a worker).
         reads: raw sequencing reads of the partition's readout units,
             concatenated in access order.
         blocks: target block numbers (``None`` = every written block).
         decoder_options: forwarded to
-            :class:`~repro.pipeline.decoder.BlockDecoder`.
+            :class:`~repro.pipeline.decoder.BlockDecoder` in the parent;
+            workers receive only the clustering options, with the
+            distance backend by name.
         label: display name used on trace spans (conventionally the
             partition's name; diagnostics only, never affects decoding).
     """
@@ -199,10 +183,10 @@ class DecodeOutcome:
     Attributes:
         reports: per-block decode reports, as
             :meth:`BlockDecoder.decode_readout` returns them.
-        stages: the task's stage timing breakdown (worker wall-clock;
-            under staged decoding the sum over the task's stage tasks).
-        seconds: total wall-clock of the task's decode (elapsed time from
-            first to last stage under staged decoding).
+        stages: the task's stage timing breakdown (on the pool, the sum
+            over the task's stage tasks).
+        seconds: total wall-clock of the task's decode (on the pool,
+            elapsed time from its first to its last stage).
     """
 
     reports: "dict[int, DecodeReport]"
@@ -210,228 +194,27 @@ class DecodeOutcome:
     seconds: float
 
 
-# ----------------------------------------------------------------------
-# Shared-memory transport
-# ----------------------------------------------------------------------
-def _encode_reads(reads: Sequence[str]) -> bytes | None:
-    """One length-prefixed ASCII blob for a read batch.
-
-    Layout: a comma-separated length header, one newline, then the
-    concatenated read bodies (sliced back out by length, so reads may
-    contain any ASCII byte).  ``None`` when the reads cannot encode.
-    """
-    try:
-        header = ",".join(str(len(read)) for read in reads)
-        body = "".join(reads)
-        return (header + "\n" + body).encode("ascii")
-    except UnicodeEncodeError:
-        return None
-
-
-def _decode_reads(blob: bytes) -> list[str]:
-    """Invert :func:`_encode_reads`."""
-    text = blob.decode("ascii")
-    header, _, body = text.partition("\n")
-    if not header:
-        return []
-    reads: list[str] = []
-    position = 0
-    for length in (int(part) for part in header.split(",")):
-        reads.append(body[position : position + length])
-        position += length
-    return reads
-
-
-def _encode_read_groups(groups: Sequence[Sequence[str]]) -> bytes | None:
-    """One length-prefixed ASCII blob for clustered read groups.
-
-    Same layout as :func:`_encode_reads` with a two-level header:
-    per-group comma-separated read lengths, groups joined by ``;``.
-    """
-    try:
-        header = ";".join(
-            ",".join(str(len(read)) for read in group) for group in groups
-        )
-        body = "".join(read for group in groups for read in group)
-        return (header + "\n" + body).encode("ascii")
-    except UnicodeEncodeError:
-        return None
-
-
-def _decode_read_groups(blob: bytes) -> list[list[str]]:
-    """Invert :func:`_encode_read_groups`."""
-    text = blob.decode("ascii")
-    header, _, body = text.partition("\n")
-    if not header:
-        return []
-    groups: list[list[str]] = []
-    position = 0
-    for part in header.split(";"):
-        group: list[str] = []
-        if part:
-            for length in (int(piece) for piece in part.split(",")):
-                group.append(body[position : position + length])
-                position += length
-        groups.append(group)
-    return groups
-
-
-class _SegmentArena:
-    """Shared-memory segments owned by one decode batch.
-
-    :meth:`publish` packs many blobs into **one** segment per call and
-    hands back ``(name, offset, length)`` descriptors, so a batch of
-    tasks (or a wave of stage tasks) shares a single segment instead of
-    paying one create/unlink per task.  :meth:`release` unlinks every
-    segment the arena created — the parent owns segment lifetime
-    unconditionally (workers only attach), so calling it in a ``finally``
-    guarantees no leak even when the pool breaks mid-batch.
-    """
-
-    def __init__(self) -> None:
-        self._segments: list = []
-
-    def publish(
-        self, blobs: Sequence[bytes]
-    ) -> list[tuple[str, int, int]] | None:
-        """Pack ``blobs`` into one fresh segment; ``None`` if unavailable."""
-        total = sum(len(blob) for blob in blobs)
-        if not blobs or total == 0:
-            return None
-        from multiprocessing import shared_memory
-
-        try:
-            segment = shared_memory.SharedMemory(create=True, size=total)
-        except OSError:
-            return None
-        descriptors: list[tuple[str, int, int]] = []
-        offset = 0
-        for blob in blobs:
-            segment.buf[offset : offset + len(blob)] = blob
-            descriptors.append((segment.name, offset, len(blob)))
-            offset += len(blob)
-        self._segments.append(segment)
-        segment.close()
-        return descriptors
-
-    def release(self) -> None:
-        """Unlink every segment this arena created (idempotent)."""
-        for segment in self._segments:
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        self._segments.clear()
-
-
-def _load_blob(descriptor: tuple[str, int, int]) -> bytes:
-    """Copy one published blob out of its shared segment (worker side)."""
-    from multiprocessing import resource_tracker, shared_memory
-
-    name, offset, length = descriptor
-    segment = shared_memory.SharedMemory(name=name)
-    try:
-        blob = bytes(segment.buf[offset : offset + length])
-    finally:
-        segment.close()
-        # Attaching registered the segment with this process's resource
-        # tracker, which would unlink it a second time (and warn) at
-        # worker exit; the parent owns the segment's lifetime.
-        try:
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker API is CPython detail
-            pass
-    return blob
-
-
-def _load_reads(descriptor: tuple[str, int, int]) -> list[str]:
-    """Read a batch back out of a shared-memory segment (worker side)."""
-    return _decode_reads(_load_blob(descriptor))
-
-
-def _load_read_groups(descriptor: tuple[str, int, int]) -> list[list[str]]:
-    """Read clustered groups back out of a shared segment (worker side)."""
-    return _decode_read_groups(_load_blob(descriptor))
-
-
-def _unlink_segment(name: str) -> None:
-    from multiprocessing import shared_memory
-
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:  # pragma: no cover - already gone
-        return
-    segment.close()
-    segment.unlink()
-
-
-def _run_task(
-    partition: "Partition",
-    blocks: list[int] | None,
-    decoder_options: dict,
-    reads: list[str] | None,
-    shm_descriptor: tuple | None,
-    trace: bool | None = None,
-    label: str = "",
-) -> tuple["dict[int, DecodeReport]", dict[str, float], float, list]:
-    """Decode one task (worker entry point; also the inline path's core).
-
-    ``trace`` selects the span-propagation mode: ``None`` leaves the
-    ambient tracer alone (the inline path — spans land directly in the
-    caller's tracer), ``True`` runs under a fresh local tracer whose
-    spans are returned for the parent to adopt (a worker of a traced
-    run), and ``False`` explicitly sheds any tracer inherited across a
-    ``fork`` (a worker of an untraced run).
-    """
-    from repro.pipeline.decoder import BlockDecoder
-
-    if reads is None:
-        assert shm_descriptor is not None
-        reads = _load_reads(shm_descriptor)
-
-    def decode() -> "dict[int, DecodeReport]":
-        decoder = BlockDecoder(partition, **decoder_options)
-        return decoder.decode_readout(reads, blocks)
-
-    begin = wall_now()
-    if trace is None:
-        with collect_stages() as stages:
-            reports = decode()
-        return reports, dict(stages), wall_now() - begin, []
-    tracer = Tracer() if trace else None
-    with activate(tracer):
-        with collect_stages() as stages:
-            if tracer is not None:
-                with tracer.wall_span(
-                    f"decode:{label or 'task'}",
-                    track=worker_track(),
-                    blocks=len(blocks) if blocks is not None else None,
-                    reads=len(reads),
-                ):
-                    reports = decode()
-            else:
-                reports = decode()
-    spans = tracer.spans if tracer is not None else []
-    return reports, dict(stages), wall_now() - begin, spans
-
-
 def _run_stage_task(
     kind: str,
     payload: tuple,
     options: dict,
-    shm_descriptor: tuple | None = None,
     trace: bool | None = None,
     label: str = "",
 ) -> tuple:
-    """Run one decode stage (worker entry point of the staged engine).
+    """Run one decode stage (the pool's worker entry point).
 
     ``kind`` selects the stage: ``"cluster"`` agglomerates one clustering
     shard (payload ``(reads, buckets)``), ``"consensus"`` reconstructs a
     batch of cluster strands (payload ``(groups, length)``), ``"solve"``
-    batch-decodes encoding units (payload ``(partition, units)``).  A
-    ``None`` first payload element means the blob rides shared memory and
-    ``shm_descriptor`` locates it.  Returns ``(result, stages, seconds,
-    spans)`` with the same ``trace`` semantics as :func:`_run_task`.
+    batch-decodes encoding units (payload ``(partition, units)``).
+    Returns ``(result, stages, seconds, spans)``.
+
+    ``trace`` selects the span-propagation mode: ``None`` leaves the
+    ambient tracer alone (an inline call — spans land directly in the
+    caller's tracer), ``True`` runs under a fresh local tracer whose
+    spans are returned for the parent to adopt (a worker of a traced
+    run), and ``False`` explicitly sheds any tracer inherited across a
+    ``fork`` (a worker of an untraced run).
     """
     stage_name = _STAGE_OF_KIND.get(kind)
     if stage_name is None:
@@ -443,17 +226,11 @@ def _run_stage_task(
                 from repro.pipeline.clustering import cluster_shard
 
                 reads, buckets = payload
-                if reads is None:
-                    assert shm_descriptor is not None
-                    reads = _load_reads(shm_descriptor)
                 return cluster_shard(reads, buckets, **options)
             if kind == "consensus":
                 from repro.pipeline.consensus import consensus_batch
 
                 groups, length = payload
-                if groups is None:
-                    assert shm_descriptor is not None
-                    groups = _load_read_groups(shm_descriptor)
                 return consensus_batch(
                     groups, length, backend=options.get("backend")
                 )
@@ -534,12 +311,11 @@ class _StageSubmission:
     payload: tuple
     options: dict
     label: str
-    blob: bytes | None = None
 
 
 @dataclass
 class _StagedTask:
-    """Parent-side state of one :class:`DecodeTask` in the staged engine."""
+    """Parent-side state of one :class:`DecodeTask` on the pool."""
 
     index: int
     task: DecodeTask
@@ -561,29 +337,35 @@ class _StagedTask:
             self.stages[name] = self.stages.get(name, 0.0) + seconds
 
 
+def _backend_name(backend: str | DistanceBackend | None) -> str | None:
+    """A distance backend as it crosses the worker boundary: by name.
+
+    Both backends are stateless, so the worker's
+    :func:`~repro.pipeline.distance.get_distance_backend` resolves the
+    name to an equivalent instance; an instance itself may hold an
+    unpicklable module reference.
+    """
+    return backend.name if isinstance(backend, DistanceBackend) else backend
+
+
 class DecodeEngine:
     """A reusable pool of decode workers.
 
     Args:
         workers: worker processes (``None`` = ``REPRO_DECODE_WORKERS``,
             then CPU count; ``1`` decodes inline).
-        shared_memory: whether big read batches ride shared memory
-            (``None`` = ``REPRO_DECODE_SHM``, default on).
         cluster_shards: intra-partition clustering shard count (``None``
-            = ``REPRO_CLUSTER_SHARDS``, then 1).  With shards > 1 a
-            multi-worker engine decomposes readouts into profile-staged
-            stage tasks (see :func:`repro.fastpath.staged_decode_enabled`);
-            results are byte-identical at any shard count.
+            = ``REPRO_CLUSTER_SHARDS``, then 1): how many cluster tasks
+            (and consensus batches) a pooled readout splits into.
+            Results are byte-identical at any shard count.
     """
 
     def __init__(
         self,
         workers: int | None = None,
-        shared_memory: bool | None = None,
         cluster_shards: int | None = None,
     ) -> None:
         self.workers = resolve_worker_count(workers)
-        self.shared_memory = shared_memory_enabled(shared_memory)
         self.cluster_shards = resolve_cluster_shards(cluster_shards)
         self.profile = StageProfile()
         self._executor: ProcessPoolExecutor | None = None
@@ -617,9 +399,8 @@ class DecodeEngine:
     def decode(self, tasks: Sequence[DecodeTask]) -> list[DecodeOutcome]:
         """Decode every task, returning outcomes in task order.
 
-        Results are byte-identical for any worker count, shard count and
-        staging mode; stage timings are folded into the caller's active
-        collector either way.
+        Results are byte-identical for any worker and shard count; stage
+        timings are folded into the caller's active collector either way.
         """
         if not tasks:
             return []
@@ -631,9 +412,7 @@ class DecodeEngine:
         ):
             if self.workers == 1:
                 return [self._decode_inline(task) for task in tasks]
-            if self._staged_eligible(tasks):
-                return self._decode_staged(tasks)
-            return self._decode_pooled(tasks)
+            return self._decode_staged(tasks)
 
     def _task_options(self, task: DecodeTask) -> dict:
         """Decoder options with the engine's shard count folded in."""
@@ -641,115 +420,24 @@ class DecodeEngine:
             return task.decoder_options
         return {**task.decoder_options, "cluster_shards": self.cluster_shards}
 
-    def _staged_eligible(self, tasks: Sequence[DecodeTask]) -> bool:
-        """Whether this decode batch can run as staged stage tasks.
-
-        Staging requires shards (otherwise the monolithic task *is* the
-        unit of parallelism), the staged flag, and pickleable decoder
-        options — a distance-backend *instance* cannot cross the worker
-        boundary, so such tasks keep the monolithic path where the
-        backend object never leaves the worker-side decoder.
-        """
-        if self.cluster_shards <= 1 or not staged_decode_enabled():
-            return False
-        for task in tasks:
-            backend = task.decoder_options.get("distance_backend")
-            if backend is not None and not isinstance(backend, str):
-                return False
-        return True
-
     def _decode_inline(self, task: DecodeTask) -> DecodeOutcome:
+        from repro.pipeline.decoder import BlockDecoder
+
         with maybe_wall_span(
             f"decode:{task.label or 'task'}",
             blocks=len(task.blocks) if task.blocks is not None else None,
             reads=len(task.reads),
         ):
-            reports, stages, seconds, _ = _run_task(
-                task.partition, task.blocks, self._task_options(task),
-                task.reads, None,
-            )
+            begin = wall_now()
+            with collect_stages() as stages:
+                decoder = BlockDecoder(task.partition, **self._task_options(task))
+                reports = decoder.decode_readout(task.reads, task.blocks)
+            seconds = wall_now() - begin
         record_stages(stages)
         return DecodeOutcome(reports=reports, stages=stages, seconds=seconds)
 
-    def _decode_pooled(self, tasks: Sequence[DecodeTask]) -> list[DecodeOutcome]:
-        outcomes: list[DecodeOutcome | None] = [None] * len(tasks)
-        futures: list[tuple[int, Future]] = []
-        broken = False
-        parent_tracer = current_tracer()
-        # Workers on a ``fork`` context inherit the ambient tracer; send an
-        # explicit flag so untraced runs shed it and traced runs record
-        # into a fresh local tracer whose spans ride home with the result.
-        trace_flag = parent_tracer is not None
-        arena = _SegmentArena()
-        try:
-            # Pack every big batch into ONE shared segment up front: a
-            # single create/unlink per decode() call instead of one per
-            # task.
-            descriptors: dict[int, tuple[str, int, int]] = {}
-            if self.shared_memory:
-                blobs: dict[int, bytes] = {}
-                for index, task in enumerate(tasks):
-                    payload = sum(len(read) for read in task.reads)
-                    if payload >= SHARED_MEMORY_MIN_BYTES:
-                        blob = _encode_reads(task.reads)
-                        if blob is not None:
-                            blobs[index] = blob
-                if blobs:
-                    order = sorted(blobs)
-                    published = arena.publish([blobs[i] for i in order])
-                    if published is not None:
-                        descriptors = dict(zip(order, published))
-            pool = self._pool()
-            for index, task in enumerate(tasks):
-                descriptor = descriptors.get(index)
-                try:
-                    futures.append(
-                        (
-                            index,
-                            pool.submit(
-                                _run_task,
-                                task.partition,
-                                task.blocks,
-                                self._task_options(task),
-                                None if descriptor is not None else task.reads,
-                                descriptor,
-                                trace_flag,
-                                task.label,
-                            ),
-                        )
-                    )
-                except (BrokenProcessPool, RuntimeError):
-                    broken = True
-                    break
-            # Submission order *is* task order, so collecting in this
-            # order keeps outcomes aligned with tasks deterministically.
-            for index, future in futures:
-                try:
-                    reports, stages, seconds, spans = future.result()
-                except BrokenProcessPool:
-                    broken = True
-                    break
-                record_stages(stages)
-                if parent_tracer is not None and spans:
-                    parent_tracer.adopt(spans)
-                outcomes[index] = DecodeOutcome(
-                    reports=reports, stages=stages, seconds=seconds
-                )
-            if broken:
-                # A dead pool must not fail the cycle: decode whatever is
-                # missing inline and start a fresh pool next time.
-                self.shutdown()
-        finally:
-            arena.release()
-        return [
-            outcome
-            if outcome is not None
-            else self._decode_inline(tasks[index])
-            for index, outcome in enumerate(outcomes)
-        ]
-
     # ------------------------------------------------------------------
-    # Staged decoding (intra-partition parallelism)
+    # Staged decoding on the pool
     # ------------------------------------------------------------------
     def _timed_stage(self, state: _StagedTask, name: str, fn):
         """Run a parent-side stage piece under the stage collector."""
@@ -783,111 +471,83 @@ class DecodeEngine:
         shards = self.cluster_shards
         outcomes: list[DecodeOutcome | None] = [None] * len(tasks)
         parent_tracer = current_tracer()
+        # Workers on a ``fork`` context inherit the ambient tracer; send an
+        # explicit flag so untraced runs shed it and traced runs record
+        # into a fresh local tracer whose spans ride home with the result.
         trace_flag = parent_tracer is not None
-        arena = _SegmentArena()
         broken = False
         sequence = 0
         # future -> (task_index, kind, position, units, submit_seq)
         waiting: dict[Future, tuple[int, str, int, int, int]] = {}
         states: list[_StagedTask] = []
+        pool = self._pool()
 
-        try:
-            pool = self._pool()
-
-            def flush(wave: list[_StageSubmission]) -> None:
-                nonlocal broken, sequence
-                if not wave or broken:
+        def flush(wave: list[_StageSubmission]) -> None:
+            nonlocal broken, sequence
+            wave.sort(
+                key=lambda sub: (
+                    -self._submission_cost(sub), sub.task_index, sub.position
+                )
+            )
+            for sub in wave:
+                if broken:
                     return
-                descriptors: dict[int, tuple[str, int, int]] = {}
-                if self.shared_memory:
-                    with_blob = [
-                        i for i, sub in enumerate(wave) if sub.blob is not None
-                    ]
-                    if with_blob:
-                        published = arena.publish(
-                            [wave[i].blob for i in with_blob]
-                        )
-                        if published is not None:
-                            descriptors = dict(zip(with_blob, published))
-                order = sorted(
-                    range(len(wave)),
-                    key=lambda i: (
-                        -self._submission_cost(wave[i]),
-                        wave[i].task_index,
-                        wave[i].position,
-                    ),
+                try:
+                    future = pool.submit(
+                        _run_stage_task,
+                        sub.kind,
+                        sub.payload,
+                        sub.options,
+                        trace_flag,
+                        sub.label,
+                    )
+                except (BrokenProcessPool, RuntimeError):
+                    broken = True
+                    return
+                waiting[future] = (
+                    sub.task_index, sub.kind, sub.position, sub.units, sequence
                 )
-                for i in order:
-                    if broken:
-                        return
-                    sub = wave[i]
-                    descriptor = descriptors.get(i)
-                    payload = (
-                        sub.payload
-                        if descriptor is None
-                        else (None,) + sub.payload[1:]
-                    )
-                    try:
-                        future = pool.submit(
-                            _run_stage_task,
-                            sub.kind,
-                            payload,
-                            sub.options,
-                            descriptor,
-                            trace_flag,
-                            sub.label,
-                        )
-                    except (BrokenProcessPool, RuntimeError):
-                        broken = True
-                        return
-                    waiting[future] = (
-                        sub.task_index, sub.kind, sub.position, sub.units,
-                        sequence,
-                    )
-                    sequence += 1
+                sequence += 1
 
-            wave: list[_StageSubmission] = []
-            for index, task in enumerate(tasks):
-                state = _StagedTask(
-                    index=index,
-                    task=task,
-                    decoder=BlockDecoder(task.partition, **task.decoder_options),
-                    begin=wall_now(),
+        wave: list[_StageSubmission] = []
+        for index, task in enumerate(tasks):
+            state = _StagedTask(
+                index=index,
+                task=task,
+                decoder=BlockDecoder(task.partition, **task.decoder_options),
+                begin=wall_now(),
+            )
+            states.append(state)
+            state.plan = state.decoder.readout_plan(task.reads, task.blocks)
+            wave.extend(self._staged_route(state, shards, outcomes))
+        flush(wave)
+
+        while waiting and not broken:
+            done, _ = wait(list(waiting), return_when=FIRST_COMPLETED)
+            wave = []
+            for future in sorted(done, key=lambda f: waiting[f][4]):
+                task_index, kind, position, units, _seq = waiting.pop(future)
+                try:
+                    result, stages, seconds, spans = future.result()
+                except BrokenProcessPool:
+                    broken = True
+                    break
+                state = states[task_index]
+                state.fold(stages)
+                record_stages(stages)
+                if parent_tracer is not None and spans:
+                    parent_tracer.adopt(spans)
+                self.profile.observe(_STAGE_OF_KIND[kind], units, seconds)
+                wave.extend(
+                    self._staged_advance(state, kind, position, result, outcomes)
                 )
-                states.append(state)
-                state.plan = state.decoder.readout_plan(task.reads, task.blocks)
-                wave.extend(self._staged_route(state, shards, outcomes))
             flush(wave)
-
-            while waiting and not broken:
-                done, _ = wait(list(waiting), return_when=FIRST_COMPLETED)
-                wave = []
-                for future in sorted(done, key=lambda f: waiting[f][4]):
-                    task_index, kind, position, units, _seq = waiting.pop(future)
-                    try:
-                        result, stages, seconds, spans = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        break
-                    state = states[task_index]
-                    state.fold(stages)
-                    record_stages(stages)
-                    if parent_tracer is not None and spans:
-                        parent_tracer.adopt(spans)
-                    self.profile.observe(_STAGE_OF_KIND[kind], units, seconds)
-                    wave.extend(
-                        self._staged_advance(
-                            state, kind, position, result, outcomes
-                        )
-                    )
-                flush(wave)
-            if broken:
-                self.shutdown()
-        finally:
-            arena.release()
-        # Tasks interrupted by a broken pool decode inline from scratch —
-        # partial stage results are discarded so the fallback is exactly
-        # the serial path.
+        if broken:
+            # A dead pool must not fail the cycle: start a fresh pool next
+            # time and decode the interrupted tasks inline from scratch —
+            # partial stage results are discarded so the fallback is
+            # exactly the serial path.
+            self.shutdown()
         return [
             outcome
             if outcome is not None
@@ -926,31 +586,21 @@ class DecodeEngine:
         options = {
             "max_read_distance": decoder.max_read_distance,
             "min_kmer_similarity": DEFAULT_MIN_KMER_SIMILARITY,
-            "distance_backend": decoder.distance_backend,
+            "distance_backend": _backend_name(decoder.distance_backend),
         }
-        submissions: list[_StageSubmission] = []
         label = state.task.label or "task"
-        for position, payload in enumerate(state.payloads):
-            blob = None
-            if (
-                self.shared_memory
-                and sum(len(read) for read in payload.reads)
-                >= SHARED_MEMORY_MIN_BYTES
-            ):
-                blob = _encode_reads(payload.reads)
-            submissions.append(
-                _StageSubmission(
-                    task_index=state.index,
-                    kind="cluster",
-                    position=position,
-                    units=len(payload.reads),
-                    payload=(payload.reads, payload.buckets),
-                    options=options,
-                    label=f"{label}#{payload.shard}/{shards}",
-                    blob=blob,
-                )
+        return [
+            _StageSubmission(
+                task_index=state.index,
+                kind="cluster",
+                position=position,
+                units=len(payload.reads),
+                payload=(payload.reads, payload.buckets),
+                options=options,
+                label=f"{label}#{payload.shard}/{shards}",
             )
-        return submissions
+            for position, payload in enumerate(state.payloads)
+        ]
 
     def _staged_advance(
         self,
@@ -997,28 +647,18 @@ class DecodeEngine:
         state.batches_remaining = len(batches)
         length = state.decoder._layout.strand_length
         label = state.task.label or "task"
-        submissions: list[_StageSubmission] = []
-        for position, chunk in enumerate(batches):
-            blob = None
-            if (
-                self.shared_memory
-                and sum(len(read) for group in chunk for read in group)
-                >= SHARED_MEMORY_MIN_BYTES
-            ):
-                blob = _encode_read_groups(chunk)
-            submissions.append(
-                _StageSubmission(
-                    task_index=state.index,
-                    kind="consensus",
-                    position=position,
-                    units=sum(len(group) for group in chunk),
-                    payload=(chunk, length),
-                    options={"backend": None},
-                    label=f"{label}[{position + 1}/{len(batches)}]",
-                    blob=blob,
-                )
+        return [
+            _StageSubmission(
+                task_index=state.index,
+                kind="consensus",
+                position=position,
+                units=sum(len(group) for group in chunk),
+                payload=(chunk, length),
+                options={"backend": None},
+                label=f"{label}[{position + 1}/{len(batches)}]",
             )
-        return submissions
+            for position, chunk in enumerate(batches)
+        ]
 
     def _staged_after_consensus(
         self,
@@ -1092,7 +732,7 @@ class DecodeEngine:
         max_signature_errors: int = DEFAULT_MAX_SIGNATURE_ERRORS,
         max_read_distance: int = DEFAULT_MAX_READ_DISTANCE,
         min_kmer_similarity: float = DEFAULT_MIN_KMER_SIMILARITY,
-        distance_backend: str | None = None,
+        distance_backend: str | DistanceBackend | None = None,
         shards: int | None = None,
     ) -> tuple[list[ReadCluster], list[dict]]:
         """Cluster one read batch with shard agglomeration on the pool.
@@ -1104,15 +744,7 @@ class DecodeEngine:
         one ``{shard, buckets, reads, seconds}`` row per non-empty shard,
         in shard order — the per-shard cluster-stage breakdown the
         decoding benchmark publishes.
-
-        ``distance_backend`` must be a backend *name* (or ``None``):
-        backend instances cannot cross the worker pickle boundary.
         """
-        if distance_backend is not None and not isinstance(distance_backend, str):
-            raise DecodingError(
-                "cluster_sharded needs a distance-backend name (or None); "
-                "backend instances cannot cross the worker boundary"
-            )
         shard_count = (
             self.cluster_shards if shards is None else resolve_cluster_shards(shards)
         )
@@ -1134,130 +766,95 @@ class DecodeEngine:
             options = {
                 "max_read_distance": max_read_distance,
                 "min_kmer_similarity": min_kmer_similarity,
-                "distance_backend": distance_backend,
+                "distance_backend": _backend_name(distance_backend),
             }
             outputs: list = [None] * len(payloads)
-            stats: list[dict | None] = [None] * len(payloads)
-            arena = _SegmentArena()
-            broken = False
-            try:
+            seconds_of: list[float] = [0.0] * len(payloads)
+
+            def keep(position: int, result, stages: dict, seconds: float) -> None:
+                record_stages(stages)
+                self.profile.observe(
+                    "cluster", len(payloads[position].reads), seconds
+                )
+                outputs[position] = result
+                seconds_of[position] = seconds
+
+            if self.workers > 1 and len(payloads) > 1:
+                pool = self._pool()
                 futures: list[tuple[int, Future]] = []
-                if self.workers > 1 and len(payloads) > 1:
-                    descriptors: dict[int, tuple[str, int, int]] = {}
-                    if self.shared_memory:
-                        blobs: dict[int, bytes] = {}
-                        for position, payload in enumerate(payloads):
-                            size = sum(len(read) for read in payload.reads)
-                            if size >= SHARED_MEMORY_MIN_BYTES:
-                                blob = _encode_reads(payload.reads)
-                                if blob is not None:
-                                    blobs[position] = blob
-                        if blobs:
-                            order = sorted(blobs)
-                            published = arena.publish(
-                                [blobs[i] for i in order]
-                            )
-                            if published is not None:
-                                descriptors = dict(zip(order, published))
-                    pool = self._pool()
-                    for position, payload in enumerate(payloads):
-                        descriptor = descriptors.get(position)
-                        try:
-                            futures.append(
-                                (
-                                    position,
-                                    pool.submit(
-                                        _run_stage_task,
-                                        "cluster",
-                                        (
-                                            None
-                                            if descriptor is not None
-                                            else payload.reads,
-                                            payload.buckets,
-                                        ),
-                                        options,
-                                        descriptor,
-                                        trace_flag,
-                                        f"shard#{payload.shard}/{shard_count}",
-                                    ),
-                                )
-                            )
-                        except (BrokenProcessPool, RuntimeError):
-                            broken = True
-                            break
-                    for position, future in futures:
-                        try:
-                            result, stages, seconds, spans = future.result()
-                        except BrokenProcessPool:
-                            broken = True
-                            break
-                        record_stages(stages)
-                        if parent_tracer is not None and spans:
-                            parent_tracer.adopt(spans)
-                        self.profile.observe(
-                            "cluster", len(payloads[position].reads), seconds
-                        )
-                        outputs[position] = result
-                        stats[position] = {
-                            "shard": payloads[position].shard,
-                            "buckets": len(payloads[position].buckets),
-                            "reads": len(payloads[position].reads),
-                            "seconds": seconds,
-                        }
-                    if broken:
-                        self.shutdown()
-                # Inline whatever never ran (workers == 1, a single
-                # payload, or a pool that broke mid-batch).
+                broken = False
                 for position, payload in enumerate(payloads):
-                    if outputs[position] is not None:
-                        continue
+                    try:
+                        futures.append(
+                            (
+                                position,
+                                pool.submit(
+                                    _run_stage_task,
+                                    "cluster",
+                                    (payload.reads, payload.buckets),
+                                    options,
+                                    trace_flag,
+                                    f"shard#{payload.shard}/{shard_count}",
+                                ),
+                            )
+                        )
+                    except (BrokenProcessPool, RuntimeError):
+                        broken = True
+                        break
+                for position, future in futures:
+                    try:
+                        result, stages, seconds, spans = future.result()
+                    except BrokenProcessPool:
+                        broken = True
+                        break
+                    if parent_tracer is not None and spans:
+                        parent_tracer.adopt(spans)
+                    keep(position, result, stages, seconds)
+                if broken:
+                    self.shutdown()
+            # Inline whatever never ran (workers == 1, a single payload,
+            # or a pool that broke mid-batch).
+            for position, payload in enumerate(payloads):
+                if outputs[position] is None:
                     result, stages, seconds, _ = _run_stage_task(
                         "cluster", (payload.reads, payload.buckets), options
                     )
-                    record_stages(stages)
-                    self.profile.observe("cluster", len(payload.reads), seconds)
-                    outputs[position] = result
-                    stats[position] = {
-                        "shard": payload.shard,
-                        "buckets": len(payload.buckets),
-                        "reads": len(payload.reads),
-                        "seconds": seconds,
-                    }
-            finally:
-                arena.release()
+                    keep(position, result, stages, seconds)
             clusters = merge_shard_clusters(routed, outputs)
-            return clusters, [stat for stat in stats if stat is not None]
+            stats = [
+                {
+                    "shard": payload.shard,
+                    "buckets": len(payload.buckets),
+                    "reads": len(payload.reads),
+                    "seconds": seconds,
+                }
+                for payload, seconds in zip(payloads, seconds_of)
+            ]
+            return clusters, stats
 
 
 # ----------------------------------------------------------------------
 # Shared engines
 # ----------------------------------------------------------------------
-_shared_engines: dict[tuple[int, bool, int], DecodeEngine] = {}
+_shared_engines: dict[tuple[int, int], DecodeEngine] = {}
 
 
 def shared_engine(
     workers: int | None = None,
-    shared_memory: bool | None = None,
     cluster_shards: int | None = None,
 ) -> DecodeEngine:
     """A process-wide engine per resolved configuration.
 
     Worker pools are expensive to start, so every decode entry point
     (:meth:`ObjectStore.try_decode_blocks`, the serving pipeline) shares
-    one engine per ``(workers, shared_memory, cluster_shards)``
-    resolution; the pools are torn down at interpreter exit.  Sharing
-    also keeps the engine's :class:`StageProfile` warm across cycles.
+    one engine per ``(workers, cluster_shards)`` resolution; the pools
+    are torn down at interpreter exit.  Sharing also keeps the engine's
+    :class:`StageProfile` warm across cycles.
     """
-    key = (
-        resolve_worker_count(workers),
-        shared_memory_enabled(shared_memory),
-        resolve_cluster_shards(cluster_shards),
-    )
+    key = (resolve_worker_count(workers), resolve_cluster_shards(cluster_shards))
     engine = _shared_engines.get(key)
     if engine is None:
-        engine = DecodeEngine(
-            workers=key[0], shared_memory=key[1], cluster_shards=key[2]
-        )
+        engine = DecodeEngine(workers=key[0], cluster_shards=key[1])
         _shared_engines[key] = engine
     return engine
 
@@ -1272,9 +869,7 @@ __all__ = [
     "DecodeEngine",
     "DecodeOutcome",
     "DecodeTask",
-    "SHARED_MEMORY_MIN_BYTES",
     "StageProfile",
     "resolve_worker_count",
     "shared_engine",
-    "shared_memory_enabled",
 ]

@@ -18,13 +18,12 @@ caller — for reads *and* writes.
   byte-bounded LRU over decoded blocks with an optional TinyLFU-style
   frequency-aware admission gate, so Zipfian-hot data (Section 7.7.4)
   skips the wetlab entirely and scans cannot flush it.
-* :mod:`repro.service.simulator` — :class:`ServicePipeline` (alias
-  ``ServiceSimulator``): a deterministic event-driven loop that serves
-  mixed read/write arrival traces under unbatched / batched /
-  batched+cache policies — with per-object read-after-write ordering,
-  decode-failure retry cycles and a bounded wetlab lane pool — and
-  reports throughput, tail latency, cache hit rate, synthesis volume and
-  amplification waste.
+* :mod:`repro.service.simulator` — :class:`ServicePipeline`: a
+  deterministic event-driven loop that serves mixed read/write arrival
+  traces under unbatched / batched / batched+cache policies — with
+  per-object read-after-write ordering, decode-failure retry cycles and
+  a bounded wetlab lane pool — and reports throughput, tail latency,
+  cache hit rate, synthesis volume and amplification waste.
 * :mod:`repro.service.barrier` — :class:`~repro.service.barrier.
   ObjectBarrier`: the loop's per-object write barrier (reads observe
   exactly the writes admitted before them; O(1) per operation).
@@ -82,7 +81,6 @@ from repro.service.simulator import (
     PolicyReport,
     ServiceConfig,
     ServicePipeline,
-    ServiceSimulator,
     policy_latency_comparison,
     schedule_lanes,
 )
@@ -113,7 +111,6 @@ __all__ = [
     "ServiceConfig",
     "ServicePipeline",
     "ServiceRequest",
-    "ServiceSimulator",
     "SharedLanePool",
     "SynthesisOrder",
     "TenantQoS",

@@ -127,8 +127,6 @@ same bytes, failures and synthesis volume, but lay the updates out as
 copy-on-write redirects (fresh blocks) instead of in-place patch slots,
 so PCR access counts and cycle latencies can differ from an
 unsnapshotted store's.
-
-``ServiceSimulator`` remains as an alias of :class:`ServicePipeline`.
 """
 
 from __future__ import annotations
@@ -226,9 +224,6 @@ class ServiceConfig:
             ``REPRO_DECODE_WORKERS``, then the CPU count; ``1`` = serial).
             Compute-side only: lane scheduling (wetlab time) is untouched,
             and decoded bytes are identical for any worker count.
-        decode_shared_memory: ship large per-partition read batches to
-            decode workers via ``multiprocessing.shared_memory`` (``None``
-            defers to ``REPRO_DECODE_SHM``, default on).
         decode_cluster_shards: intra-partition clustering shard count of
             the decode engine (``None`` defers to ``REPRO_CLUSTER_SHARDS``,
             then 1 = unsharded).  Compute-side only, like
@@ -269,7 +264,6 @@ class ServiceConfig:
         default=None, compare=False
     )
     decode_workers: int | None = None
-    decode_shared_memory: bool | None = None
     decode_cluster_shards: int | None = None
     tracing: bool | None = None
     qos: QoSConfig | None = None
@@ -1096,7 +1090,6 @@ class ServicePipeline:
                     planned,
                     reads,
                     workers=config.decode_workers,
-                    shared_memory=config.decode_shared_memory,
                     cluster_shards=config.decode_cluster_shards,
                 )
                 for key, reason in decode_failures.items():
@@ -1662,7 +1655,3 @@ class ServicePipeline:
         finally:
             self._restore_seed(seed)
             seed.release()
-
-
-#: Backwards-compatible name of the original read-only simulator.
-ServiceSimulator = ServicePipeline

@@ -288,7 +288,6 @@ class ObjectStore:
         reads_by_partition: dict[str, list[str]],
         *,
         workers: int | None = None,
-        shared_memory: bool | None = None,
         cluster_shards: int | None = None,
         **decoder_options,
     ) -> dict[tuple[str, int], bytes]:
@@ -307,8 +306,6 @@ class ObjectStore:
                 the sequencing output of the plan's PCR accesses).
             workers: decode worker processes (``None`` =
                 ``REPRO_DECODE_WORKERS``, then CPU count; ``1`` = serial).
-            shared_memory: ship large read batches to the workers via
-                shared memory (``None`` = ``REPRO_DECODE_SHM``).
             cluster_shards: intra-partition clustering shard count
                 (``None`` = ``REPRO_CLUSTER_SHARDS``, then 1); results
                 are byte-identical at any shard count.
@@ -326,7 +323,6 @@ class ObjectStore:
             blocks_by_partition,
             reads_by_partition,
             workers=workers,
-            shared_memory=shared_memory,
             cluster_shards=cluster_shards,
             **decoder_options,
         )
@@ -340,7 +336,6 @@ class ObjectStore:
         reads_by_partition: dict[str, list[str]],
         *,
         workers: int | None = None,
-        shared_memory: bool | None = None,
         cluster_shards: int | None = None,
         **decoder_options,
     ) -> tuple[dict[tuple[str, int], bytes], dict[tuple[str, int], str]]:
@@ -352,8 +347,8 @@ class ObjectStore:
 
         Each partition's readout is one task of the process-parallel
         :class:`~repro.pipeline.parallel.DecodeEngine` (``workers`` /
-        ``shared_memory`` as in :meth:`decode_blocks`); results are
-        byte-identical for any worker count.
+        ``cluster_shards`` as in :meth:`decode_blocks`); results are
+        byte-identical for any worker and shard count.
 
         Returns:
             ``(payloads, failures)``: decoded current contents keyed by
@@ -380,11 +375,7 @@ class ObjectStore:
                     label=partition_name,
                 )
             )
-        engine = shared_engine(
-            workers=workers,
-            shared_memory=shared_memory,
-            cluster_shards=cluster_shards,
-        )
+        engine = shared_engine(workers=workers, cluster_shards=cluster_shards)
         outcomes = engine.decode(tasks)
 
         payloads: dict[tuple[str, int], bytes] = {}
@@ -420,7 +411,6 @@ class ObjectStore:
         reads_by_partition: dict[str, list[str]],
         *,
         workers: int | None = None,
-        shared_memory: bool | None = None,
         cluster_shards: int | None = None,
         **decoder_options,
     ) -> bytes:
@@ -448,7 +438,6 @@ class ObjectStore:
             blocks_by_partition,
             reads_by_partition,
             workers=workers,
-            shared_memory=shared_memory,
             cluster_shards=cluster_shards,
             **decoder_options,
         )

@@ -7,7 +7,7 @@ molecular pools — one synthesized pool per partition, amplified per access
 with the plan's elongated primers, then sampled into noisy sequencing
 reads — so a serving simulation can decode *actual reads* instead of
 consulting the digital reference (see ``fidelity="wetlab"`` on
-:class:`repro.service.ServiceSimulator`).
+:class:`repro.service.ServicePipeline`).
 
 A plan is executed as independent per-partition-access
 :class:`ReadoutUnit` s: each unit amplifies and sequences one access and

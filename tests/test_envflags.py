@@ -13,8 +13,6 @@ EXPECTED_FLAGS = (
     "REPRO_CLUSTER_SHARDS",
     "REPRO_CODEC_BACKEND",
     "REPRO_CONSENSUS_BACKEND",
-    "REPRO_DECODE_SHM",
-    "REPRO_DECODE_STAGED",
     "REPRO_DECODE_WORKERS",
     "REPRO_DISTANCE_BACKEND",
     "REPRO_FUSED_KERNELS",
@@ -79,9 +77,9 @@ class TestEnabled:
 
     def test_default_decides_when_unset(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACING", raising=False)
-        monkeypatch.delenv("REPRO_DECODE_SHM", raising=False)
+        monkeypatch.delenv("REPRO_FUSED_KERNELS", raising=False)
         assert not envflags.enabled("REPRO_TRACING")  # default "0"
-        assert envflags.enabled("REPRO_DECODE_SHM")  # default "1"
+        assert envflags.enabled("REPRO_FUSED_KERNELS")  # default "1"
 
 
 class TestRenderedDocs:

@@ -161,20 +161,9 @@ class TestMetricsRegistry:
 
 
 # ----------------------------------------------------------------------
-# Stage timing (and its compatibility shim)
+# Stage timing
 # ----------------------------------------------------------------------
 class TestStages:
-    def test_shim_shares_the_collector(self):
-        # The old import path must feed the same global collector — one
-        # timing mechanism, two names.
-        from repro.pipeline import stage_timing
-
-        with stage_timing.collect_stages() as stages:
-            with stage("cluster"):
-                pass
-        assert "cluster" in stages
-        assert stage_timing.STAGES == STAGES
-
     def test_stage_emits_span_under_active_tracer(self):
         tracer = Tracer()
         with activate(tracer), collect_stages() as stages:

@@ -2,33 +2,26 @@
 
 The engine's contract is strict determinism: decoded payloads, per-block
 reports and failure strings must be byte-identical for every worker count
-(1 = inline serial, N = process pool), with or without the shared-memory
-read transport, and with the fused kernels on or off.  Everything here
-runs without numpy except the tests that explicitly request the numpy
-distance backend or wetlab-fidelity sequencing.
+(1 = inline serial, N = process pool), at every clustering shard count,
+for either distance backend (by name or as an instance), and with the
+fused kernels on or off.  Everything here runs without numpy except the
+tests that explicitly request the numpy distance backend or
+wetlab-fidelity sequencing.
 """
 
 import os
 import pickle
-from multiprocessing import shared_memory
 
 import pytest
 
 from repro.exceptions import DecodingError, ServiceError
+from repro.pipeline import parallel
+from repro.pipeline.distance import NumpyDistanceBackend, PythonDistanceBackend
 from repro.pipeline.parallel import (
-    SHARED_MEMORY_MIN_BYTES,
     DecodeEngine,
     DecodeTask,
     StageProfile,
-    _decode_read_groups,
-    _decode_reads,
-    _encode_read_groups,
-    _encode_reads,
-    _load_read_groups,
-    _load_reads,
-    _SegmentArena,
     resolve_worker_count,
-    shared_memory_enabled,
 )
 from repro.observability.stages import collect_stages, record_stages
 from repro.store import DnaVolume, ObjectStore, VolumeConfig
@@ -48,6 +41,12 @@ def _distance_backends() -> list[str]:
     if _numpy_available():
         backends.append("numpy")
     return backends
+
+
+def _distance_backend_specs() -> list[str]:
+    """Each backend by name, then as an instance (``"<name>-instance"``)."""
+    names = _distance_backends()
+    return names + [f"{name}-instance" for name in names]
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +83,38 @@ def workload():
     return store, blocks, reads
 
 
+def _tasks(store, blocks, reads) -> list[DecodeTask]:
+    return [
+        DecodeTask(
+            partition=store.volume.partition(name),
+            reads=reads[name],
+            blocks=targets,
+        )
+        for name, targets in blocks.items()
+    ]
+
+
+def _backend_instance(name: str):
+    return {"python": PythonDistanceBackend, "numpy": NumpyDistanceBackend}[name]()
+
+
+def _distance_backend(spec: str):
+    name, _, instance = spec.partition("-")
+    return _backend_instance(name) if instance else name
+
+
+@pytest.fixture
+def restart_shared_pools():
+    """Restarts the shared engines' pools, during and after the test.
+
+    Pools fork lazily and their workers keep the environment of that
+    moment; a test that flips a kernel flag restarts them so workers see
+    the flag, and no later test decodes on workers forked under it.
+    """
+    yield parallel._shutdown_shared_engines
+    parallel._shutdown_shared_engines()
+
+
 # ----------------------------------------------------------------------
 # Resolution
 # ----------------------------------------------------------------------
@@ -109,13 +140,6 @@ class TestResolution:
         with pytest.raises(DecodingError):
             resolve_worker_count(0)
 
-    def test_shared_memory_toggle(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DECODE_SHM", raising=False)
-        assert shared_memory_enabled() is True
-        monkeypatch.setenv("REPRO_DECODE_SHM", "0")
-        assert shared_memory_enabled() is False
-        assert shared_memory_enabled(True) is True
-
     def test_service_config_validates_decode_workers(self):
         from repro.service import ServiceConfig
 
@@ -135,21 +159,38 @@ class TestResolution:
 # Byte-identity across worker counts and backends
 # ----------------------------------------------------------------------
 class TestByteIdentity:
-    @pytest.mark.parametrize("distance_backend", _distance_backends())
-    def test_worker_counts_decode_identically(self, workload, distance_backend):
+    @pytest.mark.parametrize("distance_backend", _distance_backend_specs())
+    def test_worker_counts_decode_identically(
+        self, workload, monkeypatch, restart_shared_pools, distance_backend
+    ):
+        # Every pool shape (workers x cluster shards), with the fused
+        # kernels on and off, decodes exactly like inline workers=1.  A
+        # backend instance crosses the pool by name.
         store, blocks, reads = workload
-        results = {}
-        for workers in (1, 2, 4):
-            results[workers] = store.try_decode_blocks(
-                blocks, reads, workers=workers, distance_backend=distance_backend
+        distance_backend = _distance_backend(distance_backend)
+        for fused in ("1", "0"):
+            monkeypatch.setenv("REPRO_FUSED_KERNELS", fused)
+            restart_shared_pools()
+            inline = store.try_decode_blocks(
+                blocks, reads, workers=1, distance_backend=distance_backend
             )
-        payloads, failures = results[1]
-        assert not failures
-        assert set(payloads) == {
-            (name, block) for name, targets in blocks.items() for block in targets
-        }
-        assert results[2] == results[1]
-        assert results[4] == results[1]
+            payloads, failures = inline
+            assert not failures
+            assert set(payloads) == {
+                (name, block)
+                for name, targets in blocks.items()
+                for block in targets
+            }
+            for shards in (1, 4):
+                for workers in (2, 4):
+                    pooled = store.try_decode_blocks(
+                        blocks,
+                        reads,
+                        workers=workers,
+                        cluster_shards=shards,
+                        distance_backend=distance_backend,
+                    )
+                    assert pooled == inline, (fused, shards, workers)
 
     @pytest.mark.parametrize("codec_backend", ["python", "numpy"])
     def test_codec_backends_decode_identically(self, workload, monkeypatch, codec_backend):
@@ -157,14 +198,7 @@ class TestByteIdentity:
             pytest.skip("numpy codec backend unavailable")
         store, blocks, reads = workload
         monkeypatch.setenv("REPRO_CODEC_BACKEND", codec_backend)
-        tasks = [
-            DecodeTask(
-                partition=store.volume.partition(name),
-                reads=reads[name],
-                blocks=targets,
-            )
-            for name, targets in blocks.items()
-        ]
+        tasks = _tasks(store, blocks, reads)
         # Fresh engines so the pooled workers fork *after* the env change
         # and resolve the same backend as the inline run.
         serial = DecodeEngine(workers=1)
@@ -191,29 +225,6 @@ class TestByteIdentity:
         assert outputs["0"] == outputs["1"]
         assert not outputs["1"][1]
 
-    def test_shared_memory_transport_is_invisible(self, workload):
-        store, blocks, reads = workload
-        with_shm = store.try_decode_blocks(
-            blocks, reads, workers=2, shared_memory=True
-        )
-        without_shm = store.try_decode_blocks(
-            blocks, reads, workers=2, shared_memory=False
-        )
-        assert with_shm == without_shm
-
-    @pytest.mark.parametrize("staged", ["1", "0"])
-    def test_sharded_staged_decode_is_byte_identical(
-        self, workload, monkeypatch, staged
-    ):
-        store, blocks, reads = workload
-        baseline = store.try_decode_blocks(blocks, reads, workers=1)
-        assert not baseline[1]
-        monkeypatch.setenv("REPRO_DECODE_STAGED", staged)
-        sharded = store.try_decode_blocks(
-            blocks, reads, workers=2, cluster_shards=4
-        )
-        assert sharded == baseline
-
     def test_missing_partition_reads_fail_identically(self, workload):
         store, blocks, reads = workload
         partial = dict(reads)
@@ -230,141 +241,13 @@ class TestByteIdentity:
 
 
 # ----------------------------------------------------------------------
-# Transport and robustness
+# Robustness and stage scheduling
 # ----------------------------------------------------------------------
 class TestEngineInternals:
-    def test_read_blob_roundtrip(self):
-        reads = ["ACGT" * 64 for _ in range(16)] + ["", "A"]
-        blob = _encode_reads(reads)
-        assert blob is not None
-        assert _decode_reads(blob) == reads
-        assert _decode_reads(_encode_reads([])) == []
-        assert _encode_reads(["ACGT", "π"]) is None  # non-ASCII: pickle path
-
-    def test_read_group_blob_roundtrip(self):
-        groups = [["ACGT", ""], [], ["TTT", "AA"]]
-        blob = _encode_read_groups(groups)
-        assert blob is not None
-        assert _decode_read_groups(blob) == groups
-        assert _decode_read_groups(_encode_read_groups([])) == []
-
-    def test_arena_packs_many_blobs_into_one_segment(self):
-        reads = ["ACGT" * 64 for _ in range(16)] + ["", "A"]
-        groups = [["ACGT", ""], [], ["TTT"]]
-        arena = _SegmentArena()
-        descriptors = arena.publish(
-            [_encode_reads(reads), _encode_read_groups(groups)]
-        )
-        assert descriptors is not None
-        try:
-            assert len({name for name, _, _ in descriptors}) == 1
-            assert _load_reads(descriptors[0]) == reads
-            assert _load_read_groups(descriptors[1]) == groups
-        finally:
-            arena.release()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=descriptors[0][0])
-
-    def _spy_on_publishes(self, monkeypatch):
-        """Record every arena publish (blob count + descriptors)."""
-        import repro.pipeline.parallel as parallel
-
-        publishes = []
-        original = parallel._SegmentArena.publish
-
-        def spying(arena, blobs):
-            result = original(arena, blobs)
-            publishes.append((len(blobs), result))
-            return result
-
-        monkeypatch.setattr(parallel, "SHARED_MEMORY_MIN_BYTES", 1)
-        monkeypatch.setattr(parallel._SegmentArena, "publish", spying)
-        return publishes
-
-    def test_pooled_batch_shares_one_segment(self, workload, monkeypatch):
+    def _assert_recovers_from_broken_pool(self, workload, shards):
         store, blocks, reads = workload
-        publishes = self._spy_on_publishes(monkeypatch)
-        tasks = [
-            DecodeTask(
-                partition=store.volume.partition(name),
-                reads=reads[name],
-                blocks=targets,
-            )
-            for name, targets in blocks.items()
-        ]
-        engine = DecodeEngine(workers=2, shared_memory=True, cluster_shards=1)
-        try:
-            outcomes = engine.decode(tasks)
-        finally:
-            engine.shutdown()
-        assert len(outcomes) == len(tasks)
-        # One publish for the whole batch, one segment for every task blob.
-        assert len(publishes) == 1
-        blob_count, descriptors = publishes[0]
-        assert blob_count == len(tasks)
-        assert descriptors is not None
-        names = sorted({name for name, _, _ in descriptors})
-        assert len(names) == 1
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=names[0])
-
-    def test_segments_unlinked_when_pool_breaks(self, workload, monkeypatch):
-        store, blocks, reads = workload
-        publishes = self._spy_on_publishes(monkeypatch)
-        tasks = [
-            DecodeTask(
-                partition=store.volume.partition(name),
-                reads=reads[name],
-                blocks=targets,
-            )
-            for name, targets in blocks.items()
-        ]
-        engine = DecodeEngine(workers=2, shared_memory=True, cluster_shards=1)
-        try:
-            baseline = DecodeEngine(workers=1).decode(tasks)
-            # Kill the pool before the batch: segments are published
-            # first, every submission then fails, and the engine must
-            # both decode inline and unlink what it published.
-            engine._pool().shutdown(wait=True)
-            recovered = engine.decode(tasks)
-        finally:
-            engine.shutdown()
-        assert [outcome.reports for outcome in recovered] == [
-            outcome.reports for outcome in baseline
-        ]
-        assert publishes, "the batch should have published segments"
-        for _, descriptors in publishes:
-            assert descriptors is not None
-            for name in sorted({name for name, _, _ in descriptors}):
-                with pytest.raises(FileNotFoundError):
-                    shared_memory.SharedMemory(name=name)
-
-    def test_large_batches_cross_the_shm_threshold(self, workload):
-        store, blocks, reads = workload
-        padded = {
-            name: batch
-            * (SHARED_MEMORY_MIN_BYTES // max(1, sum(map(len, batch))) + 1)
-            for name, batch in reads.items()
-        }
-        assert all(
-            sum(map(len, batch)) >= SHARED_MEMORY_MIN_BYTES
-            for batch in padded.values()
-        )
-        pooled = store.try_decode_blocks(blocks, padded, workers=2)
-        serial = store.try_decode_blocks(blocks, padded, workers=1)
-        assert pooled == serial
-
-    def test_broken_pool_falls_back_inline(self, workload):
-        store, blocks, reads = workload
-        tasks = [
-            DecodeTask(
-                partition=store.volume.partition(name),
-                reads=reads[name],
-                blocks=targets,
-            )
-            for name, targets in blocks.items()
-        ]
-        engine = DecodeEngine(workers=2)
+        tasks = _tasks(store, blocks, reads)
+        engine = DecodeEngine(workers=2, cluster_shards=shards)
         try:
             expected = engine.decode(tasks)
             # Kill the pool out from under the engine: submissions now
@@ -376,28 +259,17 @@ class TestEngineInternals:
         assert [outcome.reports for outcome in recovered] == [
             outcome.reports for outcome in expected
         ]
-
-    def test_staged_broken_pool_falls_back_inline(self, workload, monkeypatch):
-        store, blocks, reads = workload
-        monkeypatch.setenv("REPRO_DECODE_STAGED", "1")
-        tasks = [
-            DecodeTask(
-                partition=store.volume.partition(name),
-                reads=reads[name],
-                blocks=targets,
-            )
-            for name, targets in blocks.items()
-        ]
-        engine = DecodeEngine(workers=2, cluster_shards=4)
-        try:
-            expected = engine.decode(tasks)
-            engine._pool().shutdown(wait=True)
-            recovered = engine.decode(tasks)
-        finally:
-            engine.shutdown()
+        inline = DecodeEngine(workers=1).decode(tasks)
         assert [outcome.reports for outcome in recovered] == [
-            outcome.reports for outcome in expected
+            outcome.reports for outcome in inline
         ]
+
+    def test_broken_pool_falls_back_inline(self, workload):
+        # One shard: one cluster task and one consensus batch per readout.
+        self._assert_recovers_from_broken_pool(workload, shards=1)
+
+    def test_staged_broken_pool_falls_back_inline(self, workload):
+        self._assert_recovers_from_broken_pool(workload, shards=4)
 
     def test_stage_profile_predicts_after_observation(self):
         profile = StageProfile()
@@ -412,28 +284,49 @@ class TestEngineInternals:
         profile.observe("solve", 10, -1.0)  # clock skew: ignored
         assert profile.snapshot()["solve"] == pytest.approx(0.18)
 
-    def test_staged_decode_warms_the_stage_profile(self, workload, monkeypatch):
+    def test_staged_decode_warms_the_stage_profile(self, workload):
         store, blocks, reads = workload
-        monkeypatch.setenv("REPRO_DECODE_STAGED", "1")
-        tasks = [
-            DecodeTask(
-                partition=store.volume.partition(name),
-                reads=reads[name],
-                blocks=targets,
-            )
-            for name, targets in blocks.items()
-        ]
+        for shards in (1, 4):
+            engine = DecodeEngine(workers=2, cluster_shards=shards)
+            try:
+                engine.decode(_tasks(store, blocks, reads))
+            finally:
+                engine.shutdown()
+            rates = engine.profile.snapshot()
+            assert rates.get("cluster", 0.0) > 0.0, shards
+            assert rates.get("consensus", 0.0) > 0.0, shards
+            assert rates.get("syndrome_solve", 0.0) > 0.0, shards
+
+    @pytest.mark.parametrize("distance_backend", _distance_backends())
+    def test_cluster_sharded_takes_backend_instances(
+        self, workload, distance_backend
+    ):
+        from repro.pipeline.clustering import cluster_reads
+        from repro.pipeline.decoder import BlockDecoder
+
+        store, blocks, reads = workload
+        name = next(iter(blocks))
+        decoder = BlockDecoder(store.volume.partition(name))
+        start, length = decoder._signature_window()
+        window = {"signature_start": start, "signature_length": length}
+        expected = cluster_reads(
+            reads[name], distance_backend=distance_backend, **window
+        )
         engine = DecodeEngine(workers=2, cluster_shards=4)
         try:
-            engine.decode(tasks)
+            clusters, stats = engine.cluster_sharded(
+                reads[name],
+                distance_backend=_backend_instance(distance_backend),
+                **window,
+            )
         finally:
             engine.shutdown()
-        rates = engine.profile.snapshot()
-        assert rates.get("cluster", 0.0) > 0.0
-        assert rates.get("consensus", 0.0) > 0.0
-        assert rates.get("syndrome_solve", 0.0) > 0.0
+        assert [(c.signature, c.reads) for c in clusters] == [
+            (c.signature, c.reads) for c in expected
+        ]
+        assert sum(stat["reads"] for stat in stats) == len(reads[name])
 
-    def test_stage_timings_fold_into_parent_collector(self, workload):
+    def test_worker_stage_seconds_fold_into_parent_collector(self, workload):
         store, blocks, reads = workload
         with collect_stages() as stages:
             store.try_decode_blocks(blocks, reads, workers=2)
@@ -475,7 +368,7 @@ class TestRetryCycles:
         return injector
 
     def _run(self, fidelity: str, workers: int):
-        from repro.service import ServiceConfig, ServiceSimulator
+        from repro.service import ServiceConfig, ServicePipeline
         from repro.workloads import multi_tenant_trace
 
         volume = DnaVolume(
@@ -493,7 +386,7 @@ class TestRetryCycles:
         trace = multi_tenant_trace(
             catalog, tenants=3, requests=8, duration_hours=6.0, seed=11
         )
-        simulator = ServiceSimulator(
+        simulator = ServicePipeline(
             store,
             config=ServiceConfig(
                 window_hours=0.5,

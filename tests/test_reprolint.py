@@ -325,16 +325,15 @@ class TestPickleBoundary:
     PARALLEL = "src/repro/pipeline/parallel.py"
 
     def test_fires_when_declaration_missing(self, tmp_path):
-        source = "class DecodeTask:\n    label: str\n"
+        source = "def _run_stage_task(kind: str) -> tuple:\n    return ()\n"
         result = lint(tmp_path, {self.PARALLEL: source})
         assert codes(result) == ["RL008"]
 
     def test_fires_on_undeclared_boundary_type(self, tmp_path):
         source = (
-            "PICKLE_BOUNDARY_TYPES = frozenset({'str', 'int'})\n"
-            "class DecodeTask:\n"
-            "    label: str\n"
-            "    sneaky: SocketHolder\n"
+            "PICKLE_BOUNDARY_TYPES = frozenset({'str', 'tuple'})\n"
+            "def _run_stage_task(kind: str, sneaky: SocketHolder) -> tuple:\n"
+            "    return ()\n"
         )
         result = lint(tmp_path, {self.PARALLEL: source})
         assert codes(result) == ["RL008"]
@@ -343,23 +342,30 @@ class TestPickleBoundary:
     def test_checks_run_task_signature_and_string_annotations(self, tmp_path):
         source = (
             "PICKLE_BOUNDARY_TYPES = frozenset({'str', 'dict', 'int', 'Report'})\n"
-            "class DecodeOutcome:\n"
-            "    reports: 'dict[int, Report]'\n"
-            "def _run_task(task: Mystery) -> 'DecodeOutcome':\n"
+            "def _run_stage_task(\n"
+            "    kind: Mystery, reports: 'dict[int, Report]'\n"
+            ") -> 'DecodeOutcome':\n"
             "    return DecodeOutcome()\n"
         )
         result = lint(tmp_path, {self.PARALLEL: source})
         flagged = {f.message.split("'")[1] for f in result.findings}
         assert flagged == {"Mystery", "DecodeOutcome"}
 
+    def test_fires_when_entry_point_missing(self, tmp_path):
+        source = (
+            "PICKLE_BOUNDARY_TYPES = frozenset({'str'})\n"
+            "def _run_task(task: str) -> str:\n"
+            "    return task\n"
+        )
+        result = lint(tmp_path, {self.PARALLEL: source})
+        assert codes(result) == ["RL008"]
+        assert "_run_stage_task" in result.findings[0].message
+
     def test_quiet_when_boundary_is_declared(self, tmp_path):
         source = (
-            "PICKLE_BOUNDARY_TYPES = frozenset({'str', 'int', 'list', 'DecodeOutcome'})\n"
-            "class DecodeTask:\n"
-            "    label: str\n"
-            "    blocks: list[int]\n"
-            "def _run_task(task: str) -> 'DecodeOutcome':\n"
-            "    return None\n"
+            "PICKLE_BOUNDARY_TYPES = frozenset({'str', 'int', 'list', 'tuple'})\n"
+            "def _run_stage_task(kind: str, blocks: list[int]) -> tuple:\n"
+            "    return ()\n"
         )
         result = lint(tmp_path, {self.PARALLEL: source})
         assert codes(result) == []

@@ -25,7 +25,6 @@ from repro.service import (
     ServiceConfig,
     ServicePipeline,
     ServiceRequest,
-    ServiceSimulator,
     schedule_lanes,
 )
 from repro.store import DnaVolume, ObjectStore, VolumeConfig
@@ -777,6 +776,3 @@ class TestMixedTraceDeterminism:
         for name, data in seed_bytes.items():
             assert store.get(name) == data
         assert store.volume.live_snapshots() == []
-
-    def test_simulator_alias_is_pipeline(self):
-        assert ServiceSimulator is ServicePipeline

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import ServiceError
-from repro.service import POLICIES, ServiceConfig, ServiceSimulator
+from repro.service import POLICIES, ServiceConfig, ServicePipeline
 from repro.store import DnaVolume, ObjectStore, VolumeConfig
 from repro.workloads import RequestEvent, multi_tenant_trace
 from repro.workloads.objects import object_corpus
@@ -30,7 +30,7 @@ def build_trace(catalog, *, requests=120, tenants=8, seed=11):
 @pytest.fixture(scope="module")
 def simulation():
     store, catalog = build_store()
-    simulator = ServiceSimulator(
+    simulator = ServicePipeline(
         store,
         config=ServiceConfig(cache_capacity_bytes=store.volume.block_size * 32),
     )
@@ -95,7 +95,7 @@ class TestDeterminism:
 
     def test_payloads_match_reference_reads(self):
         store, catalog = build_store(objects=4)
-        simulator = ServiceSimulator(store)
+        simulator = ServicePipeline(store)
         trace = build_trace(catalog, requests=20, tenants=3, seed=5)
         report = simulator.run(trace, "batched+cache", keep_data=True)
         for completed in report.completed:
@@ -109,7 +109,7 @@ class TestDeterminism:
 class TestEventLoop:
     def test_requests_within_window_share_a_batch(self):
         store, catalog = build_store(objects=3)
-        simulator = ServiceSimulator(store, config=ServiceConfig(window_hours=1.0))
+        simulator = ServicePipeline(store, config=ServiceConfig(window_hours=1.0))
         names = list(catalog)
         trace = [
             RequestEvent(time_hours=0.1, tenant="a", object_name=names[0]),
@@ -123,7 +123,7 @@ class TestEventLoop:
 
     def test_unbatched_is_one_cycle_per_request(self):
         store, catalog = build_store(objects=3)
-        simulator = ServiceSimulator(store)
+        simulator = ServicePipeline(store)
         trace = build_trace(catalog, requests=15, tenants=2, seed=3)
         report = simulator.run(trace, "unbatched")
         assert report.batches == 15
@@ -131,7 +131,7 @@ class TestEventLoop:
 
     def test_hot_repeat_is_served_from_cache_without_wetlab(self):
         store, catalog = build_store(objects=2)
-        simulator = ServiceSimulator(store, config=ServiceConfig(window_hours=0.25))
+        simulator = ServicePipeline(store, config=ServiceConfig(window_hours=0.25))
         name = next(iter(catalog))
         trace = [
             RequestEvent(time_hours=0.0, tenant="a", object_name=name),
@@ -148,7 +148,7 @@ class TestEventLoop:
 
     def test_unknown_policy_and_empty_trace_rejected(self):
         store, catalog = build_store(objects=1)
-        simulator = ServiceSimulator(store)
+        simulator = ServicePipeline(store)
         with pytest.raises(ServiceError):
             simulator.run([], "batched")
         trace = build_trace(catalog, requests=2, tenants=1)
@@ -159,7 +159,7 @@ class TestEventLoop:
 class TestIlluminaRegime:
     def test_fixed_run_latency_quantizes(self):
         store, catalog = build_store(objects=2)
-        simulator = ServiceSimulator(
+        simulator = ServicePipeline(
             store, config=ServiceConfig(sequencer="illumina")
         )
         trace = build_trace(catalog, requests=10, tenants=2, seed=9)
@@ -179,7 +179,7 @@ class TestHonestAccounting:
         the cached policy degrades toward batched, not below it."""
         store, catalog = build_store(objects=10)
         trace = build_trace(catalog, requests=200, tenants=10, seed=17)
-        simulator = ServiceSimulator(
+        simulator = ServicePipeline(
             store,
             config=ServiceConfig(
                 cache_capacity_bytes=store.volume.block_size * 2

@@ -14,7 +14,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.exceptions import StoreError
-from repro.service import ServiceConfig, ServiceSimulator
+from repro.service import ServiceConfig, ServicePipeline
 from repro.store import DnaVolume, ObjectStore, VolumeConfig
 from repro.workloads import RequestEvent, multi_tenant_trace
 from repro.workloads.objects import object_corpus
@@ -38,7 +38,7 @@ def build_store(objects=4):
 
 
 def build_simulator(store):
-    return ServiceSimulator(
+    return ServicePipeline(
         store,
         config=ServiceConfig(
             window_hours=0.5,
@@ -148,7 +148,7 @@ class TestRequestIsolation:
     @pytest.mark.parametrize("policy", ["unbatched", "batched", "batched+cache"])
     def test_bad_requests_fail_individually(self, policy):
         store, catalog = build_store(objects=2)
-        simulator = ServiceSimulator(
+        simulator = ServicePipeline(
             store, config=ServiceConfig(window_hours=0.5)
         )
         trace = self._trace_with_bad_events(catalog)
@@ -170,7 +170,7 @@ class TestRequestIsolation:
 
     def test_failed_requests_record_arrival_time_and_reason(self):
         store, catalog = build_store(objects=1)
-        simulator = ServiceSimulator(store)
+        simulator = ServicePipeline(store)
         trace = self._trace_with_bad_events(catalog)
         report = simulator.run(trace, "batched")
         by_tenant = {f.tenant: f for f in report.failed}
@@ -188,7 +188,7 @@ class TestRequestIsolation:
 
     def test_all_requests_failing_yields_empty_report(self):
         store, _ = build_store(objects=1)
-        simulator = ServiceSimulator(store)
+        simulator = ServicePipeline(store)
         trace = [
             RequestEvent(time_hours=0.1, tenant="a", object_name="ghost"),
             RequestEvent(time_hours=0.2, tenant="b", object_name="phantom"),
@@ -230,7 +230,7 @@ class TestWetlabPipeline:
             RequestEvent(time_hours=0.4, tenant="r3", object_name="obj-2"),
             RequestEvent(time_hours=6.0, tenant="r4", object_name="obj-0"),
         ]
-        simulator = ServiceSimulator(
+        simulator = ServicePipeline(
             store,
             config=ServiceConfig(
                 window_hours=0.5,
@@ -339,7 +339,7 @@ class TestWetlabPipeline:
         block-level checksum gate must route that into the retry cycle —
         never abort the run with a fidelity violation."""
         store, catalog = build_store()
-        simulator = ServiceSimulator(
+        simulator = ServicePipeline(
             store,
             config=ServiceConfig(
                 window_hours=0.5,
@@ -363,7 +363,7 @@ class TestWetlabPipeline:
         """Starve the first cycle's coverage so decoding genuinely fails,
         then let the retry's deeper sequencing recover it — no injector."""
         store, catalog = build_store(objects=1)
-        simulator = ServiceSimulator(
+        simulator = ServicePipeline(
             store,
             config=ServiceConfig(
                 window_hours=0.5,
