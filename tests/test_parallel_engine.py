@@ -225,6 +225,26 @@ class TestByteIdentity:
         assert outputs["0"] == outputs["1"]
         assert not outputs["1"][1]
 
+    @pytest.mark.parametrize("passes", [1, 2])
+    def test_sharded_staged_decode_is_byte_identical(self, workload, passes):
+        # A cold stage profile sends an unprofiled syndrome solve to a
+        # worker; once warm, the cheap solves run in the parent.  Either
+        # schedule decodes exactly like inline workers=1.
+        store, blocks, reads = workload
+        tasks = _tasks(store, blocks, reads)
+        inline = DecodeEngine(workers=1).decode(tasks)
+        baseline = [outcome.reports for outcome in inline]
+        assert all(
+            report.success for reports in baseline for report in reports.values()
+        )
+        engine = DecodeEngine(workers=2, cluster_shards=4)
+        try:
+            for _ in range(passes):
+                staged = engine.decode(tasks)
+                assert [outcome.reports for outcome in staged] == baseline
+        finally:
+            engine.shutdown()
+
     def test_missing_partition_reads_fail_identically(self, workload):
         store, blocks, reads = workload
         partial = dict(reads)
