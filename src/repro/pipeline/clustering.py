@@ -22,9 +22,10 @@ single clustering decision:
   computed **once** and reused across comparisons;
 * representative comparisons are funneled through a
   :class:`repro.pipeline.distance.DistanceBackend` in cross-bucket
-  batches, so the numpy backend corrects thousands of read/representative
-  pairs per array pass while the pure-Python backend keeps its per-pair
-  early exit.
+  batches: the numpy backend screens out certain matches and ruled-out
+  candidates and sends the rest through a bit-parallel edit-distance
+  kernel, while the pure-Python backend keeps its per-pair banded
+  reference.
 
 The two phases are exposed separately so the decode engine can
 parallelize *within* one readout:
@@ -56,13 +57,17 @@ from typing import Iterable, Sequence
 from repro import envflags
 from repro.exceptions import ClusteringError
 from repro.fastpath import fused_kernels_enabled
-from repro.pipeline.distance import DistanceBackend, get_distance_backend
-from repro.sequence import kmer_set, levenshtein_distance
+from repro.pipeline.distance import (
+    DistanceBackend,
+    get_distance_backend,
+    require_non_negative,
+)
+from repro.sequence import bounded_edit_distance, kmer_set
 
 #: Bounds of the per-bucket round chunk (reads whose representative
 #: comparisons are batched into one backend call).  Only reads of the
 #: *same* bucket are order-dependent, and a cluster born inside a round is
-#: handled by the post-batch fix-up, so chunking only trades array width
+#: handled by the post-batch fix-up, so chunking only trades batch size
 #: against wasted comparisons — it never changes the resulting clusters.
 #: The chunk adapts per bucket: stable buckets (reads keep joining
 #: existing clusters) grow toward the maximum, buckets that keep spawning
@@ -143,33 +148,8 @@ def shard_of_signature(signature: str, shards: int) -> int:
     return zlib.crc32(signature.encode("utf-8", "surrogatepass")) % shards
 
 
-def _require_non_negative(name: str, bound: int) -> None:
-    """Reject a negative distance bound: no pair of strings is that close."""
-    if bound < 0:
-        raise ClusteringError(f"{name} must be non-negative, got {bound}")
-
-
 def _signature(read: str, signature_start: int, signature_length: int) -> str:
     return read[signature_start : signature_start + signature_length]
-
-
-def _kmer_mask(read: str, k: int, bit_of_kmer: dict[str, int]) -> int:
-    """The read's distinct k-mers as one bitmask over ``bit_of_kmer``.
-
-    Bits are assigned on first sight, so masks built with one dict are
-    comparable across reads; ``mask.bit_count()`` equals
-    ``len(kmer_set(read, k))`` and ``(a & b).bit_count()`` the size of the
-    corresponding set intersection — the fused Jaccard prefilter turns
-    every intersection into a word-parallel AND+popcount.
-    """
-    mask = 0
-    for position in range(len(read) - k + 1):
-        kmer = read[position : position + k]
-        bit = bit_of_kmer.get(kmer)
-        if bit is None:
-            bit = bit_of_kmer[kmer] = len(bit_of_kmer)
-        mask |= 1 << bit
-    return mask
 
 
 def _deletion_variants(text: str, max_deletions: int) -> set[str]:
@@ -257,7 +237,7 @@ def route_reads(
     """
     if signature_length <= 0:
         raise ClusteringError("signature_length must be positive")
-    _require_non_negative("max_signature_errors", max_signature_errors)
+    require_non_negative("max_signature_errors", max_signature_errors)
     backend = get_distance_backend(distance_backend)
     fused = fused_kernels_enabled()
     bucket_reads: dict[str, list[int]] = {}
@@ -280,8 +260,8 @@ def route_reads(
                 target, distance, version = memo
                 if distance > 1:
                     for newer in created_signatures[version:]:
-                        closer = levenshtein_distance(
-                            signature, newer, upper_bound=distance - 1
+                        closer = bounded_edit_distance(
+                            signature, newer, distance - 1
                         )
                         if closer < distance:
                             target, distance = newer, closer
@@ -326,30 +306,30 @@ def _agglomerate(
     consecutive reads per round, so all (read, representative)
     comparisons of a round go through one batched backend call.  Clusters
     born *inside* a round only affect later reads of the same bucket's
-    chunk; those few extra comparisons run in the sequential fix-up
-    below, which keeps the result bit-identical to a fully sequential
-    pass.
+    chunk; those few extra comparisons run in the fix-up below (one
+    :meth:`DistanceBackend.first_within` call per unplaced read), which
+    keeps the result bit-identical to a fully sequential pass.
 
     The k-mer prefilter has two byte-identical implementations: the
     reference walks an inverted index (k-mer → positions of the
     representatives containing it) per bucket; the fused path stores
-    every k-mer set as a bitmask (one shared bit numbering for the whole
-    call) and evaluates the same Jaccard test with a word-parallel
-    AND+popcount per representative, which is an order of magnitude
-    cheaper than set intersections.
+    every k-mer set as a bitmask and evaluates the same Jaccard test with
+    a word-parallel AND+popcount per representative, which is an order
+    of magnitude cheaper than set intersections.  The backend builds all
+    of the call's masks at once (:meth:`DistanceBackend.kmer_masks`) under
+    one bit numbering of its choosing: popcounts and intersection counts
+    do not depend on which bit stands for which k-mer, so neither do the
+    clusters.
     """
     fused = fused_kernels_enabled()
+    order = [index for members in bucket_reads.values() for index in members]
     read_kmers: dict[int, frozenset[str]] = {}
     read_masks: dict[int, int] = {}
-    kmer_bits: dict[str, int] = {}
-    for members in bucket_reads.values():
-        for read_index in members:
-            if fused:
-                read_masks[read_index] = _kmer_mask(
-                    reads[read_index], _KMER_SIZE, kmer_bits
-                )
-            else:
-                read_kmers[read_index] = kmer_set(reads[read_index], _KMER_SIZE)
+    if fused:
+        masks = backend.kmer_masks([reads[index] for index in order], _KMER_SIZE)
+        read_masks = dict(zip(order, masks))
+    else:
+        read_kmers = {index: kmer_set(reads[index], _KMER_SIZE) for index in order}
 
     buckets: dict[str, list[ReadCluster]] = {key: [] for key in bucket_reads}
     rep_kmer_sizes: dict[str, list[int]] = {key: [] for key in buckets}
@@ -478,23 +458,15 @@ def _agglomerate(
                 continue
             # No pre-round representative matched; try clusters created by
             # earlier reads of this same round before starting a new one.
-            # Candidate lists here are tiny (clusters born within one
-            # chunk), so the scalar banded comparison with its per-pair
-            # early exit beats any batching.
-            placed = False
-            for position in passing_positions(
-                key, read_index, snapshot, len(clusters)
-            ):
-                distance = levenshtein_distance(
-                    reads[read_index],
-                    clusters[position].representative,
-                    upper_bound=max_read_distance,
-                )
-                if distance <= max_read_distance:
-                    clusters[position].reads.append(reads[read_index])
-                    placed = True
-                    break
-            if not placed:
+            late = passing_positions(key, read_index, snapshot, len(clusters))
+            found = backend.first_within(
+                reads[read_index],
+                [clusters[position].representative for position in late],
+                max_read_distance,
+            )
+            if found is not None:
+                clusters[late[found]].reads.append(reads[read_index])
+            else:
                 start_cluster(key, read_index)
                 grew[key] = True
         for key in pending:  # every pending bucket took a chunk this round
@@ -576,7 +548,7 @@ def cluster_shard(
     only, so payload and result cross the decode-worker pickle boundary
     without custom classes.
     """
-    _require_non_negative("max_read_distance", max_read_distance)
+    require_non_negative("max_read_distance", max_read_distance)
     backend = get_distance_backend(distance_backend)
     bucket_reads: dict[str, list[int]] = {}
     offset = 0
@@ -682,8 +654,8 @@ def cluster_reads(
         ClusteringError: for a negative ``max_signature_errors`` or
             ``max_read_distance``, before any comparison runs.
     """
-    _require_non_negative("max_signature_errors", max_signature_errors)
-    _require_non_negative("max_read_distance", max_read_distance)
+    require_non_negative("max_signature_errors", max_signature_errors)
+    require_non_negative("max_read_distance", max_read_distance)
     backend = get_distance_backend(distance_backend)
     shard_count = resolve_cluster_shards(shards)
     routed = route_reads(

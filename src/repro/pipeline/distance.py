@@ -11,10 +11,11 @@ interface, mirroring :mod:`repro.codec.backend`:
 * :class:`NumpyDistanceBackend` — screens each query's candidates first:
   an identical candidate, or an equal-length one within the bound by
   Hamming count, is a certain match, and a length gap beyond the bound
-  rules a candidate out.  Only the undecided candidates in front of a
-  query's first certain match go through a vectorized banded Levenshtein:
-  each pair is stripped of its shared prefix and suffix, then the rows of
-  all pairs advance together as ``(pairs, 2k+1)`` array operations.
+  rules a candidate out.  Each undecided candidate in front of a query's
+  first certain match is stripped of the prefix and suffix it shares with
+  the query, then goes through the bit-parallel kernel
+  :func:`repro.sequence.bounded_edit_distance`.  It also builds the k-mer
+  masks of the clustering prefilter in bulk array passes.
 
 Both backends are exact within the bound, so they produce *identical*
 clusters — ``tests/test_distance_backends.py`` asserts it, with the
@@ -31,15 +32,25 @@ from repro import envflags
 
 from repro.exceptions import ClusteringError
 from repro.fastpath import fused_kernels_enabled
-from repro.sequence import levenshtein_distance
+from repro.sequence import bounded_edit_distance, levenshtein_distance
 
 _ENV_VARIABLE = "REPRO_DISTANCE_BACKEND"
 
 _instances: dict[str, "DistanceBackend"] = {}
 
 
+def require_non_negative(name: str, bound: int) -> None:
+    """Reject a negative distance bound: no pair of strings is that close."""
+    if bound < 0:
+        raise ClusteringError(f"{name} must be non-negative, got {bound}")
+
+
 class DistanceBackend:
-    """Interface of a clustering distance backend."""
+    """Interface of a clustering distance backend.
+
+    Every method that takes a bound raises :class:`ClusteringError` for a
+    negative one before it compares anything.
+    """
 
     name = "base"
 
@@ -57,9 +68,10 @@ class DistanceBackend:
     ) -> list[int | None]:
         """:meth:`first_within` for many (query, candidates) items at once.
 
-        The batch form is what lets a vectorized backend amortize work; the
+        The batch form is what lets a backend amortize per-call work; the
         default simply loops.
         """
+        require_non_negative("max_distance", max_distance)
         return [
             self.first_within(query, candidates, max_distance)
             for query, candidates in zip(queries, candidate_lists)
@@ -75,6 +87,30 @@ class DistanceBackend:
         ones).  Returns ``None`` when no candidate is within the bound.
         """
         raise NotImplementedError
+
+    def kmer_masks(self, texts: list[str], k: int) -> list[int]:
+        """Each text's distinct k-mers as one bitmask, comparable across
+        the call.
+
+        ``mask.bit_count()`` equals ``len(kmer_set(text, k))`` and
+        ``(a & b).bit_count()`` the size of the corresponding set
+        intersection, so the clustering prefilter evaluates its Jaccard
+        test with an AND and a popcount.  How k-mers map to bits is up to
+        the backend; masks from different calls are not comparable.  Here
+        bits are assigned in order of first sight.
+        """
+        bit_of_kmer: dict[str, int] = {}
+        masks: list[int] = []
+        for text in texts:
+            mask = 0
+            for position in range(len(text) - k + 1):
+                kmer = text[position : position + k]
+                bit = bit_of_kmer.get(kmer)
+                if bit is None:
+                    bit = bit_of_kmer[kmer] = len(bit_of_kmer)
+                mask |= 1 << bit
+            masks.append(mask)
+        return masks
 
 
 def _bounded_distance(query: str, candidate: str, allowed: int) -> int:
@@ -154,6 +190,7 @@ class PythonDistanceBackend(DistanceBackend):
     def first_within(
         self, query: str, candidates: list[str], max_distance: int
     ) -> int | None:
+        require_non_negative("max_distance", max_distance)
         for index, candidate in enumerate(candidates):
             distance = levenshtein_distance(
                 query, candidate, upper_bound=max_distance
@@ -165,25 +202,33 @@ class PythonDistanceBackend(DistanceBackend):
     def nearest(
         self, query: str, candidates: list[str], max_distance: int
     ) -> tuple[int, int] | None:
+        require_non_negative("max_distance", max_distance)
         return _nearest_scalar(query, candidates, max_distance)
 
 
 class NumpyDistanceBackend(DistanceBackend):
-    """Vectorized banded Levenshtein over whole comparison batches."""
+    """A screen and the bit-parallel kernel per comparison; bulk k-mer
+    masks and Hamming columns in numpy."""
 
     name = "numpy"
 
-    _BIG = 1 << 20  # sentinel for out-of-band cells; survives +/- band width
-
-    #: Below this many comparisons the per-call array setup costs more than
-    #: the scalar banded loop saves; both paths are exact, so the cutover
-    #: is purely a performance knob.
+    #: :meth:`nearest` scans fewer candidates than this with the scalar
+    #: search, whose per-call cost is below the array setup's; both are
+    #: exact, so the cutoff is purely a performance knob.
     _MIN_BATCH = 8
+
+    #: Rows per chunk of :meth:`kmer_masks` hold about this many bytes of
+    #: one-byte k-mer flags.
+    _MASK_CHUNK_BYTES = 1 << 20
 
     def __init__(self) -> None:
         import numpy
 
         self._np = numpy
+        # 2-bit base codes for the k-mer masks; anything else maps to 4.
+        self._base_codes = numpy.full(256, 4, dtype=numpy.uint8)
+        for code, base in enumerate(b"ACGT"):
+            self._base_codes[base] = code
 
     def first_within(
         self, query: str, candidates: list[str], max_distance: int
@@ -198,10 +243,10 @@ class NumpyDistanceBackend(DistanceBackend):
         # out of a single array pass.  For equal-length strings the edit
         # distance is pinned to the Hamming distance below 2 (see
         # _bounded_distance), so only Hamming >= 3 candidates — shifted
-        # windows, i.e. indels — still need the banded DP, and those all
-        # go through one batch_distances call.  ``_nearest_scalar`` is the
-        # earliest-argmin of the exact bounded distances, which is exactly
-        # what this computes.
+        # windows, i.e. indels — still need the banded DP.
+        # ``_nearest_scalar`` is the earliest-argmin of the exact bounded
+        # distances, which is exactly what this computes.
+        require_non_negative("max_distance", max_distance)
         count = len(candidates)
         if count < self._MIN_BATCH or not fused_kernels_enabled():
             return _nearest_scalar(query, candidates, max_distance)
@@ -259,165 +304,86 @@ class NumpyDistanceBackend(DistanceBackend):
         # Screen each query's candidates in order.  An identical candidate,
         # or an equal-length one within the bound by Hamming count (edit
         # distance never exceeds it), is a certain match and ends the scan;
-        # a length gap beyond the bound rules a candidate out.  Only the
-        # undecided candidates in front of the first certain match need a
-        # distance, and the earliest of them within the bound wins.  Fewer
-        # than _MIN_BATCH of them go through the scalar kernel, with the
-        # same trimming and a per-query early exit.
-        if max_distance < 0:
-            raise ClusteringError("bound must be non-negative")
-        pairs: list[tuple[str, str]] = []
-        screened: list[tuple[int | None, list[int]]] = []
+        # a length gap beyond the bound rules a candidate out.  Any other
+        # candidate loses the prefix and suffix it shares with the query
+        # and goes through the bit-parallel kernel, or through the banded
+        # reference under REPRO_FUSED_KERNELS=0; the first one within the
+        # bound ends the scan.
+        require_non_negative("max_distance", max_distance)
+        fused = fused_kernels_enabled()
+        results: list[int | None] = []
         for query, candidates in zip(queries, candidate_lists):
             length = len(query)
-            certain: int | None = None
-            undecided: list[int] = []
+            match: int | None = None
             for index, candidate in enumerate(candidates):
                 gap = len(candidate) - length
-                if gap == 0:
-                    if candidate == query or sum(map(ne, query, candidate)) <= max_distance:
-                        certain = index
-                        break
-                elif abs(gap) > max_distance:
+                if gap == 0 and (
+                    candidate == query
+                    or sum(map(ne, query, candidate)) <= max_distance
+                ):
+                    match = index
+                    break
+                if abs(gap) > max_distance:
                     continue
-                undecided.append(index)
-                pairs.append((query, candidate))
-            screened.append((certain, undecided))
-        batched = len(pairs) >= self._MIN_BATCH
-        distances = self.batch_distances(pairs, max_distance) if batched else []
-        results: list[int | None] = []
-        offset = 0
-        for certain, undecided in screened:
-            match = certain
-            for position, index in enumerate(undecided, start=offset):
-                if batched:
-                    distance = distances[position]
+                left, right = _trim_shared(query, candidate)
+                if fused:
+                    distance = bounded_edit_distance(left, right, max_distance)
                 else:
                     distance = levenshtein_distance(
-                        *_trim_shared(*pairs[position]), upper_bound=max_distance
+                        left, right, upper_bound=max_distance
                     )
                 if distance <= max_distance:
                     match = index
                     break
-            offset += len(undecided)
             results.append(match)
         return results
 
-    def batch_distances(
-        self, pairs: list[tuple[str, str]], bound: int
-    ) -> list[int]:
-        """Bounded edit distance of every pair, in one banded array DP.
-
-        Returns the exact distance when it is ``<= bound`` and any value
-        ``> bound`` otherwise (callers only compare against the bound).
-        Each pair is stripped of its shared prefix and suffix first, so the
-        DP runs only over the bases between the first and last difference.
-        """
+    def kmer_masks(self, texts: list[str], k: int) -> list[int]:
+        # Bit c of a mask stands for the k-mer whose 2-bit base codes
+        # (A, C, G, T = 0..3, first base most significant) spell c, so
+        # every mask has 4**k bits.  Texts of one length form one uint8
+        # code matrix; a sliding window turns it into k-mer codes, which
+        # set one flag per (row, code) and pack into bytes, a chunk of
+        # rows at a time.  A text outside ACGT sends the whole call to the
+        # first-sight numbering, since masks must share one numbering.
         np = self._np
-        if bound < 0:
-            raise ClusteringError("bound must be non-negative")
-        count = len(pairs)
-        out = np.full(count, bound + 1, dtype=np.int32)
-        # Trivial rows never enter the DP: equal pairs, empty sides (which
-        # mirror the scalar function's full-length shortcut) and pairs whose
-        # length gap already exceeds the bound.
-        active: list[int] = []
-        work: list[tuple[str, str]] = []
-        for index, (a, b) in enumerate(pairs):
-            if a == b:
-                out[index] = 0
-                continue
-            a, b = _trim_shared(a, b)
-            if not a or not b:
-                out[index] = min(len(a) + len(b), bound + 1)
-            elif abs(len(a) - len(b)) > bound:
-                out[index] = bound + 1
-            else:
-                active.append(index)
-                work.append((a, b))
-        if not active:
-            return out.tolist()
-
-        a_lens = np.array([len(a) for a, _ in work], dtype=np.int32)
-        b_lens = np.array([len(b) for _, b in work], dtype=np.int32)
-        max_a = int(a_lens.max())
-        max_b = int(b_lens.max())
-        rows = len(active)
-        width = 2 * bound + 1
-        big = self._BIG
-
-        # Character matrices: ASCII strings (the DNA alphabet case) pack as
-        # uint8 via frombuffer; anything wider falls back to uint32 code
-        # points so the numpy backend accepts exactly the inputs the
-        # python backend does.  Sentinels are outside either range.
         try:
-            encoded = [(a.encode("ascii"), b.encode("ascii")) for a, b in work]
+            blob = "".join(texts).encode("ascii")
         except UnicodeEncodeError:
-            encoded = None
-        if encoded is not None:
-            dtype, sentinel = np.uint8, 0xFF
-        else:
-            dtype, sentinel = np.uint32, 0x110000  # beyond any code point
-        left = np.zeros((rows, max_a), dtype=dtype)
-        # The right strings are padded with sentinel columns so the band
-        # window of every row (it shifts with the left index, which can run
-        # up to `bound` past the longest right string) slices in-range.
-        padded_width = max(max_b, max_a + bound) + bound + 1
-        right = np.full((rows, padded_width), sentinel, dtype=dtype)
-        for row, (a, b) in enumerate(work):
-            if encoded is not None:
-                left[row, : len(a)] = np.frombuffer(encoded[row][0], dtype=np.uint8)
-                right[row, bound : bound + len(b)] = np.frombuffer(
-                    encoded[row][1], dtype=np.uint8
-                )
-            else:
-                left[row, : len(a)] = np.fromiter(map(ord, a), np.uint32, len(a))
-                right[row, bound : bound + len(b)] = np.fromiter(
-                    map(ord, b), np.uint32, len(b)
-                )
-
-        offsets = np.arange(width, dtype=np.int32)
-        pending = np.full(rows, bound + 1, dtype=np.int32)
-        done = np.zeros(rows, dtype=bool)
-        # Band row 0: cell t holds D[0][j] with j = t - bound.
-        band = np.where(
-            offsets >= bound, offsets - bound, np.int32(big)
-        ).astype(np.int32)
-        band = np.tile(band, (rows, 1))
-        for i in range(1, max_a + 1):
-            # j = i - bound + t; cost[t] compares left[i-1] to right[j-1].
-            window = right[:, i - 1 : i - 1 + width]
-            cost = (left[:, i - 1 : i] != window).astype(np.int32)
-            diagonal = band + cost
-            above = np.concatenate(
-                [band[:, 1:], np.full((rows, 1), big, dtype=np.int32)], axis=1
-            )
-            current = np.minimum(diagonal, above + 1)
-            if i <= bound:
-                current[:, bound - i] = i  # column j = 0
-            # Mask cells whose column leaves [0, len(b)].
-            columns = i - bound + offsets
-            invalid = (columns[None, :] < 0) | (columns[None, :] > b_lens[:, None])
-            current[invalid] = big
-            # Insertions: a prefix-min scan along the band (j increases
-            # with t), D[i][j] = min over t' <= t of pre[t'] + (t - t').
-            shifted = current - offsets
-            np.minimum.accumulate(shifted, axis=1, out=shifted)
-            current = np.minimum(current, shifted + offsets)
-            current[invalid] = big
-            # Pairs whose left string ends at this row are finished; their
-            # distance sits at t = len(b) - len(a) + bound.
-            finishing = (a_lens == i) & ~done
-            if finishing.any():
-                where = np.nonzero(finishing)[0]
-                pending[where] = current[where, b_lens[where] - i + bound]
-                done[where] = True
-                current[where] = big
-            band = current
-            if bool(done.all()) or int(band.min()) > bound:
-                break
-        out[np.array(active, dtype=np.int64)] = np.minimum(pending, bound + 1)
-        return out.tolist()
+            return super().kmer_masks(texts, k)
+        codes = self._base_codes[np.frombuffer(blob, dtype=np.uint8)]
+        if bool((codes > 3).any()):
+            return super().kmer_masks(texts, k)
+        starts: list[int] = []
+        by_length: dict[int, list[int]] = {}
+        offset = 0
+        for index, text in enumerate(texts):
+            starts.append(offset)
+            offset += len(text)
+            if len(text) >= k:
+                by_length.setdefault(len(text), []).append(index)
+        masks = [0] * len(texts)
+        flag_count = 4**k
+        chunk_rows = max(1, self._MASK_CHUNK_BYTES // flag_count)
+        for length, members in by_length.items():
+            windows = length - k + 1
+            columns = np.arange(length)
+            for first in range(0, len(members), chunk_rows):
+                chunk = members[first : first + chunk_rows]
+                rows = codes[np.array([starts[i] for i in chunk])[:, None] + columns]
+                kmers = rows[:, :windows].astype(np.int64)
+                for shift in range(1, k):
+                    kmers = (kmers << 2) | rows[:, shift : shift + windows]
+                flags = np.zeros((len(chunk), flag_count), dtype=bool)
+                flags[np.arange(len(chunk))[:, None], kmers] = True
+                packed = np.packbits(flags, axis=1, bitorder="little")
+                row_bytes = packed.shape[1]
+                data = packed.tobytes()
+                for row, index in enumerate(chunk):
+                    masks[index] = int.from_bytes(
+                        data[row * row_bytes : (row + 1) * row_bytes], "little"
+                    )
+        return masks
 
 
 def _numpy_available() -> bool:

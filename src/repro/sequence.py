@@ -177,6 +177,74 @@ def levenshtein_distance(left: str, right: str, *, upper_bound: int | None = Non
     return distance if distance <= bound else big
 
 
+def bounded_edit_distance(left: str, right: str, bound: int) -> int:
+    """Edit distance capped at ``bound + 1``, computed bit-parallel.
+
+    Returns exactly what ``levenshtein_distance(left, right,
+    upper_bound=bound)`` returns, including its shortcut for an empty
+    operand (the other operand's length, uncapped).
+
+    This is G. Myers' bit-vector algorithm ("A fast bit-vector algorithm
+    for approximate string matching based on dynamic programming", JACM
+    1999) in H. Hyyrö's edit-distance form (2003).  Column ``j`` of the DP
+    matrix is held as two bit-vectors over ``left`` marking where
+    ``D[i][j] - D[i-1][j]`` is +1 and where it is -1.  Each character of
+    ``right`` advances the whole column with a dozen integer operations
+    instead of one cell at a time, and updates the last row ``D[m][j]``
+    (``m = len(left)``, ``n = len(right)``).  That row changes by at most
+    one per column, so ``D[m][n] >= D[m][j] - (n - j)``, and the scan
+    stops as soon as that lower bound exceeds ``bound``.
+
+    Raises:
+        SequenceError: if ``bound`` is negative.
+    """
+    if bound < 0:
+        raise SequenceError(f"bound must be non-negative, got {bound}")
+    if left == right:
+        return 0
+    if not left:
+        return len(right)
+    if not right:
+        return len(left)
+    m, n = len(left), len(right)
+    if abs(m - n) > bound:
+        return bound + 1
+    # One match mask per character of ``left``: bit i is set where
+    # left[i] is that character (reversed, since int() reads the most
+    # significant digit first).
+    reversed_left = left[::-1]
+    digits = dict.fromkeys(map(ord, left), "0")
+    match_masks: dict[str, int] = {}
+    for code in digits:
+        digits[code] = "1"
+        match_masks[chr(code)] = int(reversed_left.translate(digits), 2)
+        digits[code] = "0"
+    # No operation below carries information from a bit to a lower one,
+    # so ``mask`` only keeps the integers m bits wide and non-negative.
+    mask = (1 << m) - 1
+    last_row = 1 << (m - 1)
+    plus, minus = mask, 0  # vertical deltas of column 0: D[i][0] = i
+    score = m
+    limit = n + bound
+    for column, char in enumerate(right, 1):
+        match = match_masks.get(char, 0)
+        vertical = match | minus
+        horizontal = (((match & plus) + plus) ^ plus) | match
+        plus_h = minus | ~(horizontal | plus) & mask
+        minus_h = plus & horizontal
+        if plus_h & last_row:
+            score += 1
+        elif minus_h & last_row:
+            score -= 1
+        if score + column > limit:
+            return bound + 1
+        plus_h = (plus_h << 1) | 1  # row 0 grows by one per column
+        minus_h = (minus_h << 1) & mask
+        plus = minus_h | ~(vertical | plus_h) & mask
+        minus = plus_h & vertical
+    return score if score <= bound else bound + 1
+
+
 def kmer_set(sequence: str, k: int) -> frozenset[str]:
     """Return the set of all k-mers of ``sequence``.
 

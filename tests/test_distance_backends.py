@@ -1,26 +1,33 @@
 """Tests for the clustering distance backends.
 
 The python backend (banded early-exit Levenshtein) and the numpy backend
-(a screen of certain matches and ruled-out candidates, then a vectorized
-banded DP over the trimmed undecided pairs) must be exact within the
-bound and therefore produce *identical* clusters.
+(a screen of certain matches and ruled-out candidates, then the
+bit-parallel kernel over each trimmed undecided pair) must be exact
+within the bound and therefore produce *identical* clusters.  The numpy
+backend's bulk k-mer masks must give the same popcounts and intersection
+counts as the base backend's first-sight masks.
 """
 
 import random
+from operator import ne
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ClusteringError
-from repro.pipeline.clustering import cluster_reads, cluster_shard, route_reads
+from repro.pipeline.clustering import (
+    DEFAULT_MAX_READ_DISTANCE,
+    cluster_reads,
+    cluster_shard,
+    route_reads,
+)
 from repro.pipeline.distance import (
     NumpyDistanceBackend,
     PythonDistanceBackend,
     available_distance_backends,
     get_distance_backend,
 )
-from repro.sequence import levenshtein_distance
 
 
 def _numpy_available() -> bool:
@@ -48,15 +55,6 @@ def _mutate(rng, text, edits):
 
 def _random_read(rng, length):
     return "".join(rng.choice("ACGT") for _ in range(length))
-
-
-def _assert_exact_within_bound(got, pairs, bound):
-    for (left, right), value in zip(pairs, got):
-        reference = levenshtein_distance(left, right, upper_bound=bound)
-        if reference <= bound:
-            assert value == reference, (left, right, bound)
-        else:
-            assert value > bound, (left, right, bound)
 
 
 class TestBackendResolution:
@@ -106,23 +104,6 @@ class TestFirstWithin:
                 queries, candidate_lists, bound
             ) == numpy_backend.first_within_batch(queries, candidate_lists, bound)
 
-    @requires_numpy
-    def test_numpy_batch_distances_exact_within_bound(self):
-        backend = get_distance_backend("numpy")
-        rng = random.Random(9)
-        pairs = []
-        for _ in range(500):
-            left = _random_read(rng, rng.randrange(1, 40))
-            right = (
-                _mutate(rng, left, rng.randrange(0, 8))
-                if rng.random() < 0.7
-                else _random_read(rng, rng.randrange(1, 40))
-            )
-            pairs.append((left, right))
-        pairs += [("", "ACGT"), ("ACGT", ""), ("AC", "AC")]
-        for bound in (0, 1, 3, 6):
-            _assert_exact_within_bound(backend.batch_distances(pairs, bound), pairs, bound)
-
 
 class TestClusterEquivalence:
     def _reads(self, seed, strands, copies, edits):
@@ -140,21 +121,65 @@ class TestClusterEquivalence:
         return reads
 
     @requires_numpy
-    def test_backends_produce_identical_clusters(self):
+    def test_backends_produce_identical_clusters(self, monkeypatch):
+        """Python/numpy x fused/reference (REPRO_FUSED_KERNELS 1/0) all give
+        the python backend's reference-mode clusters."""
         for seed, strands, copies, edits in [(1, 8, 12, 4), (2, 25, 8, 9), (3, 4, 60, 6)]:
             reads = self._reads(seed, strands, copies, edits)
             outcomes = {}
-            for backend in ("python", "numpy"):
-                clusters = cluster_reads(
-                    reads,
-                    signature_start=20,
-                    signature_length=13,
-                    distance_backend=backend,
-                )
-                outcomes[backend] = [
-                    (cluster.signature, tuple(cluster.reads)) for cluster in clusters
-                ]
-            assert outcomes["python"] == outcomes["numpy"]
+            for fused in ("0", "1"):
+                monkeypatch.setenv("REPRO_FUSED_KERNELS", fused)
+                for backend in ("python", "numpy"):
+                    clusters = cluster_reads(
+                        reads,
+                        signature_start=20,
+                        signature_length=13,
+                        distance_backend=backend,
+                    )
+                    outcomes[fused, backend] = [
+                        (cluster.signature, tuple(cluster.reads)) for cluster in clusters
+                    ]
+            reference = outcomes["0", "python"]
+            agree = {key: outcome == reference for key, outcome in outcomes.items()}
+            assert agree == dict.fromkeys(outcomes, True)
+
+    @pytest.mark.parametrize("fused", ["0", "1"])
+    @pytest.mark.parametrize("backend", available_distance_backends())
+    def test_in_round_fix_up_places_an_indel_only_match(
+        self, backend, fused, monkeypatch
+    ):
+        """A cluster born inside a round takes a later read of the same
+        round that is two indels away but far apart by Hamming count."""
+        monkeypatch.setenv("REPRO_FUSED_KERNELS", fused)
+        rng = random.Random(11)
+        signature = "ACGTTGCAAGCTT"
+        first = signature + _random_read(rng, 120)
+        born = signature + _random_read(rng, 120)
+        shifted = born[:20] + born[21:] + "G"
+        assert sum(map(ne, born, shifted)) > DEFAULT_MAX_READ_DISTANCE
+        # A fresh instance, so the spy stays local to this test.
+        distance_backend = type(get_distance_backend(backend))()
+        placements = []
+        original = distance_backend.first_within
+
+        def spy(query, candidates, max_distance):
+            found = original(query, candidates, max_distance)
+            if found is not None:
+                placements.append((query, candidates[found]))
+            return found
+
+        monkeypatch.setattr(distance_backend, "first_within", spy)
+        clusters = cluster_reads(
+            [first, born, shifted],
+            signature_start=0,
+            signature_length=len(signature),
+            distance_backend=distance_backend,
+        )
+        # One round: ``born`` and ``shifted`` are both compared with
+        # ``first`` only; ``born`` then starts a cluster, and the fix-up
+        # places ``shifted`` in it.
+        assert [cluster.reads for cluster in clusters] == [[born, shifted], [first]]
+        assert placements == [(shifted, born)]
 
     def test_corrupted_signatures_still_route_through_index(self):
         """The deletion-neighborhood index must find buckets within the
@@ -212,6 +237,19 @@ class TestNegativeBounds:
                 max_read_distance=-1,
                 distance_backend=backend,
             )
+
+    @pytest.mark.parametrize("backend", available_distance_backends())
+    @pytest.mark.parametrize("method", ["first_within", "first_within_batch", "nearest"])
+    @pytest.mark.parametrize("count", [0, 1, 9])
+    def test_backend_methods_reject_negative_bounds(self, backend, method, count):
+        # Nine identical candidates reach the numpy backend's array path
+        # in ``nearest`` and would match at any bound that is not negative.
+        query = "ACGTACGT"
+        candidates = [query] * count
+        call = getattr(get_distance_backend(backend), method)
+        args = ([query], [candidates]) if method == "first_within_batch" else (query, candidates)
+        with pytest.raises(ClusteringError, match="max_distance must be non-negative"):
+            call(*args, -1)
 
     def test_zero_bound_still_clusters(self):
         clusters = cluster_reads(
@@ -343,20 +381,6 @@ class TestScreenMatchesReference:
             queries, candidate_lists, bound
         ) == python.first_within_batch(queries, candidate_lists, bound)
 
-    @requires_numpy
-    @settings(max_examples=200, deadline=None)
-    @given(_screen_batches())
-    def test_batch_distances(self, batch):
-        bound, queries, candidate_lists = batch
-        pairs = [
-            (query, candidate)
-            for query, candidates in zip(queries, candidate_lists)
-            for candidate in candidates
-        ]
-        got = get_distance_backend("numpy").batch_distances(pairs, bound)
-        assert len(got) == len(pairs)
-        _assert_exact_within_bound(got, pairs, bound)
-
     @pytest.mark.parametrize("backend", available_distance_backends())
     def test_earlier_indel_match_beats_a_later_certain_one(self, backend):
         query = "ACGTTGCAAGCTTGACCTGAACGG"
@@ -380,32 +404,52 @@ class TestScreenMatchesReference:
         ]
         assert distance_backend.first_within_batch([""], [["", "A"]], 0) == [0]
 
+
+# ----------------------------------------------------------------------
+# Differential test of the numpy backend's k-mer masks
+# ----------------------------------------------------------------------
+
+
+def _mask_counts(masks):
+    """What the Jaccard prefilter reads: every popcount, and the popcount
+    of every pairwise intersection."""
+    pairs = [
+        (masks[i] & masks[j]).bit_count()
+        for i in range(len(masks))
+        for j in range(i + 1, len(masks))
+    ]
+    return [mask.bit_count() for mask in masks], pairs
+
+
+class TestKmerMasks:
     @requires_numpy
-    @pytest.mark.parametrize(
-        "undecided",
-        [1, NumpyDistanceBackend._MIN_BATCH - 1, NumpyDistanceBackend._MIN_BATCH, 20],
+    def test_numpy_masks_give_the_reference_counts(self):
+        rng = random.Random(17)
+        chunk_rows = NumpyDistanceBackend._MASK_CHUNK_BYTES // 4**6
+        same_length = [_random_read(rng, 140) for _ in range(chunk_rows + 44)]
+        mixed = [_random_read(rng, rng.randrange(30, 160)) for _ in range(40)]
+        texts = same_length[:10] + ["", "A", "ACGTA"] + mixed + same_length[10:]
+        texts += [_mutate(rng, text, 3) for text in mixed[:10]] + ["ACGTAC", "AAAAAAAAAA"]
+        got = get_distance_backend("numpy").kmer_masks(texts, 6)
+        reference = get_distance_backend("python").kmer_masks(texts, 6)
+        assert _mask_counts(got) == _mask_counts(reference)
+        assert got[10:13] == [0, 0, 0]  # shorter than k
+
+    @requires_numpy
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.lists(st.text(alphabet=BASES, max_size=30), max_size=25),
     )
-    def test_scalar_and_array_paths_agree(self, undecided, monkeypatch):
-        numpy_backend = get_distance_backend("numpy")
-        calls = []
-        original = numpy_backend.batch_distances
+    def test_numpy_masks_match_at_any_k(self, k, texts):
+        got = get_distance_backend("numpy").kmer_masks(texts, k)
+        reference = get_distance_backend("python").kmer_masks(texts, k)
+        assert _mask_counts(got) == _mask_counts(reference)
 
-        def counting(pairs, bound):
-            calls.append(len(pairs))
-            return original(pairs, bound)
-
-        monkeypatch.setattr(numpy_backend, "batch_distances", counting)
-        rng = random.Random(undecided)
-        queries = [_random_read(rng, 60) for _ in range(undecided)]
-        # Each query's only candidate is undecided: two indels apart, or a
-        # shifted copy farther than the bound.
-        candidate_lists = [
-            [query[2:] + "GA" if index % 3 else query[1:] + "C"]
-            for index, query in enumerate(queries)
-        ]
-        expected = get_distance_backend("python").first_within_batch(
-            queries, candidate_lists, 2
-        )
-        assert numpy_backend.first_within_batch(queries, candidate_lists, 2) == expected
-        # Fewer undecided pairs than _MIN_BATCH take the scalar kernel.
-        assert calls == ([undecided] if undecided >= numpy_backend._MIN_BATCH else [])
+    @requires_numpy
+    @pytest.mark.parametrize("odd", ["N", "a", "\u00e9"], ids=["N", "lowercase", "non-ascii"])
+    def test_text_outside_acgt_takes_the_first_sight_masks(self, odd):
+        texts = ["ACGTACGTAC", "ACG" + odd + "TACGTA", "TTGACCA"]
+        assert get_distance_backend("numpy").kmer_masks(
+            texts, 3
+        ) == get_distance_backend("python").kmer_masks(texts, 3)

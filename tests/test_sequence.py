@@ -1,11 +1,12 @@
 """Tests for low-level DNA sequence utilities."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SequenceError
 from repro.sequence import (
+    bounded_edit_distance,
     chunk_sequence,
     complement,
     gc_content,
@@ -173,6 +174,71 @@ class TestDistances:
     @given(dna, dna)
     def test_levenshtein_lower_bound_length_difference(self, left, right):
         assert levenshtein_distance(left, right) >= abs(len(left) - len(right))
+
+
+@st.composite
+def _bounded_pairs(draw):
+    """``(left, right, bound)`` aimed at the edges of the bounded contract."""
+    bound = draw(st.integers(min_value=0, max_value=12))
+    alphabet = draw(st.sampled_from(["ACGT", "ACGTN", "ab\u00e9\u20ac\U0001f600"]))
+    left = draw(st.text(alphabet=alphabet, max_size=300))
+    kind = draw(st.sampled_from(["edited", "gap", "gap+1", "empty", "random"]))
+    if kind == "edited":
+        chars = list(left)
+        for _ in range(draw(st.integers(min_value=0, max_value=bound + 3))):
+            position = draw(st.integers(min_value=0, max_value=len(chars)))
+            operation = draw(st.sampled_from("sid"))
+            char = draw(st.sampled_from(alphabet))
+            if operation == "i" or not chars:
+                chars.insert(position, char)
+            elif operation == "s":
+                chars[min(position, len(chars) - 1)] = char
+            else:
+                del chars[min(position, len(chars) - 1)]
+        right = "".join(chars)
+    elif kind in ("gap", "gap+1"):
+        # A length gap of exactly bound or bound + 1: pure insertions
+        # (distance equal to the gap) or an unrelated string.
+        gap = bound + (kind == "gap+1")
+        extra = draw(st.text(alphabet=alphabet, min_size=gap, max_size=gap))
+        if draw(st.booleans()):
+            at = draw(st.integers(min_value=0, max_value=len(left)))
+            right = left[:at] + extra + left[at:]
+        else:
+            size = len(left) + gap
+            right = draw(st.text(alphabet=alphabet, min_size=size, max_size=size))
+    elif kind == "empty":
+        right = ""
+    else:
+        right = draw(st.text(alphabet=alphabet, max_size=300))
+    if draw(st.booleans()):
+        left, right = right, left
+    return left, right, bound
+
+
+class TestBoundedEditDistance:
+    """The bit-parallel kernel against the banded reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_bounded_pairs())
+    def test_matches_banded_reference(self, case):
+        left, right, bound = case
+        assert bounded_edit_distance(left, right, bound) == levenshtein_distance(
+            left, right, upper_bound=bound
+        )
+
+    def test_contract(self):
+        assert bounded_edit_distance("ACGT", "ACGT", 0) == 0
+        assert bounded_edit_distance("AAAAAAAA", "TTTTTTTT", 3) == 4
+        assert bounded_edit_distance("A", "AAAAAAAA", 2) == 3
+        # An empty operand returns the other operand's length, uncapped.
+        assert bounded_edit_distance("", "ACGTACGT", 2) == 8
+        assert bounded_edit_distance("ACGTACGT", "", 2) == 8
+
+    @pytest.mark.parametrize("left, right", [("A", "C"), ("ACGT", "ACGT"), ("", "A")])
+    def test_negative_bound_rejected(self, left, right):
+        with pytest.raises(SequenceError, match="non-negative"):
+            bounded_edit_distance(left, right, -1)
 
 
 class TestKmers:
