@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from repro.constants import SYNC_BASE
 from repro.core.index_tree import IndexTree
+from repro.core.prefix_cover import PrefixCover, prefix_cover_for_range
 from repro.exceptions import PrimerDesignError
 from repro.primers.melting import melting_temperature
 from repro.sequence import gc_content, max_homopolymer_run, validate_sequence
@@ -127,24 +128,40 @@ def build_range_primers(
     One primer per prefix in the minimal cover; a multiplexed PCR with this
     primer set retrieves exactly the blocks ``start..end`` (Section 3.1).
     """
-    from repro.core.prefix_cover import prefix_cover_for_range
+    return build_cover_primers(
+        main_primer,
+        tree,
+        prefix_cover_for_range(tree, start, end),
+        include_sync_base=include_sync_base,
+    )
 
-    cover = prefix_cover_for_range(tree, start, end)
-    primers = []
-    for path, address in zip(cover.paths, cover.addresses):
-        elongation = (SYNC_BASE if include_sync_base else "") + address
-        target = None
-        if len(path) == tree.depth:
-            target = tree.decode(address)
-        primers.append(
-            ElongatedPrimer(
-                main_primer=main_primer,
-                elongation=elongation,
-                target_block=target,
-                levels=len(path),
-            )
+
+def build_cover_primers(
+    main_primer: str,
+    tree: IndexTree,
+    cover: PrefixCover,
+    *,
+    include_sync_base: bool = True,
+) -> list[ElongatedPrimer]:
+    """The elongated primers of a computed prefix cover, one per path.
+
+    A full-depth path targets its own leaf; shorter paths are partial
+    (range) elongations.
+    """
+    sync = SYNC_BASE if include_sync_base else ""
+    return [
+        ElongatedPrimer(
+            main_primer=main_primer,
+            elongation=sync + address,
+            target_block=(
+                tree.leaves_under_prefix(path).start
+                if len(path) == tree.depth
+                else None
+            ),
+            levels=len(path),
         )
-    return primers
+        for path, address in zip(cover.paths, cover.addresses)
+    ]
 
 
 def build_two_sided_primers(

@@ -241,15 +241,26 @@ class IndexTree:
 
     def prefix_for_leaf(self, leaf: int, levels: int) -> str:
         """Return the address prefix of ``leaf`` covering only ``levels`` levels."""
+        if not 0 <= leaf < self.leaf_count:
+            raise AddressError(
+                f"leaf {leaf} out of range [0, {self.leaf_count})"
+            )
         if not 0 <= levels <= self.depth:
             raise AddressError(f"levels {levels} out of range [0, {self.depth}]")
         digits = _digits_for(leaf, self.depth)[:levels]
         return self.encode_path(digits)
 
     def leaves_under_prefix(self, digits: tuple[int, ...]) -> range:
-        """Return the contiguous leaf-number range covered by a tree path."""
+        """Return the contiguous leaf-number range covered by a tree path.
+
+        A valid path whose subtree lies wholly past ``leaf_count`` yields
+        an empty range.
+        """
         if len(digits) > self.depth:
             raise AddressError("path longer than tree depth")
+        for digit in digits:
+            if not 0 <= digit <= 3:
+                raise AddressError(f"invalid path digit {digit}")
         span = 4 ** (self.depth - len(digits))
         start = _leaf_for(digits) * span if digits else 0
         end = min(start + span, self.leaf_count)

@@ -29,14 +29,17 @@ from repro.constants import DEFAULT_LEAF_COUNT
 from repro.core.addressing import AddressCodec, BlockAddress
 from repro.core.elongation import (
     ElongatedPrimer,
+    build_cover_primers,
     build_elongated_primer,
-    build_range_primers,
 )
 from repro.core.index_tree import IndexTree
 from repro.core.prefix_cover import PrefixCover, prefix_cover_for_range
 from repro.core.updates import ReplacementPatch, UpdatePatch, apply_patch_chain
 from repro.exceptions import AddressError, CapacityError, PartitionError, UpdateError
 from repro.primers.library import PrimerPair
+
+#: Range plans a partition memoises; when full, the oldest is dropped.
+_RANGE_PLAN_LIMIT = 1024
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,18 @@ class Partition:
         self.randomizer = Randomizer(config.randomizer_seed)
         self._unit_codec = EncodingUnit(layout=config.unit_layout)
         self._blocks: dict[int, _BlockRecord] = {}
+        # (start, end) -> (cover, primers).  The tree and the forward primer
+        # never change after this point, so a stored plan equals a fresh one.
+        self._range_plans: dict[
+            tuple[int, int], tuple[PrefixCover, tuple[ElongatedPrimer, ...]]
+        ] = {}
+
+    def __getstate__(self) -> dict:
+        # Plans are rebuilt on demand: a pickled partition (a decode-pool
+        # payload) carries an empty memo.
+        state = self.__dict__.copy()
+        state["_range_plans"] = {}
+        return state
 
     # ------------------------------------------------------------------
     # Introspection
@@ -387,11 +402,34 @@ class Partition:
 
     def primers_for_range(self, start: int, end: int) -> list[ElongatedPrimer]:
         """Elongated primers whose multiplexed PCR covers exactly ``start..end``."""
-        return build_range_primers(self.config.primers.forward, self.tree, start, end)
+        return list(self.range_plan(start, end)[1])
 
     def prefix_cover(self, start: int, end: int) -> PrefixCover:
         """The prefix-cover analysis for a sequential range access."""
-        return prefix_cover_for_range(self.tree, start, end)
+        return self.range_plan(start, end)[0]
+
+    def range_plan(
+        self, start: int, end: int
+    ) -> tuple[PrefixCover, tuple[ElongatedPrimer, ...]]:
+        """The prefix cover of ``start..end`` and the primers built from it.
+
+        Plans are memoised per range, up to ``_RANGE_PLAN_LIMIT`` of them
+        (the oldest is dropped first); a range that fails to plan is never
+        stored.
+
+        Raises:
+            AddressError: if the range is empty or leaves the partition.
+        """
+        key = (start, end)
+        plan = self._range_plans.get(key)
+        if plan is None:
+            cover = prefix_cover_for_range(self.tree, start, end)
+            primers = build_cover_primers(self.config.primers.forward, self.tree, cover)
+            plan = (cover, tuple(primers))
+            if len(self._range_plans) >= _RANGE_PLAN_LIMIT:
+                del self._range_plans[next(iter(self._range_plans))]
+            self._range_plans[key] = plan
+        return plan
 
     # ------------------------------------------------------------------
     # Interpreting recovered strands

@@ -188,16 +188,26 @@ class ObjectRecord:
         a small byte range of a huge object costs O(extents + window), not
         O(blocks).  Yields ``(extent, partition block, object offset)``.
         """
-        logical = 0
-        for extent in self.extents:
-            if logical > last_logical:
-                break
-            start = max(first_logical - logical, 0)
-            end = min(last_logical - logical, extent.block_count - 1)
-            for i in range(start, end + 1):
+        for extent, first, last in self.extent_windows(first_logical, last_logical):
+            for i in range(first, last + 1):
                 yield (
                     extent,
                     extent.start_block + i,
                     extent.object_offset + i * self.block_size,
                 )
+
+    def extent_windows(self, first_logical: int, last_logical: int):
+        """The part of each extent inside a logical block window (inclusive).
+
+        Yields ``(extent, first, last)`` for every extent the window
+        overlaps, ``first..last`` being block indexes within the extent.
+        """
+        logical = 0
+        for extent in self.extents:
+            if logical > last_logical:
+                break
+            first = max(first_logical - logical, 0)
+            last = min(last_logical - logical, extent.block_count - 1)
+            if first <= last:
+                yield extent, first, last
             logical += extent.block_count

@@ -10,6 +10,12 @@ set) per accessed partition range.  The planner turns an object's extents
 3. cover each merged range with the minimal set of index-tree prefixes
    (Section 3.1 of the paper), each prefix yielding one elongated primer.
 
+A range's cover and primers depend only on its partition's index tree,
+forward primer and the range, so each partition memoises them per
+``(start, end)`` (:meth:`repro.core.partition.Partition.range_plan`):
+bounded, oldest entry dropped first, and never pickled with the
+partition.  Serving traces plan the same hot ranges cycle after cycle.
+
 The resulting :class:`BatchReadPlan` quantifies the wetlab work (primer
 and reaction counts, amplified-vs-wanted blocks) and carries the concrete
 :class:`ElongatedPrimer` objects for the PCR simulator.
@@ -140,11 +146,9 @@ def block_ranges_for_read(
     last_logical = (offset + length - 1) // block_size
 
     ranges_by_partition: dict[str, list[tuple[int, int]]] = {}
-    for extent, partition_block, _ in record.blocks_in_range(
-        first_logical, last_logical
-    ):
+    for extent, first, last in record.extent_windows(first_logical, last_logical):
         ranges_by_partition.setdefault(extent.partition, []).append(
-            (partition_block, partition_block)
+            (extent.start_block + first, extent.start_block + last)
         )
     return {
         name: _merge_ranges(ranges)
@@ -206,8 +210,7 @@ def plan_partition_ranges(
     for partition_name, ranges in ranges_by_partition.items():
         partition = volume.partition(partition_name)
         for start, end in _merge_ranges(list(ranges)):
-            cover = partition.prefix_cover(start, end)
-            primers = tuple(partition.primers_for_range(start, end))
+            cover, primers = partition.range_plan(start, end)
             accesses.append(
                 PcrAccess(
                     partition=partition_name,

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.core.elongation import (
+    build_cover_primers,
     build_elongated_primer,
     build_range_primers,
     build_two_sided_primers,
 )
 from repro.core.index_tree import IndexTree
-from repro.exceptions import PrimerDesignError
+from repro.core.prefix_cover import prefix_cover_for_range
+from repro.exceptions import AddressError, PrimerDesignError
 
 FORWARD = "ATCGTGCAAGCTTGACCTGA"
 REVERSE = "CGTAGACTTGCAACTGGACT"
@@ -76,6 +78,17 @@ class TestPartialElongation:
             build_elongated_primer(FORWARD, tree, 531, levels=6)
 
 
+class TestBlockOutsideTree:
+    @pytest.mark.parametrize("block", [64, -1, 1000])
+    @pytest.mark.parametrize("levels", [None, 2])
+    def test_rejected(self, block, levels):
+        """Such a primer would amplify another block (64 -> 0, -1 -> 63,
+        1000 -> 40) while claiming to target ``block``."""
+        small = IndexTree(leaf_count=64, seed=23)
+        with pytest.raises(AddressError):
+            build_elongated_primer(FORWARD, small, block, levels=levels)
+
+
 class TestRangePrimers:
     def test_range_covered_exactly(self, tree):
         primers = build_range_primers(FORWARD, tree, 100, 131)
@@ -95,6 +108,15 @@ class TestRangePrimers:
         primers = build_range_primers(FORWARD, tree, 42, 42)
         assert len(primers) == 1
         assert primers[0].target_block == 42
+
+    def test_full_depth_targets_match_decoded_addresses(self, tree):
+        cover = prefix_cover_for_range(tree, 13, 530)
+        primers = build_cover_primers(FORWARD, tree, cover)
+        assert primers == build_range_primers(FORWARD, tree, 13, 530)
+        full = [p for p in primers if p.is_full_elongation]
+        assert full
+        for primer in full:
+            assert primer.target_block == tree.decode(primer.elongation[1:])
 
 
 class TestTwoSidedElongation:

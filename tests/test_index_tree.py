@@ -161,6 +161,15 @@ class TestPrefixes:
         with pytest.raises(AddressError):
             tree1024.prefix_for_leaf(0, 6)
 
+    @pytest.mark.parametrize("leaf", [64, -1, 1000])
+    @pytest.mark.parametrize("levels", [0, 1, 3])
+    def test_prefix_for_leaf_outside_tree(self, leaf, levels):
+        """A leaf past ``leaf_count`` has no prefix; its digits would wrap
+        onto a real leaf (64 onto 0, -1 onto 63, 1000 onto 40)."""
+        tree = IndexTree(leaf_count=64, seed=3)
+        with pytest.raises(AddressError):
+            tree.prefix_for_leaf(leaf, levels)
+
     def test_encode_path_partial(self, tree1024):
         prefix = tree1024.encode_path((1, 2))
         assert len(prefix) == 4
@@ -183,6 +192,12 @@ class TestPrefixes:
     def test_leaves_under_prefix_subtree(self, tree1024):
         leaves = tree1024.leaves_under_prefix((0, 0, 0, 0))
         assert leaves == range(0, 4)
+
+    @pytest.mark.parametrize("digits", [(5,), (-1,), (0, 4), (2, -3)])
+    def test_leaves_under_prefix_invalid_digit(self, digits):
+        tree = IndexTree(leaf_count=64, seed=3)
+        with pytest.raises(AddressError):
+            tree.leaves_under_prefix(digits)
 
     def test_leaves_under_prefix_clamped_to_leaf_count(self):
         tree = IndexTree(leaf_count=600, seed=1)

@@ -1,13 +1,18 @@
 """Tests for the Partition (block store) API."""
 
 import os
+import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.core.partition as partition_module
+from repro.constants import SYNC_BASE
 from repro.core.addressing import BlockAddress
+from repro.core.elongation import ElongatedPrimer
 from repro.core.partition import Partition, PartitionConfig
+from repro.core.prefix_cover import prefix_cover_for_range
 from repro.core.updates import ReplacementPatch, UpdatePatch
 from repro.exceptions import (
     AddressError,
@@ -180,6 +185,121 @@ class TestReadPlanning:
     def test_prefix_cover(self, partition):
         cover = partition.prefix_cover(0, 15)
         assert cover.range_size == 16
+
+
+def fresh_range_plan(partition, start, end):
+    """A range's cover and primers built from scratch, as before plans were
+    memoised: full-depth targets are decoded back from their addresses."""
+    tree = partition.tree
+    cover = prefix_cover_for_range(tree, start, end)
+    primers = []
+    for path, address in zip(cover.paths, cover.addresses):
+        target = tree.decode(address) if len(path) == tree.depth else None
+        primers.append(
+            ElongatedPrimer(
+                main_primer=partition.config.primers.forward,
+                elongation=SYNC_BASE + address,
+                target_block=target,
+                levels=len(path),
+            )
+        )
+    return cover, primers
+
+
+def _is_power_of_four(n):
+    return n & (n - 1) == 0 and (n.bit_length() - 1) % 2 == 0
+
+
+@st.composite
+def range_lookups(draw):
+    """A partition shape plus a lookup sequence that repeats ranges and
+    mixes in invalid ones."""
+    leaf_count = draw(
+        st.integers(min_value=2, max_value=1100).filter(
+            lambda n: not _is_power_of_four(n)
+        )
+    )
+    block = st.integers(min_value=0, max_value=leaf_count - 1)
+    valid = st.tuples(block, block).map(lambda pair: tuple(sorted(pair)))
+    invalid = st.one_of(
+        st.tuples(st.integers(-5, -1), block),
+        st.tuples(block, st.integers(leaf_count, leaf_count + 5)),
+        st.tuples(block, block).filter(lambda pair: pair[0] != pair[1]).map(
+            lambda pair: tuple(sorted(pair, reverse=True))
+        ),
+    )
+    pool = draw(st.lists(valid, min_size=1, max_size=6))
+    lookups = draw(
+        st.lists(
+            st.one_of(st.sampled_from(pool), valid, invalid), min_size=1, max_size=25
+        )
+    )
+    return {
+        "leaf_count": leaf_count,
+        "sparse": draw(st.booleans()),
+        "tree_seed": draw(st.integers(0, 10_000)),
+        "limit": draw(st.sampled_from([1, 2, 3, 1024])),
+        "lookups": lookups,
+    }
+
+
+class TestRangePlanMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(range_lookups())
+    @example(  # a hit on the oldest plan must not save it from eviction
+        {
+            "leaf_count": 48,
+            "sparse": False,
+            "tree_seed": 3,
+            "limit": 2,
+            "lookups": [(0, 0), (0, 47), (0, 0), (5, 9), (0, 0), (47, 0)],
+        }
+    )
+    def test_memoised_plans_equal_fresh_builds(self, case):
+        partition = Partition(
+            PartitionConfig(
+                primers=PAIR,
+                leaf_count=case["leaf_count"],
+                tree_seed=case["tree_seed"],
+                sparse_index=case["sparse"],
+            )
+        )
+        memo = partition._range_plans
+        expected_keys = []  # insertion order; the oldest is dropped first
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(partition_module, "_RANGE_PLAN_LIMIT", case["limit"])
+            for start, end in case["lookups"]:
+                if not 0 <= start <= end < case["leaf_count"]:
+                    before = list(memo.items())
+                    for lookup in (
+                        partition.prefix_cover,
+                        partition.primers_for_range,
+                        partition.range_plan,
+                    ):
+                        with pytest.raises(AddressError):
+                            lookup(start, end)
+                    assert list(memo.items()) == before
+                    continue
+                cover, primers = fresh_range_plan(partition, start, end)
+                assert partition.prefix_cover(start, end) == cover
+                listed = partition.primers_for_range(start, end)
+                assert listed == primers
+                listed.clear()  # a fresh list each call: the memo is untouched
+                assert partition.primers_for_range(start, end) == primers
+                assert partition.range_plan(start, end) == (cover, tuple(primers))
+                if (start, end) not in expected_keys:
+                    expected_keys.append((start, end))
+                    del expected_keys[: -case["limit"]]
+                assert list(memo) == expected_keys
+
+    def test_pickled_partition_carries_no_plans(self):
+        partition = Partition(PartitionConfig(primers=PAIR, leaf_count=200, tree_seed=9))
+        ranges = [(0, 199), (3, 17), (3, 17), (150, 150)]
+        plans = [partition.range_plan(start, end) for start, end in ranges]
+        clone = pickle.loads(pickle.dumps(partition))
+        assert clone._range_plans == {}
+        assert len(partition._range_plans) == 3
+        assert [clone.range_plan(start, end) for start, end in ranges] == plans
 
 
 class TestDecoding:

@@ -16,8 +16,16 @@ failures deterministically); the wetlab-fidelity integration lives in
 ``test_service_wetlab.py``.
 """
 
+from collections import Counter
+
 import pytest
 
+import repro.core.elongation as elongation_module
+import repro.core.partition as partition_module
+import repro.core.prefix_cover as prefix_cover_module
+import repro.service.queue as queue_module
+import repro.service.simulator as simulator_module
+from repro.core.index_tree import IndexTree
 from repro.exceptions import ServiceError
 from repro.service import (
     BatchScheduler,
@@ -776,3 +784,66 @@ class TestMixedTraceDeterminism:
         for name, data in seed_bytes.items():
             assert store.get(name) == data
         assert store.volume.live_snapshots() == []
+
+
+class TestPlanningWork:
+    def test_one_cover_per_distinct_range_and_no_address_decodes(self, monkeypatch):
+        """Planning computes each distinct ``(partition, start, end)``
+        range's prefix cover once and decodes no address back to a leaf."""
+        store, catalog = build_store(objects=5)
+        trace = multi_tenant_trace(
+            catalog,
+            tenants=3,
+            requests=80,
+            duration_hours=12.0,
+            seed=17,
+            update_fraction=0.1,
+            put_fraction=0.03,
+        )
+        covers = Counter()
+        planned = Counter()
+        decoded_while_planning = []
+        planning = []
+
+        real_cover = prefix_cover_module.prefix_cover_for_range
+
+        def counting_cover(tree, start, end):
+            covers[(tree, start, end)] += 1
+            return real_cover(tree, start, end)
+
+        real_decode = IndexTree.decode
+
+        def counting_decode(tree, address):
+            if planning:
+                decoded_while_planning.append(address)
+            return real_decode(tree, address)
+
+        def counting_planner(real_plan):
+            def plan(volume, ranges, **kwargs):
+                planning.append(True)
+                try:
+                    result = real_plan(volume, ranges, **kwargs)
+                finally:
+                    planning.pop()
+                for access in result.accesses:
+                    tree = volume.partition(access.partition).tree
+                    planned[(tree, access.start_block, access.end_block)] += 1
+                return result
+
+            return plan
+
+        for module in (prefix_cover_module, elongation_module, partition_module):
+            monkeypatch.setattr(module, "prefix_cover_for_range", counting_cover)
+        monkeypatch.setattr(IndexTree, "decode", counting_decode)
+        for module in (queue_module, simulator_module):
+            monkeypatch.setattr(
+                module,
+                "plan_partition_ranges",
+                counting_planner(module.plan_partition_ranges),
+            )
+        report = pipeline(store, window_hours=0.5).run(trace, "batched")
+
+        assert report.synthesis_orders > 0
+        assert sum(planned.values()) > len(planned)  # ranges repeat
+        assert covers == Counter(dict.fromkeys(planned, 1))
+        assert decoded_while_planning == []

@@ -7,6 +7,8 @@ round trip lives in ``tests/test_store_wetlab_roundtrip.py``.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import StoreError
 from repro.store import (
@@ -18,6 +20,7 @@ from repro.store import (
     plan_object_read,
     plan_partition_ranges,
 )
+from repro.store.objects import Extent, ObjectRecord
 from repro.workloads.objects import synthetic_object
 
 
@@ -347,6 +350,98 @@ class TestPlannerEdgeCases:
         assert {k: v for k, v in sorted(again.items())} == {
             k: v for k, v in sorted(first.items())
         }
+
+
+def per_block_ranges(record, offset, length):
+    """Block ranges of a byte range, one singleton per backing block then
+    merged per partition (first-seen order): the planner's per-block
+    addressing, enumerating blocks straight from the extents."""
+    first = offset // record.block_size
+    last = (offset + length - 1) // record.block_size
+    singles = {}
+    logical = 0
+    for extent in record.extents:
+        for i in range(extent.block_count):
+            if first <= logical + i <= last:
+                block = extent.start_block + i
+                singles.setdefault(extent.partition, []).append((block, block))
+        logical += extent.block_count
+    merged = {}
+    for name, ranges in singles.items():
+        spans = []
+        for start, end in sorted(ranges):
+            if spans and start <= spans[-1][1] + 1:
+                spans[-1] = (spans[-1][0], max(spans[-1][1], end))
+            else:
+                spans.append((start, end))
+        merged[name] = spans
+    return merged
+
+
+PARTITIONS = ("p0", "p1", "p2")
+
+
+@st.composite
+def striped_records(draw):
+    """Records whose extents may abut in one partition (gap 0) and whose
+    blocks may be remapped copy-on-write, so start blocks stop ascending."""
+    block_size = 16
+    next_free = {}
+    extents = []
+    offset = 0
+    for _ in range(draw(st.integers(1, 6))):
+        partition = draw(st.sampled_from(PARTITIONS))
+        count = draw(st.integers(1, 5))
+        start = next_free.get(partition, 0) + draw(st.sampled_from([0, 0, 1, 3]))
+        extents.append(Extent(partition, start, count, offset))
+        next_free[partition] = start + count
+        offset += count * block_size
+    size = offset - draw(st.integers(0, block_size - 1))
+    record = ObjectRecord(name="obj", size=size, block_size=block_size, extents=extents)
+    for _ in range(draw(st.integers(0, 2))):
+        partition = draw(st.sampled_from(PARTITIONS))
+        fresh = next_free.get(partition, 0)
+        record.remap_block(draw(st.integers(0, size - 1)), partition, fresh)
+        next_free[partition] = fresh + 1
+    return record
+
+
+class TestExtentWindows:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_block_ranges_equal_per_block_reference(self, data):
+        record = data.draw(striped_records())
+        offset = data.draw(st.integers(0, record.size))
+        length = data.draw(st.integers(0, record.size - offset))
+        ranges = block_ranges_for_read(record, offset=offset, length=length)
+        if length == 0:
+            assert ranges == {}
+        else:
+            expected = per_block_ranges(record, offset, length)
+            assert list(ranges.items()) == list(expected.items())
+        whole = block_ranges_for_read(record, offset=offset)
+        if offset < record.size:
+            expected = per_block_ranges(record, offset, record.size - offset)
+            assert list(whole.items()) == list(expected.items())
+        else:
+            assert whole == {}
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_out_of_object_ranges_raise(self, data):
+        record = data.draw(striped_records())
+        offset, length = data.draw(
+            st.one_of(
+                st.tuples(st.integers(-5, -1), st.integers(0, 5)),
+                st.tuples(st.integers(0, record.size), st.integers(-5, -1)),
+                st.tuples(
+                    st.integers(0, record.size),
+                    st.integers(record.size + 1, record.size + 40),
+                ),
+            )
+        )
+        with pytest.raises(StoreError):
+            block_ranges_for_read(record, offset=offset, length=length)
 
 
 class TestCacheReadPath:
