@@ -70,28 +70,12 @@ _FLAGS: tuple[EnvFlag, ...] = (
         "(auto prefers numpy when importable).",
     ),
     EnvFlag(
-        name="REPRO_CONSENSUS_BACKEND",
-        default="auto",
-        accepted="auto | numpy | python",
-        owner="repro.pipeline.consensus",
-        description="Which batched consensus backend reconstructs cluster "
-        "strands (auto follows numpy availability and the fused-kernel switch).",
-    ),
-    EnvFlag(
         name="REPRO_DECODE_WORKERS",
         default="",
         accepted="positive integer (blank = CPU count; 1 = inline serial)",
         owner="repro.pipeline.parallel",
         description="Worker-process count for the parallel decode engine; "
         "results are byte-identical at any worker count.",
-    ),
-    EnvFlag(
-        name="REPRO_DISTANCE_BACKEND",
-        default="auto",
-        accepted="auto | numpy | python",
-        owner="repro.pipeline.distance",
-        description="Which banded-Levenshtein distance backend clustering "
-        "uses (auto prefers numpy when importable).",
     ),
     EnvFlag(
         name="REPRO_FUSED_KERNELS",

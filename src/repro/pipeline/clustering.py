@@ -635,9 +635,8 @@ def cluster_reads(
             target's address from the target's own reads).
         min_kmer_similarity: cheap k-mer prefilter threshold applied before
             computing edit distance against a representative.
-        distance_backend: ``"python"``, ``"numpy"``, ``"auto"``/None (the
-            ``REPRO_DISTANCE_BACKEND`` environment variable, then
-            autodetection) or a backend instance.  Both backends produce
+        distance_backend: ``"python"``, ``"numpy"``, ``"auto"``/None (numpy
+            when importable) or a backend instance.  Both backends produce
             identical clusters.
         shards: clustering shard count (``None`` =
             ``REPRO_CLUSTER_SHARDS``, then 1).  Any value produces

@@ -18,20 +18,18 @@ Two implementations are provided behind one batch API:
 
 Both produce byte-identical strands (``tests/test_consensus_backends.py``
 asserts it, including the majority tie-break, which follows ``Counter``
-first-insertion order).  Resolution mirrors the other backend seams:
-explicit name, then ``REPRO_CONSENSUS_BACKEND``, then autodetection.
+first-insertion order).  An explicit name selects a backend; ``None``
+or ``"auto"`` picks numpy when it is importable and the fused kernels are
+on (``REPRO_FUSED_KERNELS``).
 """
 
 from __future__ import annotations
 
-from repro import envflags
 from collections import Counter
 from typing import Sequence
 
 from repro.exceptions import ReconstructionError
 from repro.fastpath import fused_kernels_enabled
-
-_ENV_VARIABLE = "REPRO_CONSENSUS_BACKEND"
 
 
 def majority_consensus(reads: list[str], length: int) -> str:
@@ -164,19 +162,11 @@ def _numpy_or_none():
     return numpy
 
 
-def available_consensus_backends() -> list[str]:
-    """Names of the consensus backends usable in this environment."""
-    names = ["python"]
-    if _numpy_or_none() is not None:
-        names.append("numpy")
-    return names
-
-
 def _resolve_backend(backend: str | None) -> str:
-    requested = (backend or envflags.read(_ENV_VARIABLE)).strip().lower()
+    requested = (backend or "auto").strip().lower()
     if requested == "auto":
         # The fused-kernel switch only moves the *default*: an explicit
-        # backend name (argument or environment) is always honored.
+        # backend name is always honored.
         requested = (
             "numpy"
             if _numpy_or_none() is not None and fused_kernels_enabled()
@@ -204,9 +194,8 @@ def consensus_batch(
     Args:
         read_groups: one list of noisy reads per cluster (each non-empty).
         length: the (known) strand length, shared by every cluster.
-        backend: ``"python"``, ``"numpy"``, or ``"auto"``/None (the
-            ``REPRO_CONSENSUS_BACKEND`` environment variable, then
-            autodetection).  Both backends return byte-identical strands.
+        backend: ``"python"``, ``"numpy"``, or ``"auto"``/None
+            (autodetection).  Both backends return byte-identical strands.
 
     Returns:
         The reconstructed strand of each group, in order.

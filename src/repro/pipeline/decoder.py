@@ -33,7 +33,7 @@ from repro.exceptions import (
     UpdateError,
 )
 from repro.pipeline.clustering import ReadCluster, cluster_reads
-from repro.pipeline.consensus import consensus_batch, double_sided_bma
+from repro.pipeline.consensus import consensus_batch
 from repro.pipeline.reads import reads_with_prefix
 from repro.observability.stages import stage
 
@@ -183,14 +183,6 @@ class BlockDecoder:
             layout.unit_index_bases + layout.update_slot_bases + layout.intra_index_bases
         )
         return start, length
-
-    def _reconstruct(self, cluster: ReadCluster) -> Molecule | None:
-        """Reconstruct a cluster's strand and parse it into a molecule."""
-        strand = double_sided_bma(cluster.reads, self._layout.strand_length)
-        try:
-            return Molecule.from_strand(strand, self._layout)
-        except DecodingError:
-            return None
 
     def consensus_strands(self, clusters: list[ReadCluster]) -> list[str]:
         """Reconstruct every cluster's consensus strand in one batched call."""

@@ -19,22 +19,17 @@ interface, mirroring :mod:`repro.codec.backend`:
 
 Both backends are exact within the bound, so they produce *identical*
 clusters — ``tests/test_distance_backends.py`` asserts it, with the
-python backend as the unchanged reference.  Resolution
-order matches the codec engine: explicit name, then the
-``REPRO_DISTANCE_BACKEND`` environment variable, then autodetection.
+python backend as the unchanged reference.  An explicit name selects
+a backend; ``None`` or ``"auto"`` picks numpy when it is importable.
 """
 
 from __future__ import annotations
 
 from operator import ne
 
-from repro import envflags
-
 from repro.exceptions import ClusteringError
 from repro.fastpath import fused_kernels_enabled
 from repro.sequence import bounded_edit_distance, levenshtein_distance
-
-_ENV_VARIABLE = "REPRO_DISTANCE_BACKEND"
 
 _instances: dict[str, "DistanceBackend"] = {}
 
@@ -408,8 +403,8 @@ def get_distance_backend(
     """Resolve a distance backend by name (or pass an instance through).
 
     Args:
-        name: ``"numpy"``, ``"python"``, ``"auto"``/None (environment
-            variable then autodetection), or an existing backend instance.
+        name: ``"numpy"``, ``"python"``, ``"auto"``/None (numpy when
+            importable), or an existing backend instance.
 
     Raises:
         ClusteringError: for unknown names, or when the numpy backend is
@@ -417,8 +412,7 @@ def get_distance_backend(
     """
     if isinstance(name, DistanceBackend):
         return name
-    requested = name or envflags.read(_ENV_VARIABLE)
-    requested = requested.strip().lower()
+    requested = (name or "auto").strip().lower()
     if requested == "auto":
         requested = "numpy" if _numpy_available() else "python"
     cached = _instances.get(requested)

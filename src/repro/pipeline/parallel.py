@@ -39,10 +39,11 @@ syndrome+solve) with each result; the engine folds those into the
 caller's active :mod:`~repro.observability.stages` collector, so
 benchmarks see one stage breakdown whatever the worker count.
 
-Lane scheduling (wetlab time, :func:`repro.service.simulator.schedule_lanes`)
-and worker scheduling (compute time, this module) stay separate axes: the
-first decides when simulated chemistry finishes, the second how fast the
-host decodes the resulting reads.
+Lane scheduling (wetlab time,
+:meth:`repro.service.scheduler_qos.SharedLanePool.schedule`) and worker
+scheduling (compute time, this module) stay separate axes: the first
+decides when simulated chemistry finishes, the second how fast the host
+decodes the resulting reads.
 """
 
 from __future__ import annotations

@@ -82,7 +82,6 @@ from repro.service.simulator import (
     ServiceConfig,
     ServicePipeline,
     policy_latency_comparison,
-    schedule_lanes,
 )
 from repro.service.telemetry import RunTelemetry
 
@@ -117,6 +116,5 @@ __all__ = [
     "TokenBucket",
     "WriteOutcome",
     "policy_latency_comparison",
-    "schedule_lanes",
     "weighted_fair_shares",
 ]

@@ -77,6 +77,16 @@ blocks are served on time.  ``config.decode_failure_injector`` can force
 deterministic failures (tests, resilience benchmarks) under either
 fidelity.
 
+**One run is one object.**  :meth:`ServicePipeline.run` checks its
+arguments, sorts the trace and hands it to a private ``_Run``, which
+holds the run's state (queue, barrier, lane pool, cache, run totals) as
+attributes and has one handler per event kind: arrival, dispatch window,
+synthesis commit and cycle completion.  Each heap entry carries its
+handler, so the loop only pops and calls.  The run totals are one dict
+keyed by :class:`PolicyReport` field names.  Nothing refers back to the
+run once its heap drains, so its working state is freed by reference
+counting when ``run()`` returns.
+
 The event loop is fully deterministic: simulated time only, ties broken
 by admission order, no wall-clock or unseeded randomness anywhere.  Every
 policy decodes byte-identical payloads (checksummed per request), so the
@@ -135,6 +145,7 @@ import heapq
 import itertools
 import zlib
 from contextlib import ExitStack
+from operator import attrgetter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -313,37 +324,6 @@ class ServiceConfig:
             return self.reads_per_block
         scaled = self.reads_per_block * self.retry_coverage_factor ** (attempt - 1)
         return max(int(scaled), self.reads_per_block + attempt - 1)
-
-
-def schedule_lanes(
-    durations: "list[float]", lane_count: int
-) -> list[tuple[int, float, float]]:
-    """Greedy earliest-free-lane packing of unit durations (one cycle).
-
-    Units are assigned in submission order to the lane that frees up
-    first (ties broken by lane index), mirroring a lab queueing jobs onto
-    identical thermocycler/flow-cell stations.  Returns one
-    ``(lane, start_hours, end_hours)`` tuple per unit, in unit order —
-    fully deterministic for a given input.
-
-    Times are relative to an empty pool: this is the standalone packing
-    primitive.  The pipeline itself books cycles through a persistent
-    :class:`~repro.service.scheduler_qos.SharedLanePool`, which is this
-    same greedy rule applied to lanes whose free-at frontiers survive
-    across cycles (an empty pool reproduces these schedules exactly).
-    """
-    if lane_count <= 0:
-        raise ServiceError("lane_count must be positive")
-    free = [0.0] * lane_count
-    schedule: list[tuple[int, float, float]] = []
-    for duration in durations:
-        if duration < 0:
-            raise ServiceError("unit durations must be non-negative")
-        lane = min(range(lane_count), key=lambda index: (free[index], index))
-        start = free[lane]
-        free[lane] = start + duration
-        schedule.append((lane, start, free[lane]))
-    return schedule
 
 
 @dataclass
@@ -624,46 +604,6 @@ class ServicePipeline:
             )
         return self.readout
 
-    # ------------------------------------------------------------------
-    # Wetlab charging
-    # ------------------------------------------------------------------
-    def _cycle_durations(
-        self, batch: ScheduledBatch, reads_per_block: int
-    ) -> list[float]:
-        """Lane occupancy of each of one cycle's readout units.
-
-        Each planned access is one :class:`ReadoutUnit` (its own PCR
-        stage plus its own sequencing sample); the unit is the handoff
-        currency to the run's shared lane pool, which books these
-        durations onto physical lanes in plan-access order.
-        """
-        if batch.amplified_block_count == 0:
-            # Fully cache-covered batches are served at dispatch and never
-            # schedule a cycle; reaching here is a scheduling bug.
-            raise ServiceError("an empty plan has no wetlab cycle to charge")
-        return [
-            unit.wetlab_hours(
-                pcr_hours=self.config.pcr_hours,
-                sequencing_hours=self.config.sequencing_hours,
-                reads_per_block=reads_per_block,
-            )
-            for unit in plan_units(batch.plan)
-        ]
-
-    def _order_hours(self, order: SynthesisOrder) -> float:
-        """Commit latency of one synthesis order (parallel vendor jobs)."""
-        if not order.jobs:
-            # Nothing to manufacture (pure deletes): front-end latency.
-            return self.config.cache_service_hours
-        return max(
-            self.config.synthesis_setup_hours
-            + self.config.synthesis_hours_per_kilobase * job.nucleotides / 1000.0
-            for job in order.jobs
-        )
-
-    # ------------------------------------------------------------------
-    # Simulation
-    # ------------------------------------------------------------------
     def run(
         self,
         trace: Iterable[RequestEvent],
@@ -696,902 +636,10 @@ class ServicePipeline:
             raise ServiceError(
                 f"unknown fidelity {fidelity!r}; expected one of {FIDELITIES}"
             )
-        events = sorted(trace, key=lambda event: event.time_hours)
+        events = sorted(trace, key=attrgetter("time_hours"))
         if not events:
             raise ServiceError("cannot simulate an empty trace")
-        wetlab = self._wetlab_readout() if fidelity == "wetlab" else None
-        config = self.config
-        injector = config.decode_failure_injector
-        # Telemetry is observation only: every hook below records what
-        # happened and never touches the heap, RNG state or store, so a
-        # traced run's outcomes are byte-identical to an untraced run's.
-        tel = (
-            RunTelemetry(policy=policy, fidelity=fidelity)
-            if tracing_enabled(config.tracing)
-            else None
-        )
-
-        requests: list[ServiceRequest] = []
-        failed: list[FailedRequest] = []
-
-        # Every request that joins the per-object ordering leaves it at its
-        # terminal event (read served/failed; write committed or
-        # apply-failed), so a read observes exactly the writes admitted
-        # before it and a write never overtakes an earlier operation.
-        barrier = ObjectBarrier()
-
-        def reject(
-            index: int,
-            event: RequestEvent,
-            reason: str,
-            *,
-            now: float | None = None,
-            attempts: int = 0,
-        ) -> None:
-            barrier.leave(event.object_name, index)
-            if tel is not None:
-                tel.failed(index, now if now is not None else event.time_hours, reason)
-            failed.append(
-                FailedRequest(
-                    request_id=index,
-                    tenant=event.tenant,
-                    object_name=event.object_name,
-                    offset=event.offset,
-                    length=event.length,
-                    arrival_hours=event.time_hours,
-                    reason=reason,
-                    op=event.op,
-                    failure_hours=now if now is not None else event.time_hours,
-                    attempts=attempts,
-                )
-            )
-
-        for index, event in enumerate(events):
-            # Structurally malformed events are rejected before a request
-            # object exists; range-vs-object validation happens at arrival
-            # (it needs the catalog).  Either way the failure is the
-            # request's alone.
-            try:
-                requests.append(
-                    ServiceRequest(
-                        request_id=index,
-                        tenant=event.tenant,
-                        object_name=event.object_name,
-                        offset=event.offset,
-                        length=event.length,
-                        arrival_hours=event.time_hours,
-                        op=event.op,
-                        payload=event.payload,
-                        as_of=event.as_of,
-                        priority=event.priority,
-                        deadline_hours=event.deadline_hours,
-                    )
-                )
-            except DnaStorageError as exc:
-                reject(index, event, str(exc))
-
-        # Time-travel support: when the trace carries as_of reads, the
-        # committed-state timeline is sampled as copy-on-write snapshots —
-        # one at run start, one per committed synthesis order.  Traces
-        # without as_of reads pay nothing, and sampling stops after the
-        # trace's largest as_of (resolution only ever looks backwards, so
-        # later snapshots would be unreachable — and every live snapshot
-        # forces subsequent updates to CoW-redirect, so taking them has a
-        # real cost).
-        time_travel = any(request.as_of is not None for request in requests)
-        max_as_of = max(
-            (request.as_of for request in requests if request.as_of is not None),
-            default=float("-inf"),
-        )
-        timeline: list[tuple[float, object]] = []
-        if time_travel:
-            timeline.append((float("-inf"), self.store.snapshot()))
-        #: request_id -> resolved StoreSnapshot for admitted as_of reads.
-        asof_views: dict[int, object] = {}
-
-        def resolve_as_of(as_of: float):
-            """Latest committed-state snapshot at or before ``as_of``."""
-            for taken, snapshot in reversed(timeline):
-                if taken <= as_of:
-                    return snapshot
-            return timeline[0][1]
-
-        cache = (
-            DecodedBlockCache(
-                config.cache_capacity_bytes, admission=config.cache_admission
-            )
-            if policy == "batched+cache"
-            else None
-        )
-        # The run's cache rides the store for the duration of the event
-        # loop so applied writes (update patches, deletes) invalidate
-        # exactly the stale keys; every simulator read passes its cache
-        # view explicitly, so the attachment affects invalidation only.
-        # A caller-attached cache keeps receiving those invalidations
-        # through the fanout shim (it must not serve stale bytes after
-        # the run restores it).
-        previous_cache = self.store.block_cache
-        if cache is not None:
-            self.store.attach_cache(
-                cache
-                if previous_cache is None
-                else _InvalidationFanout(cache, previous_cache)
-            )
-            if tel is not None:
-                cache.bind_metrics(tel.metrics)
-        queue = RequestQueue()
-        sequence_counter = itertools.count()
-        heap: list[tuple[float, int, str, object]] = [
-            (request.arrival_hours, next(sequence_counter), "arrival", request)
-            for request in requests
-        ]
-        heapq.heapify(heap)
-        # Block addressing is computed once per request at admission and
-        # shared with the scheduler (halves the extent-walk work).
-        blocks_by_id: dict[int, list[tuple[str, int]]] = {}
-
-        completed: list[CompletedRequest] = []
-        payloads: dict[int, bytes] = {}
-        distinct_requested: dict[tuple[str, int], None] = {}
-        totals = {
-            "batches": 0,
-            "reactions": 0,
-            "amplified": 0,
-            "accesses": 0,
-            "reads": 0,
-            "bytes": 0,
-            "written_bytes": 0,
-            "synthesis_orders": 0,
-            "strands": 0,
-            "nucleotides": 0,
-            "synthesis_hours": 0.0,
-            "retry_cycles": 0,
-            "retried_requests": 0,
-            "decode_failures": 0,
-            "lane_busy_hours": 0.0,
-            "qos_throttled": 0,
-            "qos_deferred": 0,
-            "deadline_violations": 0,
-        }
-        # One persistent pool of physical lanes for the whole run: every
-        # cycle (retries included) books its units onto these frontiers.
-        lane_pool = SharedLanePool(config.wetlab_lanes)
-        # QoS gates the *batch* admission window; the unbatched policy
-        # dispatches at arrival and has no window to gate.
-        qos_admission = (
-            QoSAdmission(config.qos)
-            if config.qos is not None and policy != "unbatched"
-            else None
-        )
-
-        def admission_cost(request: ServiceRequest) -> int:
-            """A queued read's QoS cost: the blocks it accesses."""
-            return len(blocks_by_id[request.request_id])
-
-        dispatch_scheduled = False
-        next_batch_id = 0
-
-        def push_event(when: float, kind: str, payload_) -> None:
-            heapq.heappush(heap, (when, next(sequence_counter), kind, payload_))
-
-        def ensure_dispatch(now: float) -> None:
-            nonlocal dispatch_scheduled
-            if not dispatch_scheduled:
-                push_event(now + config.window_hours, "dispatch", None)
-                dispatch_scheduled = True
-
-        def serve(
-            request: ServiceRequest,
-            completion_hours: float,
-            *,
-            from_cache: bool,
-            batch_id: int | None,
-            block_cache=None,
-            attempts: int = 1,
-        ) -> None:
-            view_at = asof_views.get(request.request_id)
-            data = self.store.get(
-                request.object_name,
-                offset=request.offset,
-                length=request.length,
-                block_cache=block_cache if block_cache is not None else cache,
-                at=view_at,
-            )
-            if wetlab is not None:
-                # Wetlab fidelity: the served bytes came from physically
-                # decoded reads; hold them against the digital reference.
-                reference = self.store.get(
-                    request.object_name,
-                    offset=request.offset,
-                    length=request.length,
-                    block_cache=None,
-                    at=view_at,
-                )
-                if zlib.crc32(data) != zlib.crc32(reference):
-                    raise ServiceError(
-                        f"wetlab fidelity violation: request "
-                        f"{request.request_id} ({request.object_name!r} "
-                        f"[{request.offset}, +{len(reference)})) decoded "
-                        "bytes differ from the reference path"
-                    )
-            totals["bytes"] += len(data)
-            if keep_data:
-                payloads[request.request_id] = data
-            completed.append(
-                CompletedRequest(
-                    request=request,
-                    completion_hours=completion_hours,
-                    byte_count=len(data),
-                    checksum=zlib.crc32(data),
-                    served_from_cache=from_cache,
-                    batch_id=batch_id,
-                    attempts=attempts,
-                )
-            )
-            barrier.leave(request.object_name, request.request_id)
-            if config.qos is not None and request.op == "read":
-                # Deadline accounting (reads only): the request's own
-                # budget wins over its tenant profile's; violations are
-                # counted, never dropped.
-                budget = request.deadline_hours
-                if budget is None:
-                    budget = config.qos.profile(request.tenant).deadline_hours
-                if (
-                    budget is not None
-                    and completion_hours - request.arrival_hours > budget + 1e-9
-                ):
-                    totals["deadline_violations"] += 1
-                    if tel is not None:
-                        tel.deadline_violation(request, completion_hours)
-            if tel is not None:
-                tel.served(
-                    request, completion_hours, from_cache=from_cache, attempts=attempts
-                )
-
-        def release_ready(name: str, now: float) -> None:
-            """Re-admit held reads no longer behind an outstanding write
-            (reads behind a later write keep waiting for exactly that
-            write)."""
-            for request in barrier.release(name):
-                if tel is not None:
-                    tel.released(request, now)
-                admit_read(request, now, released=True)
-
-        def charge(batch: ScheduledBatch, reads_per_block: int) -> None:
-            # A dispatch fully covered by the cache is not a wetlab cycle.
-            if batch.amplified_block_count > 0:
-                totals["batches"] += 1
-            totals["reactions"] += batch.reaction_count
-            totals["amplified"] += batch.amplified_block_count
-            totals["reads"] += batch.amplified_block_count * reads_per_block
-            for key in batch.requested_blocks:
-                distinct_requested.setdefault(key, None)
-            if tel is not None:
-                tel.charged(batch, reads_per_block)
-
-        def start_cycle(
-            batch: ScheduledBatch,
-            riders: tuple[ServiceRequest, ...],
-            view,
-            now: float,
-            attempt: int,
-            reads_per_block: int,
-        ) -> None:
-            """Put a cycle's units on the shared lane pool and book its
-            completion (the last of its units' absolute end times)."""
-            durations = self._cycle_durations(batch, reads_per_block)
-            schedule = lane_pool.schedule(now, durations)
-            completion = max(end for _, _, end in schedule)
-            totals["lane_busy_hours"] += sum(durations)
-            if tel is not None:
-                tel.cycle(
-                    batch,
-                    riders,
-                    schedule,
-                    now,
-                    completion,
-                    attempt,
-                    reads_per_block,
-                )
-            push_event(
-                completion,
-                "complete",
-                (batch, riders, view, attempt, reads_per_block),
-            )
-
-        def dispatch_batch(batch: ScheduledBatch, now: float) -> None:
-            """Serve a scheduled batch: cache-covered requests leave at
-            dispatch, the rest ride the wetlab cycle to completion."""
-            charge(batch, config.reads_per_block)
-            if cache is not None:
-                view = PinnedCacheView(cache, batch.pinned_payloads)
-            else:
-                # Cache-less policies still memoize decodes within the
-                # batch (wall-clock only; no reported number depends on
-                # it — work counters come from the plan).
-                view = _BatchScratch()
-            pinned_keys = frozenset(key for key, _ in batch.pinned_payloads)
-            riders: list[ServiceRequest] = []
-            for request in batch.requests:
-                if tel is not None:
-                    tel.dispatched(request, now)
-                # A request whose every block was pinned from the cache
-                # needs no wetlab of its own: it is answered at dispatch,
-                # at memory speed, not at the cycle's completion.
-                if cache is not None and all(
-                    key in pinned_keys
-                    for key in blocks_by_id[request.request_id]
-                ):
-                    if tel is not None:
-                        tel.front_end(
-                            request,
-                            now,
-                            now + config.cache_service_hours,
-                            "cache_service",
-                        )
-                    serve(
-                        request,
-                        now + config.cache_service_hours,
-                        from_cache=True,
-                        batch_id=None,
-                        block_cache=view,
-                    )
-                else:
-                    # The rider stays in the barrier until it is served,
-                    # so no write to its object can apply under the cycle.
-                    riders.append(request)
-            if riders:
-                start_cycle(
-                    batch, tuple(riders), view, now, 1, config.reads_per_block
-                )
-
-        def cycle_failures(
-            batch: ScheduledBatch,
-            attempt: int,
-            reads_per_block: int,
-            view,
-        ) -> dict[tuple[str, int], str]:
-            """Run a cycle physically (wetlab) and collect decode failures.
-
-            Successfully decoded blocks are published into the batch's
-            view (write-through makes them cache-visible, now that the
-            cycle is complete); failed and injected-failure blocks are
-            withheld so affected riders can retry.
-            """
-            failures: dict[tuple[str, int], str] = {}
-            planned: dict[str, list[int]] = {}
-            for access in batch.plan.accesses:
-                planned.setdefault(access.partition, []).extend(
-                    range(access.start_block, access.end_block + 1)
-                )
-            if injector is not None:
-                for partition_name, blocks in planned.items():
-                    for block in blocks:
-                        key = (partition_name, block)
-                        if injector(batch.batch_id, attempt, key):
-                            failures[key] = "injected decode failure"
-            decoded: dict[tuple[str, int], bytes] = {}
-            if wetlab is not None:
-                # Physically run the cycle: every unit amplifies its
-                # partition's pool and samples its own reads (fresh PCR
-                # and deeper coverage on retries), then decode exactly
-                # the planned block set.
-                with maybe_wall_span(
-                    "wetlab_readout",
-                    batch_id=batch.batch_id,
-                    attempt=attempt,
-                ):
-                    reads = wetlab.unit_reads_by_partition(
-                        batch.plan,
-                        batch_seed=batch.batch_id,
-                        reads_per_block=reads_per_block,
-                    )
-                decoded, decode_failures = self.store.try_decode_blocks(
-                    planned,
-                    reads,
-                    workers=config.decode_workers,
-                    cluster_shards=config.decode_cluster_shards,
-                )
-                for key, reason in decode_failures.items():
-                    failures.setdefault(key, reason)
-                for key, data in decoded.items():
-                    # Block-level checksum gate: a misassembled readout
-                    # (e.g. a misprimed neighbour strand winning a
-                    # shallow cluster) can decode "successfully" with
-                    # wrong bytes.  Catch it here so the retry budget
-                    # covers it — deeper coverage on the next cycle —
-                    # instead of a fidelity assertion aborting the run
-                    # at serve time.
-                    if key in failures:
-                        continue
-                    reference = self.store.volume.partition(
-                        key[0]
-                    ).read_block_reference(key[1])
-                    if data != reference:
-                        failures[key] = (
-                            f"decoded bytes of block {key[1]} in partition "
-                            f"{key[0]!r} failed the reference checksum "
-                            "(misassembled readout)"
-                        )
-            with maybe_wall_span("cache_fill", blocks=len(decoded)):
-                for key, data in decoded.items():
-                    if key not in failures:
-                        # Mirror the reference path's fill sequence (lookup
-                        # miss, then insert): the miss records the block's
-                        # demand with the cache — its stats and the TinyLFU
-                        # admission sketch — before the pin makes later
-                        # serve-path lookups bypass the cache entirely.
-                        epoch = self.store.volume.block_epoch(key[0], key[1])
-                        view.get(key[0], key[1], epoch)
-                        view.put(key[0], key[1], data, epoch)
-            return failures
-
-        def complete(
-            batch: ScheduledBatch,
-            riders: tuple[ServiceRequest, ...],
-            view,
-            attempt: int,
-            reads_per_block: int,
-            completion: float,
-        ) -> None:
-            # Serving (and therefore cache fill) happens at cycle
-            # completion: blocks decoded by an in-flight cycle must not be
-            # cache-visible before the cycle's sequencing finishes.  The
-            # batch's schedule-time cache hits were pinned, so evictions
-            # during the cycle cannot turn charged work into free reads.
-            failures: dict[tuple[str, int], str] = {}
-            if batch.amplified_block_count > 0 and (
-                wetlab is not None or injector is not None
-            ):
-                failures = cycle_failures(batch, attempt, reads_per_block, view)
-                totals["decode_failures"] += len(failures)
-                if tel is not None:
-                    tel.decode_failures(len(failures))
-            retriers: list[ServiceRequest] = []
-            for request in riders:
-                if failures and any(
-                    key in failures for key in blocks_by_id[request.request_id]
-                ):
-                    retriers.append(request)
-                    continue
-                serve(
-                    request,
-                    completion,
-                    from_cache=False,
-                    batch_id=batch.batch_id,
-                    block_cache=view,
-                    attempts=attempt,
-                )
-            if retriers:
-                if attempt > config.retry_budget:
-                    for request in retriers:
-                        needed = sorted(
-                            key
-                            for key in blocks_by_id[request.request_id]
-                            if key in failures
-                        )
-                        reject(
-                            request.request_id,
-                            events[request.request_id],
-                            "decode failed after "
-                            f"{attempt} cycles (retry budget "
-                            f"{config.retry_budget}): blocks {needed} — "
-                            f"{failures[needed[0]]}",
-                            now=completion,
-                            attempts=attempt,
-                        )
-                else:
-                    # Retry cycle: only the failed blocks the retrying
-                    # requests still need, re-amplified with fresh PCR and
-                    # sequenced at deeper coverage under a fresh seed.
-                    nonlocal next_batch_id
-                    needed: dict[tuple[str, int], None] = {}
-                    for request in retriers:
-                        for key in blocks_by_id[request.request_id]:
-                            if key in failures:
-                                needed.setdefault(key, None)
-                    retry_plan = plan_partition_ranges(
-                        self.store.volume,
-                        ranges_from_block_keys(list(needed)),
-                        label=f"retry-{batch.batch_id:05d}-{attempt}",
-                    )
-                    retry_batch = ScheduledBatch(
-                        batch_id=next_batch_id,
-                        requests=tuple(retriers),
-                        plan=retry_plan,
-                        requested_blocks=(),
-                    )
-                    next_batch_id += 1
-                    next_reads = config.retry_reads_per_block(attempt + 1)
-                    charge(retry_batch, next_reads)
-                    totals["retry_cycles"] += 1
-                    totals["retried_requests"] += len(retriers)
-                    if tel is not None:
-                        tel.retried(len(retriers))
-                    start_cycle(
-                        retry_batch,
-                        tuple(retriers),
-                        view,
-                        completion,
-                        attempt + 1,
-                        next_reads,
-                    )
-            # Served/failed riders may have been the last in-flight reads
-            # blocking a queued write.
-            if policy == "unbatched":
-                pump_writes(completion)
-            elif len(queue):
-                ensure_dispatch(completion)
-
-        def pump_writes(now: float) -> None:
-            """Dispatch every queued write whose object barrier is clear.
-
-            A write is eligible only when everything admitted before it on
-            its object has reached a terminal state or is another
-            not-yet-dispatched write riding this same pump — so writes
-            serialize per object, never overtake a read, and same-window
-            writes still coalesce into one synthesis order whose
-            per-partition jobs run in parallel at the vendor.
-            """
-
-            # Queue order guarantees earlier queued writes of an object are
-            # ruled eligible first, so they ride the same order.
-            writes = queue.take(barrier.write_eligible)
-            if not writes:
-                return
-            if tel is not None:
-                for request in writes:
-                    tel.dispatched(request, now)
-            nonlocal next_batch_id
-            order = self.scheduler.schedule_writes(
-                writes, order_id=next_batch_id
-            )
-            next_batch_id += 1
-            applied = order.applied
-            rejected = False
-            for outcome in order.outcomes:
-                name = outcome.request.object_name
-                if outcome.applied:
-                    barrier.mark_dispatched(outcome.request)
-                else:
-                    # The store rejected it (duplicate name, exhausted
-                    # update slots, bad range): this write fails alone,
-                    # at dispatch time (reject makes it leave the barrier).
-                    rejected = True
-                    reject(
-                        outcome.request.request_id,
-                        events[outcome.request.request_id],
-                        outcome.reason,
-                        now=now,
-                    )
-                    release_ready(name, now)
-            if applied:
-                totals["synthesis_orders"] += 1
-                totals["strands"] += order.strand_count
-                totals["nucleotides"] += order.nucleotide_count
-                hours = self._order_hours(order)
-                totals["synthesis_hours"] += hours
-                if tel is not None:
-                    tel.synthesis_dispatched(order, now)
-                push_event(now + hours, "synthesis", order)
-            if rejected and len(queue):
-                # A rejection's release_ready may have served held reads
-                # instantly (cache hit, zero-length, admission reject),
-                # unblocking writes queued behind them with no future
-                # event left to pump — re-arm so they are never stranded.
-                if policy == "unbatched":
-                    pump_writes(now)
-                else:
-                    ensure_dispatch(now)
-
-        def commit_order(order: SynthesisOrder, now: float) -> None:
-            """A synthesis order delivered: acknowledge its writes."""
-            if tel is not None:
-                tel.synthesis_committed(order, now)
-            if wetlab is not None:
-                # The manufactured strands join their partitions' pools;
-                # only the touched pools re-synthesize.
-                for partition_name in order.partitions:
-                    wetlab.reset_pool(partition_name)
-            released: dict[str, None] = {}
-            for outcome in order.applied:
-                request = outcome.request
-                name = request.object_name
-                barrier.leave(name, request.request_id)
-                released[name] = None
-                totals["written_bytes"] += outcome.bytes_written
-                payload_bytes = request.payload or b""
-                completed.append(
-                    CompletedRequest(
-                        request=request,
-                        completion_hours=now,
-                        byte_count=outcome.bytes_written,
-                        checksum=zlib.crc32(payload_bytes),
-                        served_from_cache=False,
-                        batch_id=order.order_id,
-                    )
-                )
-                if tel is not None:
-                    tel.served(request, now, from_cache=False, attempts=1)
-            if time_travel and now <= max_as_of:
-                # Sample the committed-state timeline: later as_of reads
-                # at or past `now` observe this order's writes.  Commits
-                # after the largest as_of in the trace need no snapshot —
-                # nothing can resolve to them.
-                timeline.append((now, self.store.snapshot()))
-            for name in released:
-                release_ready(name, now)
-            if policy == "unbatched":
-                pump_writes(now)
-            elif len(queue):
-                ensure_dispatch(now)
-
-        def admit_read(
-            request: ServiceRequest, now: float, *, released: bool = False
-        ) -> None:
-            view_at = None
-            if request.as_of is not None:
-                # Time-travel read: resolve the committed-state snapshot
-                # once, at admission.  Historical state is immutable, so
-                # the read joins neither side of the per-object write
-                # barrier: it never waits for a pending write (the
-                # snapshot keeps the old blocks) and never delays one.
-                view_at = resolve_as_of(request.as_of)
-                asof_views[request.request_id] = view_at
-            elif not released and barrier.enter(request):
-                # Read-after-write ordering: the read waits for exactly
-                # the writes admitted before it to commit, then observes
-                # their bytes (never a later write's).  A released read
-                # is already ahead of every outstanding write.
-                if tel is not None:
-                    tel.held(request, now)
-                return
-            try:
-                blocks = self.scheduler.request_blocks(request, at=view_at)
-            except DnaStorageError as exc:
-                # Unknown object or range past the object's end: this
-                # request fails alone; everyone else keeps being served.
-                # (request_id indexes the time-sorted events list; `now`
-                # is the decision time — later than arrival for reads
-                # validated only after a write barrier released them.)
-                reject(
-                    request.request_id,
-                    events[request.request_id],
-                    str(exc),
-                    now=now,
-                )
-                return
-            blocks_by_id[request.request_id] = blocks
-            totals["accesses"] += len(blocks)
-            if not blocks:
-                # Zero-length read: a valid empty response needing no
-                # wetlab work — answered at front-end speed.
-                if tel is not None:
-                    tel.front_end(
-                        request, now, now + config.cache_service_hours, "front_end"
-                    )
-                serve(
-                    request,
-                    now + config.cache_service_hours,
-                    from_cache=False,
-                    batch_id=None,
-                )
-                return
-            if policy == "unbatched":
-                nonlocal next_batch_id
-                batch = self.scheduler.schedule(
-                    [request],
-                    batch_id=next_batch_id,
-                    blocks_by_request=blocks_by_id,
-                )
-                next_batch_id += 1
-                dispatch_batch(batch, now)
-                return
-            if cache is not None and all(
-                cache.contains(
-                    partition, block, self.store.volume.block_epoch(partition, block)
-                )
-                for partition, block in blocks
-            ):
-                # Fast path: every block is hot; no wetlab, no window.
-                for key in blocks:
-                    distinct_requested.setdefault(key, None)
-                if tel is not None:
-                    tel.front_end(
-                        request, now, now + config.cache_service_hours, "cache_service"
-                    )
-                serve(
-                    request,
-                    now + config.cache_service_hours,
-                    from_cache=True,
-                    batch_id=None,
-                )
-                return
-            queue.push(request)
-            if tel is not None:
-                tel.queued(request, now)
-            ensure_dispatch(now)
-
-        def admit_write(request: ServiceRequest, now: float) -> None:
-            barrier.enter(request)
-            queue.push(request)
-            if tel is not None:
-                tel.queued(request, now)
-            if policy == "unbatched":
-                pump_writes(now)
-            else:
-                ensure_dispatch(now)
-
-        # A traced run activates its tracer (ambient — the decode engine
-        # and stage regions find it there) and opens a stage collector
-        # for the loop's extent; untraced runs skip both entirely.
-        run_stages: dict[str, float] = {}
-        scope = ExitStack()
-        if tel is not None:
-            scope.enter_context(activate(tel.tracer))
-            run_stages = scope.enter_context(collect_stages())
-        try:
-            while heap:
-                now, _, kind, payload = heapq.heappop(heap)
-                if kind == "arrival":
-                    request = payload
-                    if tel is not None:
-                        tel.admitted(request, now)
-                    if request.is_write:
-                        admit_write(request, now)
-                    else:
-                        admit_read(request, now)
-                elif kind == "dispatch":
-                    dispatch_scheduled = False
-                    # Reads drain before writes apply: a queued read arrived
-                    # before every queued write on its object (later reads
-                    # were held at admission), so scheduling it first puts it
-                    # in flight and the write barrier below keeps the store
-                    # unmutated until its cycle delivers — same-window
-                    # operations serve in arrival order.
-                    queue_depth = len(queue)
-                    if qos_admission is None:
-                        pending = queue.drain_op("read")
-                    else:
-                        # QoS admission: only rate-eligible requests within
-                        # their tenant's fair share enter this window's
-                        # batch; the rest stay queued (in arrival order)
-                        # for the next window.
-                        decision = qos_admission.admit(
-                            queue.reads_by_tenant(), now, admission_cost
-                        )
-                        totals["qos_throttled"] += sum(decision.throttled.values())
-                        totals["qos_deferred"] += sum(decision.deferred.values())
-                        if tel is not None:
-                            tel.qos_decision(decision, now)
-                        pending = queue.take_reads(decision.admitted)
-                    if pending:
-                        batch = self.scheduler.schedule(
-                            pending,
-                            cache=cache,
-                            batch_id=next_batch_id,
-                            blocks_by_request=blocks_by_id,
-                        )
-                        next_batch_id += 1
-                        if tel is not None:
-                            tel.batch_scheduled(batch, queue_depth, now)
-                        dispatch_batch(batch, now)
-                    pump_writes(now)
-                    # Deferred reads need a future window: re-arm the
-                    # dispatch timer so their buckets refill / shares free
-                    # up (window_hours > 0 is enforced by ServiceConfig,
-                    # and the admission's progress guarantee admits at
-                    # least one eligible request per window, so this
-                    # terminates).
-                    if qos_admission is not None and queue.read_count:
-                        ensure_dispatch(now)
-                elif kind == "synthesis":
-                    commit_order(payload, now)
-                else:  # complete: deliver the riders and publish their blocks
-                    batch, riders, view, attempt, reads_per_block = payload
-                    complete(
-                        batch, riders, view, attempt, reads_per_block, completion=now
-                    )
-            if barrier:
-                # Every request leaves the barrier at its terminal event;
-                # one still inside never reached an outcome.
-                operations, held = barrier.pending()
-                raise ServiceError(
-                    f"the run ended with {operations} request(s) that never "
-                    f"reached a terminal outcome ({held} of them reads held "
-                    "behind a write)"
-                )
-
-            # Close the tracing/stage scope before reporting; the run's
-            # collector shadowed any caller-opened one for the loop's
-            # extent, so fold the stage totals back out to it.
-            scope.close()
-            if tel is not None:
-                record_stages(run_stages)
-
-            checksum = 0
-            for item in sorted(completed, key=lambda c: c.request.request_id):
-                checksum = zlib.crc32(item.checksum.to_bytes(4, "big"), checksum)
-            # The report lists deliveries in completion order (ties broken by
-            # admission id); serves were recorded in event order, which may
-            # run ahead for requests whose completion lies in the future.
-            completed.sort(key=lambda c: (c.completion_hours, c.request.request_id))
-            failed.sort(key=lambda f: f.request_id)
-            read_latencies = [
-                item.latency_hours for item in completed if item.request.op == "read"
-            ]
-            write_latencies = [
-                item.latency_hours for item in completed if item.request.op != "read"
-            ]
-            empty = SummaryStats(
-                count=0, mean=0.0, p50=0.0, p95=0.0, p99=0.0,
-                minimum=0.0, maximum=0.0,
-            )
-            if completed:
-                makespan = max(item.completion_hours for item in completed)
-            else:  # every request was rejected
-                makespan = 0.0
-            observability = (
-                tel.finalize(
-                    makespan_hours=makespan,
-                    wetlab_lanes=config.wetlab_lanes,
-                    lane_busy_hours_by_lane=list(lane_pool.busy_hours_by_lane),
-                    lane_schedule_horizon_hours=lane_pool.horizon_hours,
-                    stage_seconds=run_stages,
-                )
-                if tel is not None
-                else None
-            )
-            return PolicyReport(
-                policy=policy,
-                fidelity=fidelity,
-                completed=tuple(completed),
-                failed=tuple(failed),
-                latency=summarize(read_latencies) if read_latencies else empty,
-                write_latency=summarize(write_latencies) if write_latencies else None,
-                makespan_hours=makespan,
-                throughput_per_hour=len(completed) / makespan if makespan else 0.0,
-                batches=totals["batches"],
-                pcr_reactions=totals["reactions"],
-                amplified_blocks=totals["amplified"],
-                requested_block_accesses=totals["accesses"],
-                distinct_requested_blocks=len(distinct_requested),
-                sequenced_reads=totals["reads"],
-                decoded_bytes=totals["bytes"],
-                written_bytes=totals["written_bytes"],
-                synthesis_orders=totals["synthesis_orders"],
-                synthesized_strands=totals["strands"],
-                synthesized_nucleotides=totals["nucleotides"],
-                synthesis_hours=totals["synthesis_hours"],
-                retry_cycles=totals["retry_cycles"],
-                retried_requests=totals["retried_requests"],
-                decode_failures=totals["decode_failures"],
-                wetlab_lanes=config.wetlab_lanes,
-                lane_busy_hours=totals["lane_busy_hours"],
-                lane_busy_hours_by_lane=lane_pool.busy_hours_by_lane,
-                lane_schedule_horizon_hours=lane_pool.horizon_hours,
-                qos_enabled=qos_admission is not None,
-                qos_throttled=totals["qos_throttled"],
-                qos_deferred=totals["qos_deferred"],
-                deadline_violations=totals["deadline_violations"],
-                checksum=checksum,
-                cache=cache.stats if cache is not None else None,
-                payloads=payloads if keep_data else None,
-                observability=observability,
-            )
-        finally:
-            # Idempotent: already closed on the clean path; on an
-            # exception this deactivates the tracer and stage collector.
-            scope.close()
-            # Detach the run's cache (exceptions included) so the
-            # store's prior attachment is preserved across runs, and
-            # release the run's time-travel snapshots so blocks they
-            # pinned (e.g. pre-update versions, deleted objects) become
-            # reclaimable again.
-            self.store.block_cache = previous_cache
-            for _, snapshot in timeline:
-                if not snapshot.released:
-                    snapshot.release()
+        return _Run(self, events, policy, fidelity, keep_data).serve()
 
     def _restore_seed(self, seed) -> None:
         """Rewind the store to the seed snapshot and refresh stale pools."""
@@ -1655,3 +703,871 @@ class ServicePipeline:
         finally:
             self._restore_seed(seed)
             seed.release()
+
+
+class _Run:
+    """One :meth:`ServicePipeline.run`: the run's state and its event handlers.
+
+    Heap entries are ``(time, sequence, handler, payload)``, ties broken by
+    push order; :meth:`serve` pops the earliest and calls
+    ``handler(payload, now)``.  There is one handler per event kind:
+    :meth:`_arrive` (a request is admitted), :meth:`_dispatch` (a
+    scheduling window closes), :meth:`_commit` (a synthesis order
+    delivers) and :meth:`_complete` (a wetlab cycle finishes).  Once the
+    heap drains nothing refers back to the run, so its working state is
+    freed as soon as :meth:`ServicePipeline.run` returns.
+    """
+
+    def __init__(
+        self,
+        pipeline: ServicePipeline,
+        events: list[RequestEvent],
+        policy: str,
+        fidelity: str,
+        keep_data: bool,
+    ) -> None:
+        config = pipeline.config
+        self.config = config
+        self.store = pipeline.store
+        self.scheduler = pipeline.scheduler
+        self.events = events
+        self.policy = policy
+        self.fidelity = fidelity
+        self.keep_data = keep_data
+        self.wetlab = pipeline._wetlab_readout() if fidelity == "wetlab" else None
+        self.injector = config.decode_failure_injector
+        self.unbatched = policy == "unbatched"
+        # Telemetry is observation only: every hook records what happened
+        # and never touches the heap, RNG state or store, so a traced
+        # run's outcomes are byte-identical to an untraced run's.
+        self.tel = (
+            RunTelemetry(policy=policy, fidelity=fidelity)
+            if tracing_enabled(config.tracing)
+            else None
+        )
+        self.cache = (
+            DecodedBlockCache(
+                config.cache_capacity_bytes, admission=config.cache_admission
+            )
+            if policy == "batched+cache"
+            else None
+        )
+        if self.cache is not None and self.tel is not None:
+            self.cache.bind_metrics(self.tel.metrics)
+        # QoS gates the *batch* admission window; the unbatched policy
+        # dispatches at arrival and has no window to gate.
+        self.qos_admission = (
+            QoSAdmission(config.qos)
+            if config.qos is not None and not self.unbatched
+            else None
+        )
+        # Every request that joins the per-object ordering leaves it at its
+        # terminal event (read served/failed; write committed or
+        # apply-failed), so a read observes exactly the writes admitted
+        # before it and a write never overtakes an earlier operation.
+        self.barrier = ObjectBarrier()
+        self.queue = RequestQueue()
+        # One persistent pool of physical lanes for the whole run: every
+        # cycle (retries included) books its units onto these frontiers.
+        self.lane_pool = SharedLanePool(config.wetlab_lanes)
+        self.completed: list[CompletedRequest] = []
+        self.failed: list[FailedRequest] = []
+        self.payloads: dict[int, bytes] = {}
+        self.distinct_requested: dict[tuple[str, int], None] = {}
+        # Block addressing is computed once per request at admission and
+        # shared with the scheduler (halves the extent-walk work).
+        self.blocks_by_id: dict[int, list[tuple[str, int]]] = {}
+        #: request_id -> resolved StoreSnapshot for admitted as_of reads.
+        self.asof_views: dict[int, object] = {}
+        #: Run totals, keyed by the :class:`PolicyReport` field they fill.
+        self.counts: dict[str, int | float] = dict.fromkeys(
+            (
+                "batches",
+                "pcr_reactions",
+                "amplified_blocks",
+                "requested_block_accesses",
+                "sequenced_reads",
+                "decoded_bytes",
+                "written_bytes",
+                "synthesis_orders",
+                "synthesized_strands",
+                "synthesized_nucleotides",
+                "retry_cycles",
+                "retried_requests",
+                "decode_failures",
+                "qos_throttled",
+                "qos_deferred",
+                "deadline_violations",
+            ),
+            0,
+        )
+        self.counts["synthesis_hours"] = self.counts["lane_busy_hours"] = 0.0
+        self.dispatch_scheduled = False
+        self.batch_ids = itertools.count()
+        self.sequence = itertools.count()
+
+        requests: list[ServiceRequest] = []
+        for index, event in enumerate(events):
+            # Structurally malformed events are rejected before a request
+            # object exists; range-vs-object validation happens at arrival
+            # (it needs the catalog).  Either way the failure is the
+            # request's alone.
+            try:
+                requests.append(
+                    ServiceRequest(
+                        request_id=index,
+                        tenant=event.tenant,
+                        object_name=event.object_name,
+                        offset=event.offset,
+                        length=event.length,
+                        arrival_hours=event.time_hours,
+                        op=event.op,
+                        payload=event.payload,
+                        as_of=event.as_of,
+                        priority=event.priority,
+                        deadline_hours=event.deadline_hours,
+                    )
+                )
+            except DnaStorageError as exc:
+                self._reject(index, str(exc))
+        self.heap = [
+            (request.arrival_hours, next(self.sequence), self._arrive, request)
+            for request in requests
+        ]
+        heapq.heapify(self.heap)
+        # Time-travel support: when the trace carries as_of reads, the
+        # committed-state timeline is sampled as copy-on-write snapshots —
+        # one at run start, one per committed synthesis order.  Traces
+        # without as_of reads pay nothing, and sampling stops after the
+        # trace's largest as_of (resolution only ever looks backwards, so
+        # later snapshots would be unreachable — and every live snapshot
+        # forces subsequent updates to CoW-redirect, so taking them has a
+        # real cost).
+        as_of_times = [request.as_of for request in requests if request.as_of is not None]
+        self.max_as_of = max(as_of_times, default=float("-inf"))
+        self.timeline: list[tuple[float, object]] = (
+            [(float("-inf"), self.store.snapshot())] if as_of_times else []
+        )
+
+    def serve(self) -> PolicyReport:
+        """Run the event loop until the heap drains, then report.
+
+        The store's cache attachment is restored and the run's
+        time-travel snapshots are released however the loop ends.
+        """
+        store = self.store
+        tel = self.tel
+        previous_cache = store.block_cache
+        scope = ExitStack()
+        try:
+            if self.cache is not None:
+                # The run's cache rides the store for the duration of the
+                # event loop so applied writes (update patches, deletes)
+                # invalidate exactly the stale keys; every simulator read
+                # passes its cache view explicitly, so the attachment
+                # affects invalidation only.  A caller-attached cache keeps
+                # receiving those invalidations through the fanout shim (it
+                # must not serve stale bytes after the run restores it).
+                store.attach_cache(
+                    self.cache
+                    if previous_cache is None
+                    else _InvalidationFanout(self.cache, previous_cache)
+                )
+            # A traced run activates its tracer (ambient — the decode engine
+            # and stage regions find it there) and opens a stage collector
+            # for the loop's extent; untraced runs skip both entirely.
+            stages: dict[str, float] = {}
+            if tel is not None:
+                scope.enter_context(activate(tel.tracer))
+                stages = scope.enter_context(collect_stages())
+            heap = self.heap
+            heappop = heapq.heappop
+            while heap:
+                now, _, handler, payload = heappop(heap)
+                handler(payload, now)
+            if self.barrier:
+                # Every request leaves the barrier at its terminal event;
+                # one still inside never reached an outcome.
+                operations, held = self.barrier.pending()
+                raise ServiceError(
+                    f"the run ended with {operations} request(s) that never "
+                    f"reached a terminal outcome ({held} of them reads held "
+                    "behind a write)"
+                )
+            # Close the tracing/stage scope before reporting; the run's
+            # collector shadowed any caller-opened one for the loop's
+            # extent, so fold the stage totals back out to it.
+            scope.close()
+            report = self._report()
+            if tel is not None:
+                record_stages(stages)
+                report.observability = tel.finalize(report, stages)
+            return report
+        finally:
+            # Idempotent: already closed on the clean path; on an
+            # exception this deactivates the tracer and stage collector.
+            scope.close()
+            # Detach the run's cache (exceptions included) so the
+            # store's prior attachment is preserved across runs, and
+            # release the run's time-travel snapshots so blocks they
+            # pinned (e.g. pre-update versions, deleted objects) become
+            # reclaimable again.
+            store.block_cache = previous_cache
+            for _, snapshot in self.timeline:
+                if not snapshot.released:
+                    snapshot.release()
+
+    def _report(self) -> PolicyReport:
+        completed = self.completed
+        checksum = 0
+        for item in sorted(completed, key=lambda c: c.request.request_id):
+            checksum = zlib.crc32(item.checksum.to_bytes(4, "big"), checksum)
+        # The report lists deliveries in completion order (ties broken by
+        # admission id); serves were recorded in event order, which may
+        # run ahead for requests whose completion lies in the future.
+        completed.sort(key=lambda c: (c.completion_hours, c.request.request_id))
+        self.failed.sort(key=lambda f: f.request_id)
+        read_latencies = [
+            item.latency_hours for item in completed if item.request.op == "read"
+        ]
+        write_latencies = [
+            item.latency_hours for item in completed if item.request.op != "read"
+        ]
+        empty = SummaryStats(
+            count=0, mean=0.0, p50=0.0, p95=0.0, p99=0.0,
+            minimum=0.0, maximum=0.0,
+        )
+        # 0.0 when every request was rejected.
+        makespan = max((item.completion_hours for item in completed), default=0.0)
+        return PolicyReport(
+            policy=self.policy,
+            fidelity=self.fidelity,
+            completed=tuple(completed),
+            failed=tuple(self.failed),
+            latency=summarize(read_latencies) if read_latencies else empty,
+            write_latency=summarize(write_latencies) if write_latencies else None,
+            makespan_hours=makespan,
+            throughput_per_hour=len(completed) / makespan if makespan else 0.0,
+            distinct_requested_blocks=len(self.distinct_requested),
+            wetlab_lanes=self.config.wetlab_lanes,
+            lane_busy_hours_by_lane=self.lane_pool.busy_hours_by_lane,
+            lane_schedule_horizon_hours=self.lane_pool.horizon_hours,
+            qos_enabled=self.qos_admission is not None,
+            checksum=checksum,
+            cache=self.cache.stats if self.cache is not None else None,
+            payloads=self.payloads if self.keep_data else None,
+            **self.counts,
+        )
+
+    # ------------------------------------------------------------------
+    # Shared steps
+    # ------------------------------------------------------------------
+    def _push(self, when: float, handler, payload) -> None:
+        heapq.heappush(self.heap, (when, next(self.sequence), handler, payload))
+
+    def _ensure_dispatch(self, now: float) -> None:
+        if not self.dispatch_scheduled:
+            self._push(now + self.config.window_hours, self._dispatch, None)
+            self.dispatch_scheduled = True
+
+    def _rearm(self, now: float) -> None:
+        """Give queued work a future event: the unbatched policy pumps
+        writes at once, the batched ones arm the next window if anything
+        is queued."""
+        if self.unbatched:
+            self._pump_writes(now)
+        elif len(self.queue):
+            self._ensure_dispatch(now)
+
+    def _reject(
+        self, index: int, reason: str, *, now: float | None = None, attempts: int = 0
+    ) -> None:
+        """Fail request ``index`` alone, at ``now`` (default: its arrival)."""
+        event = self.events[index]
+        when = event.time_hours if now is None else now
+        self.barrier.leave(event.object_name, index)
+        if self.tel is not None:
+            self.tel.failed(index, when, reason)
+        self.failed.append(
+            FailedRequest(
+                request_id=index,
+                tenant=event.tenant,
+                object_name=event.object_name,
+                offset=event.offset,
+                length=event.length,
+                arrival_hours=event.time_hours,
+                reason=reason,
+                op=event.op,
+                failure_hours=when,
+                attempts=attempts,
+            )
+        )
+
+    def _serve(
+        self,
+        request: ServiceRequest,
+        completion_hours: float,
+        *,
+        from_cache: bool,
+        batch_id: int | None,
+        block_cache=None,
+        attempts: int = 1,
+    ) -> None:
+        """Deliver a read (writes are acknowledged at commit)."""
+        store = self.store
+        tel = self.tel
+        view_at = self.asof_views.get(request.request_id)
+        data = store.get(
+            request.object_name,
+            offset=request.offset,
+            length=request.length,
+            block_cache=block_cache if block_cache is not None else self.cache,
+            at=view_at,
+        )
+        if self.wetlab is not None:
+            # Wetlab fidelity: the served bytes came from physically
+            # decoded reads; hold them against the digital reference.
+            reference = store.get(
+                request.object_name,
+                offset=request.offset,
+                length=request.length,
+                block_cache=None,
+                at=view_at,
+            )
+            if zlib.crc32(data) != zlib.crc32(reference):
+                raise ServiceError(
+                    f"wetlab fidelity violation: request "
+                    f"{request.request_id} ({request.object_name!r} "
+                    f"[{request.offset}, +{len(reference)})) decoded "
+                    "bytes differ from the reference path"
+                )
+        self.counts["decoded_bytes"] += len(data)
+        if self.keep_data:
+            self.payloads[request.request_id] = data
+        self.completed.append(
+            CompletedRequest(
+                request=request,
+                completion_hours=completion_hours,
+                byte_count=len(data),
+                checksum=zlib.crc32(data),
+                served_from_cache=from_cache,
+                batch_id=batch_id,
+                attempts=attempts,
+            )
+        )
+        self.barrier.leave(request.object_name, request.request_id)
+        if self.qos_admission is not None:
+            # Deadline accounting, only while QoS admission runs: the
+            # request's own budget wins over its tenant profile's;
+            # violations are counted, never dropped.
+            budget = request.deadline_hours
+            if budget is None:
+                budget = self.config.qos.profile(request.tenant).deadline_hours
+            if (
+                budget is not None
+                and completion_hours - request.arrival_hours > budget + 1e-9
+            ):
+                self.counts["deadline_violations"] += 1
+                if tel is not None:
+                    tel.deadline_violation(request, completion_hours)
+        if tel is not None:
+            tel.served(
+                request, completion_hours, from_cache=from_cache, attempts=attempts
+            )
+
+    def _serve_front_end(
+        self, request: ServiceRequest, now: float, *, from_cache: bool, block_cache=None
+    ) -> None:
+        """Answer at memory speed, ``cache_service_hours`` after ``now``,
+        with no wetlab work."""
+        done = now + self.config.cache_service_hours
+        if self.tel is not None:
+            self.tel.front_end(
+                request, now, done, "cache_service" if from_cache else "front_end"
+            )
+        self._serve(
+            request, done, from_cache=from_cache, batch_id=None, block_cache=block_cache
+        )
+
+    def _admission_cost(self, request: ServiceRequest) -> int:
+        """A queued read's QoS cost: the blocks it accesses."""
+        return len(self.blocks_by_id[request.request_id])
+
+    def _resolve_as_of(self, as_of: float):
+        """Latest committed-state snapshot at or before ``as_of``."""
+        for taken, snapshot in reversed(self.timeline):
+            if taken <= as_of:
+                return snapshot
+        return self.timeline[0][1]
+
+    def _admit_read(
+        self, request: ServiceRequest, now: float, *, released: bool = False
+    ) -> None:
+        tel = self.tel
+        view_at = None
+        if request.as_of is not None:
+            # Time-travel read: resolve the committed-state snapshot
+            # once, at admission.  Historical state is immutable, so
+            # the read joins neither side of the per-object write
+            # barrier: it never waits for a pending write (the
+            # snapshot keeps the old blocks) and never delays one.
+            view_at = self._resolve_as_of(request.as_of)
+            self.asof_views[request.request_id] = view_at
+        elif not released and self.barrier.enter(request):
+            # Read-after-write ordering: the read waits for exactly
+            # the writes admitted before it to commit, then observes
+            # their bytes (never a later write's).  A released read
+            # is already ahead of every outstanding write.
+            if tel is not None:
+                tel.held(request, now)
+            return
+        try:
+            blocks = self.scheduler.request_blocks(request, at=view_at)
+        except DnaStorageError as exc:
+            # Unknown object or range past the object's end: this
+            # request fails alone; everyone else keeps being served.
+            # (`now` is the decision time — later than arrival for reads
+            # validated only after a write barrier released them.)
+            self._reject(request.request_id, str(exc), now=now)
+            return
+        self.blocks_by_id[request.request_id] = blocks
+        self.counts["requested_block_accesses"] += len(blocks)
+        if not blocks:
+            # Zero-length read: a valid empty response needing no
+            # wetlab work — answered at front-end speed.
+            self._serve_front_end(request, now, from_cache=False)
+            return
+        if self.unbatched:
+            batch = self.scheduler.schedule(
+                [request],
+                batch_id=next(self.batch_ids),
+                blocks_by_request=self.blocks_by_id,
+            )
+            self._dispatch_batch(batch, now)
+            return
+        cache = self.cache
+        if cache is not None:
+            block_epoch = self.store.volume.block_epoch
+            if all(
+                cache.contains(partition, block, block_epoch(partition, block))
+                for partition, block in blocks
+            ):
+                # Fast path: every block is hot; no wetlab, no window.
+                for key in blocks:
+                    self.distinct_requested.setdefault(key, None)
+                self._serve_front_end(request, now, from_cache=True)
+                return
+        self.queue.push(request)
+        if tel is not None:
+            tel.queued(request, now)
+        self._ensure_dispatch(now)
+
+    def _release_ready(self, name: str, now: float) -> None:
+        """Re-admit held reads no longer behind an outstanding write
+        (reads behind a later write keep waiting for exactly that
+        write)."""
+        for request in self.barrier.release(name):
+            if self.tel is not None:
+                self.tel.released(request, now)
+            self._admit_read(request, now, released=True)
+
+    def _charge(self, batch: ScheduledBatch, reads_per_block: int) -> None:
+        counts = self.counts
+        # A dispatch fully covered by the cache is not a wetlab cycle.
+        if batch.amplified_block_count > 0:
+            counts["batches"] += 1
+        counts["pcr_reactions"] += batch.reaction_count
+        counts["amplified_blocks"] += batch.amplified_block_count
+        counts["sequenced_reads"] += batch.amplified_block_count * reads_per_block
+        for key in batch.requested_blocks:
+            self.distinct_requested.setdefault(key, None)
+
+    def _start_cycle(
+        self,
+        batch: ScheduledBatch,
+        riders: tuple[ServiceRequest, ...],
+        view,
+        now: float,
+        attempt: int,
+        reads_per_block: int,
+    ) -> None:
+        """Put a cycle's units on the shared lane pool and book its
+        completion (the last of its units' absolute end times).
+
+        Each planned access is one :class:`ReadoutUnit` (its own PCR
+        stage plus its own sequencing sample); the unit is the handoff
+        currency to the run's shared lane pool, which books the units'
+        durations onto physical lanes in plan-access order.
+        """
+        if batch.amplified_block_count == 0:
+            # Fully cache-covered batches are served at dispatch and never
+            # schedule a cycle; reaching here is a scheduling bug.
+            raise ServiceError("an empty plan has no wetlab cycle to charge")
+        config = self.config
+        durations = [
+            unit.wetlab_hours(
+                pcr_hours=config.pcr_hours,
+                sequencing_hours=config.sequencing_hours,
+                reads_per_block=reads_per_block,
+            )
+            for unit in plan_units(batch.plan)
+        ]
+        schedule = self.lane_pool.schedule(now, durations)
+        completion = max(end for _, _, end in schedule)
+        self.counts["lane_busy_hours"] += sum(durations)
+        if self.tel is not None:
+            self.tel.cycle(
+                batch, riders, schedule, now, completion, attempt, reads_per_block
+            )
+        self._push(
+            completion, self._complete, (batch, riders, view, attempt, reads_per_block)
+        )
+
+    def _dispatch_batch(self, batch: ScheduledBatch, now: float) -> None:
+        """Serve a scheduled batch: cache-covered requests leave at
+        dispatch, the rest ride the wetlab cycle to completion."""
+        reads_per_block = self.config.reads_per_block
+        self._charge(batch, reads_per_block)
+        cache = self.cache
+        tel = self.tel
+        if cache is not None:
+            view = PinnedCacheView(cache, batch.pinned_payloads)
+        else:
+            # Cache-less policies still memoize decodes within the
+            # batch (wall-clock only; no reported number depends on
+            # it — work counters come from the plan).
+            view = _BatchScratch()
+        pinned_keys = frozenset(key for key, _ in batch.pinned_payloads)
+        blocks_by_id = self.blocks_by_id
+        riders: list[ServiceRequest] = []
+        for request in batch.requests:
+            if tel is not None:
+                tel.dispatched(request, now)
+            # A request whose every block was pinned from the cache
+            # needs no wetlab of its own: it is answered at dispatch,
+            # at memory speed, not at the cycle's completion.
+            if cache is not None and all(
+                key in pinned_keys for key in blocks_by_id[request.request_id]
+            ):
+                self._serve_front_end(request, now, from_cache=True, block_cache=view)
+            else:
+                # The rider stays in the barrier until it is served,
+                # so no write to its object can apply under the cycle.
+                riders.append(request)
+        if riders:
+            self._start_cycle(batch, tuple(riders), view, now, 1, reads_per_block)
+
+    def _cycle_failures(
+        self,
+        batch: ScheduledBatch,
+        attempt: int,
+        reads_per_block: int,
+        view,
+    ) -> dict[tuple[str, int], str]:
+        """Run a cycle physically (wetlab) and collect decode failures.
+
+        Successfully decoded blocks are published into the batch's
+        view (write-through makes them cache-visible, now that the
+        cycle is complete); failed and injected-failure blocks are
+        withheld so affected riders can retry.
+        """
+        store = self.store
+        failures: dict[tuple[str, int], str] = {}
+        planned: dict[str, list[int]] = {}
+        for access in batch.plan.accesses:
+            planned.setdefault(access.partition, []).extend(
+                range(access.start_block, access.end_block + 1)
+            )
+        if self.injector is not None:
+            for partition_name, blocks in planned.items():
+                for block in blocks:
+                    key = (partition_name, block)
+                    if self.injector(batch.batch_id, attempt, key):
+                        failures[key] = "injected decode failure"
+        decoded: dict[tuple[str, int], bytes] = {}
+        if self.wetlab is not None:
+            # Physically run the cycle: every unit amplifies its
+            # partition's pool and samples its own reads (fresh PCR
+            # and deeper coverage on retries), then decode exactly
+            # the planned block set.
+            with maybe_wall_span(
+                "wetlab_readout",
+                batch_id=batch.batch_id,
+                attempt=attempt,
+            ):
+                reads = self.wetlab.unit_reads_by_partition(
+                    batch.plan,
+                    batch_seed=batch.batch_id,
+                    reads_per_block=reads_per_block,
+                )
+            decoded, decode_failures = store.try_decode_blocks(
+                planned,
+                reads,
+                workers=self.config.decode_workers,
+                cluster_shards=self.config.decode_cluster_shards,
+            )
+            for key, reason in decode_failures.items():
+                failures.setdefault(key, reason)
+            for key, data in decoded.items():
+                # Block-level checksum gate: a misassembled readout
+                # (e.g. a misprimed neighbour strand winning a
+                # shallow cluster) can decode "successfully" with
+                # wrong bytes.  Catch it here so the retry budget
+                # covers it — deeper coverage on the next cycle —
+                # instead of a fidelity assertion aborting the run
+                # at serve time.
+                if key in failures:
+                    continue
+                reference = store.volume.partition(key[0]).read_block_reference(key[1])
+                if data != reference:
+                    failures[key] = (
+                        f"decoded bytes of block {key[1]} in partition "
+                        f"{key[0]!r} failed the reference checksum "
+                        "(misassembled readout)"
+                    )
+        with maybe_wall_span("cache_fill", blocks=len(decoded)):
+            for key, data in decoded.items():
+                if key not in failures:
+                    # Mirror the reference path's fill sequence (lookup
+                    # miss, then insert): the miss records the block's
+                    # demand with the cache — its stats and the TinyLFU
+                    # admission sketch — before the pin makes later
+                    # serve-path lookups bypass the cache entirely.
+                    epoch = store.volume.block_epoch(key[0], key[1])
+                    view.get(key[0], key[1], epoch)
+                    view.put(key[0], key[1], data, epoch)
+        return failures
+
+    def _pump_writes(self, now: float) -> None:
+        """Dispatch every queued write whose object barrier is clear.
+
+        A write is eligible only when everything admitted before it on
+        its object has reached a terminal state or is another
+        not-yet-dispatched write riding this same pump — so writes
+        serialize per object, never overtake a read, and same-window
+        writes still coalesce into one synthesis order whose
+        per-partition jobs run in parallel at the vendor.
+        """
+        # Queue order guarantees earlier queued writes of an object are
+        # ruled eligible first, so they ride the same order.
+        writes = self.queue.take(self.barrier.write_eligible)
+        if not writes:
+            return
+        tel = self.tel
+        if tel is not None:
+            for request in writes:
+                tel.dispatched(request, now)
+        order = self.scheduler.schedule_writes(writes, order_id=next(self.batch_ids))
+        rejected = False
+        for outcome in order.outcomes:
+            if outcome.applied:
+                self.barrier.mark_dispatched(outcome.request)
+            else:
+                # The store rejected it (duplicate name, exhausted
+                # update slots, bad range): this write fails alone,
+                # at dispatch time (reject makes it leave the barrier).
+                rejected = True
+                self._reject(outcome.request.request_id, outcome.reason, now=now)
+                self._release_ready(outcome.request.object_name, now)
+        if order.applied:
+            config = self.config
+            counts = self.counts
+            counts["synthesis_orders"] += 1
+            counts["synthesized_strands"] += order.strand_count
+            counts["synthesized_nucleotides"] += order.nucleotide_count
+            # The order commits when its largest per-partition job
+            # delivers; with nothing to manufacture (pure deletes) it
+            # commits at front-end latency.
+            hours = max(
+                (
+                    config.synthesis_setup_hours
+                    + config.synthesis_hours_per_kilobase * job.nucleotides / 1000.0
+                    for job in order.jobs
+                ),
+                default=config.cache_service_hours,
+            )
+            counts["synthesis_hours"] += hours
+            if tel is not None:
+                tel.synthesis_dispatched(order, now)
+            self._push(now + hours, self._commit, order)
+        if rejected and len(self.queue):
+            # A rejection's release_ready may have served held reads
+            # instantly (cache hit, zero-length, admission reject),
+            # unblocking writes queued behind them with no future
+            # event left to pump — re-arm so they are never stranded.
+            self._rearm(now)
+
+    # ------------------------------------------------------------------
+    # Event handlers
+    # ------------------------------------------------------------------
+    def _arrive(self, request: ServiceRequest, now: float) -> None:
+        """A request is admitted."""
+        tel = self.tel
+        if tel is not None:
+            tel.admitted(request, now)
+        if not request.is_write:
+            self._admit_read(request, now)
+            return
+        self.barrier.enter(request)
+        self.queue.push(request)
+        if tel is not None:
+            tel.queued(request, now)
+        self._rearm(now)
+
+    def _dispatch(self, _payload: None, now: float) -> None:
+        """A scheduling window closes: batch its reads, pump its writes."""
+        self.dispatch_scheduled = False
+        queue = self.queue
+        tel = self.tel
+        # Reads drain before writes apply: a queued read arrived before
+        # every queued write on its object (later reads were held at
+        # admission), so scheduling it first puts it in flight and the
+        # write barrier below keeps the store unmutated until its cycle
+        # delivers — same-window operations serve in arrival order.
+        queue_depth = len(queue)
+        if self.qos_admission is None:
+            pending = queue.drain_op("read")
+        else:
+            # QoS admission: only rate-eligible requests within their
+            # tenant's fair share enter this window's batch; the rest
+            # stay queued (in arrival order) for the next window.
+            decision = self.qos_admission.admit(
+                queue.reads_by_tenant(), now, self._admission_cost
+            )
+            self.counts["qos_throttled"] += sum(decision.throttled.values())
+            self.counts["qos_deferred"] += sum(decision.deferred.values())
+            if tel is not None:
+                tel.qos_decision(decision, now)
+            pending = queue.take_reads(decision.admitted)
+        if pending:
+            batch = self.scheduler.schedule(
+                pending,
+                cache=self.cache,
+                batch_id=next(self.batch_ids),
+                blocks_by_request=self.blocks_by_id,
+            )
+            if tel is not None:
+                tel.batch_scheduled(batch, queue_depth, now)
+            self._dispatch_batch(batch, now)
+        self._pump_writes(now)
+        # Deferred reads need a future window: re-arm the dispatch
+        # timer so their buckets refill / shares free up (window_hours
+        # > 0 is enforced by ServiceConfig, and the admission's progress
+        # guarantee admits at least one eligible request per window, so
+        # this terminates).
+        if self.qos_admission is not None and queue.read_count:
+            self._ensure_dispatch(now)
+
+    def _commit(self, order: SynthesisOrder, now: float) -> None:
+        """A synthesis order delivered: acknowledge its writes."""
+        tel = self.tel
+        if tel is not None:
+            tel.synthesis_committed(order, now)
+        if self.wetlab is not None:
+            # The manufactured strands join their partitions' pools;
+            # only the touched pools re-synthesize.
+            for partition_name in order.partitions:
+                self.wetlab.reset_pool(partition_name)
+        released: dict[str, None] = {}
+        for outcome in order.applied:
+            request = outcome.request
+            self.barrier.leave(request.object_name, request.request_id)
+            released[request.object_name] = None
+            self.counts["written_bytes"] += outcome.bytes_written
+            self.completed.append(
+                CompletedRequest(
+                    request=request,
+                    completion_hours=now,
+                    byte_count=outcome.bytes_written,
+                    checksum=zlib.crc32(request.payload or b""),
+                    served_from_cache=False,
+                    batch_id=order.order_id,
+                )
+            )
+            if tel is not None:
+                tel.served(request, now, from_cache=False, attempts=1)
+        if now <= self.max_as_of:
+            # Sample the committed-state timeline: later as_of reads
+            # at or past `now` observe this order's writes.  Commits
+            # after the largest as_of in the trace need no snapshot —
+            # nothing can resolve to them.
+            self.timeline.append((now, self.store.snapshot()))
+        for name in released:
+            self._release_ready(name, now)
+        self._rearm(now)
+
+    def _complete(self, cycle, now: float) -> None:
+        """A wetlab cycle finished: deliver its riders, retry or fail the
+        ones whose blocks did not decode."""
+        batch, riders, view, attempt, reads_per_block = cycle
+        config = self.config
+        blocks_by_id = self.blocks_by_id
+        # Serving (and therefore cache fill) happens at cycle
+        # completion: blocks decoded by an in-flight cycle must not be
+        # cache-visible before the cycle's sequencing finishes.  The
+        # batch's schedule-time cache hits were pinned, so evictions
+        # during the cycle cannot turn charged work into free reads.
+        failures: dict[tuple[str, int], str] = {}
+        if batch.amplified_block_count > 0 and (
+            self.wetlab is not None or self.injector is not None
+        ):
+            failures = self._cycle_failures(batch, attempt, reads_per_block, view)
+            self.counts["decode_failures"] += len(failures)
+        retriers: list[ServiceRequest] = []
+        for request in riders:
+            if failures and any(
+                key in failures for key in blocks_by_id[request.request_id]
+            ):
+                retriers.append(request)
+                continue
+            self._serve(
+                request,
+                now,
+                from_cache=False,
+                batch_id=batch.batch_id,
+                block_cache=view,
+                attempts=attempt,
+            )
+        if retriers and attempt > config.retry_budget:
+            for request in retriers:
+                failed_blocks = sorted(
+                    key for key in blocks_by_id[request.request_id] if key in failures
+                )
+                self._reject(
+                    request.request_id,
+                    f"decode failed after {attempt} cycles (retry budget "
+                    f"{config.retry_budget}): blocks {failed_blocks} — "
+                    f"{failures[failed_blocks[0]]}",
+                    now=now,
+                    attempts=attempt,
+                )
+        elif retriers:
+            # Retry cycle: only the failed blocks the retrying requests
+            # still need, re-amplified with fresh PCR and sequenced at
+            # deeper coverage under a fresh seed.
+            needed: dict[tuple[str, int], None] = {}
+            for request in retriers:
+                for key in blocks_by_id[request.request_id]:
+                    if key in failures:
+                        needed.setdefault(key, None)
+            retry_plan = plan_partition_ranges(
+                self.store.volume,
+                ranges_from_block_keys(list(needed)),
+                label=f"retry-{batch.batch_id:05d}-{attempt}",
+            )
+            retry_batch = ScheduledBatch(
+                batch_id=next(self.batch_ids),
+                requests=tuple(retriers),
+                plan=retry_plan,
+                requested_blocks=(),
+            )
+            next_reads = config.retry_reads_per_block(attempt + 1)
+            self._charge(retry_batch, next_reads)
+            self.counts["retry_cycles"] += 1
+            self.counts["retried_requests"] += len(retriers)
+            self._start_cycle(
+                retry_batch, tuple(retriers), view, now, attempt + 1, next_reads
+            )
+        # Served/failed riders may have been the last in-flight reads
+        # blocking a queued write.
+        self._rearm(now)

@@ -10,11 +10,14 @@ counters.  Wall-clock spans (decode workers, pipeline stages, readout
 sampling) are recorded by the layers below through the ambient tracer the
 pipeline activates for the event loop's extent.
 
-Every hook is a plain method the simulator's closures call behind an
-``if tel is not None`` guard, so an untraced run never constructs this
+Every hook is a plain method the simulator's event handlers call behind
+an ``if tel is not None`` guard, so an untraced run never constructs this
 object and pays nothing.  The hooks only *record* — they never touch the
 event heap, RNG state or store — which is what keeps traced outcomes
-byte-identical to untraced ones.
+byte-identical to untraced ones.  Nothing the report already counts is
+counted twice: :meth:`RunTelemetry.finalize` copies those run totals
+(wetlab work, retries, decode failures, synthesis volume, deadline
+violations) and the lane gauges from the finished report.
 """
 
 from __future__ import annotations
@@ -22,6 +25,22 @@ from __future__ import annotations
 from repro.observability.export import RunObservability
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import Span, Tracer
+
+
+#: Metric name -> the :class:`~repro.service.simulator.PolicyReport` field
+#: whose run total :meth:`RunTelemetry.finalize` copies into it.
+_REPORT_COUNTERS = {
+    "service.wetlab.pcr_reactions": "pcr_reactions",
+    "service.wetlab.amplified_blocks": "amplified_blocks",
+    "service.wetlab.sequenced_reads": "sequenced_reads",
+    "service.retry.cycles": "retry_cycles",
+    "service.retry.requests": "retried_requests",
+    "service.decode.failures": "decode_failures",
+    "service.synthesis.orders": "synthesis_orders",
+    "service.synthesis.strands": "synthesized_strands",
+    "service.synthesis.nucleotides": "synthesized_nucleotides",
+    "service.qos.deadline_violations": "deadline_violations",
+}
 
 
 class RunTelemetry:
@@ -107,18 +126,6 @@ class RunTelemetry:
         )
         self.metrics.histogram("service.batch.occupancy").observe(
             len(batch.requests)
-        )
-
-    def charged(self, batch, reads_per_block: int) -> None:
-        """Wetlab work charged for one scheduled batch (retries included)."""
-        self.metrics.counter("service.wetlab.pcr_reactions").inc(
-            batch.reaction_count
-        )
-        self.metrics.counter("service.wetlab.amplified_blocks").inc(
-            batch.amplified_block_count
-        )
-        self.metrics.counter("service.wetlab.sequenced_reads").inc(
-            batch.amplified_block_count * reads_per_block
         )
 
     def cycle(
@@ -211,19 +218,9 @@ class RunTelemetry:
 
     def deadline_violation(self, request, completion: float) -> None:
         """A served read overran its deadline budget (counted, not dropped)."""
-        self.metrics.counter("service.qos.deadline_violations").inc()
         self.metrics.counter(
             f"service.qos.deadline_violations.{request.tenant}"
         ).inc()
-
-    def retried(self, rider_count: int) -> None:
-        """A retry cycle was scheduled for decode-failed riders."""
-        self.metrics.counter("service.retry.cycles").inc()
-        self.metrics.counter("service.retry.requests").inc(rider_count)
-
-    def decode_failures(self, count: int) -> None:
-        if count:
-            self.metrics.counter("service.decode.failures").inc(count)
 
     def synthesis_dispatched(self, order, now: float) -> None:
         """A synthesis order went to the vendor; open per-write spans."""
@@ -236,13 +233,6 @@ class RunTelemetry:
                     parent=root,
                     order_id=order.order_id,
                 )
-        self.metrics.counter("service.synthesis.orders").inc()
-        self.metrics.counter("service.synthesis.strands").inc(
-            order.strand_count
-        )
-        self.metrics.counter("service.synthesis.nucleotides").inc(
-            order.nucleotide_count
-        )
 
     def synthesis_committed(self, order, now: float) -> None:
         """The order delivered; close its writes' synthesis spans."""
@@ -292,34 +282,28 @@ class RunTelemetry:
     # Run finalization
     # ------------------------------------------------------------------
     def finalize(
-        self,
-        *,
-        makespan_hours: float,
-        wetlab_lanes: int,
-        lane_busy_hours_by_lane,
-        lane_schedule_horizon_hours: float = 0.0,
-        stage_seconds: dict[str, float] | None = None,
+        self, report, stage_seconds: dict[str, float] | None = None
     ) -> RunObservability:
-        """Snapshot the run into a :class:`RunObservability` bundle.
+        """Snapshot the finished run into a :class:`RunObservability` bundle.
 
         Open spans (there should be none after a clean run) are left
-        open; the exporter drops them.  Gauges recorded here describe
-        end-of-run state: lane-pool shape, true per-lane busy hours, and
-        the decode stages' aggregate wall seconds.  Utilization gauges
-        divide by the same horizon the report's
-        :meth:`~repro.service.simulator.PolicyReport.lane_utilization`
-        uses — the later of the makespan and the pool's last lane end —
-        so they land in ``[0, 1]`` and agree with the report.
+        open; the exporter drops them.  The run totals the
+        :class:`~repro.service.simulator.PolicyReport` already counts
+        (:data:`_REPORT_COUNTERS`) are copied from it, so they equal the
+        report by construction; a total that stayed 0 reads 0.  Gauges
+        describe end-of-run state: lane-pool shape, true per-lane busy
+        hours and utilization (the report's, over its horizon), and the
+        decode stages' aggregate wall seconds.
         """
-        self.metrics.gauge("service.run.makespan_sim_hours").set(makespan_hours)
-        self.metrics.gauge("service.lanes.count").set(wetlab_lanes)
-        horizon = max(makespan_hours, lane_schedule_horizon_hours)
-        for lane, busy in enumerate(lane_busy_hours_by_lane):
+        for name, field_name in _REPORT_COUNTERS.items():
+            self.metrics.counter(name).inc(getattr(report, field_name))
+        self.metrics.gauge("service.run.makespan_sim_hours").set(report.makespan_hours)
+        self.metrics.gauge("service.lanes.count").set(report.wetlab_lanes)
+        for lane, (busy, utilization) in enumerate(
+            zip(report.lane_busy_hours_by_lane, report.lane_utilization_by_lane)
+        ):
             self.metrics.gauge(f"service.lane.{lane}.busy_sim_hours").set(busy)
-            if horizon > 0:
-                self.metrics.gauge(f"service.lane.{lane}.utilization").set(
-                    busy / horizon
-                )
+            self.metrics.gauge(f"service.lane.{lane}.utilization").set(utilization)
         for name, seconds in (stage_seconds or {}).items():
             self.metrics.gauge(f"decode.stage_wall_seconds.{name}").set(seconds)
         self.metrics.gauge("service.run.policy_is_cached").set(

@@ -58,6 +58,7 @@ NUMPY_FREE: tuple[str, ...] = (
     "test_service_cache.py",
     "test_service_pipeline.py",
     "test_service_qos.py",
+    "test_service_run_golden.py",
     "test_service_scheduler.py",
     "test_service_simulator.py",
     "test_service_time_travel.py",
@@ -70,6 +71,7 @@ NUMPY_FREE: tuple[str, ...] = (
 #: Test files that import numpy-backed modules unconditionally.
 NEEDS_NUMPY: tuple[str, ...] = (
     "test_analysis.py",
+    "test_consensus_backends.py",
     "test_decoder.py",
     "test_integration_alice.py",
     "test_pcr.py",

@@ -1,0 +1,98 @@
+"""The numpy consensus kernel against the scalar double-sided BMA.
+
+``consensus_batch`` reconstructs every cluster of a readout either with the
+vectorized kernel (``_consensus_batch_numpy``) or one cluster at a time
+with :func:`double_sided_bma`, the reference.  Decode-level tests cannot
+stand in for this diff: Reed-Solomon corrects a wrong strand, so a kernel
+that disagreed on a few strands could still decode every block.  Here the
+two paths must return the same strands on every input, the majority
+tie-break (``Counter`` first-insertion order) included.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.pipeline.consensus import (
+    _consensus_batch_numpy,
+    consensus_batch,
+    double_sided_bma,
+)
+
+pytest.importorskip("numpy")
+
+BASES = "ACGT"
+
+
+def strands(length):
+    return st.text(alphabet=BASES, min_size=length, max_size=length)
+
+
+@st.composite
+def noisy_copy(draw, strand):
+    """``strand`` with substitutions, insertions and deletions."""
+    read = list(strand)
+    edits = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from("sid"),
+                st.integers(0, len(strand)),
+                st.sampled_from(BASES),
+            ),
+            max_size=8,
+        )
+    )
+    for kind, position, base in edits:
+        if kind == "i":
+            read.insert(min(position, len(read)), base)
+        elif position < len(read):
+            if kind == "s":
+                read[position] = base
+            else:
+                del read[position]
+    return "".join(read)
+
+
+@st.composite
+def read_groups(draw, length):
+    """One cluster: 1-12 reads of 0-2L bases around one strand, or an even
+    number of reads alternating between two strands, which ties the vote
+    wherever they differ."""
+    strand = draw(strands(length))
+    if draw(st.booleans()):
+        other = draw(strands(length))
+        return [(strand, other)[index % 2] for index in range(2 * draw(st.integers(1, 6)))]
+    read = st.one_of(
+        noisy_copy(strand),
+        st.text(alphabet=BASES, max_size=2 * length),
+        st.just(""),
+    )
+    reads = draw(st.lists(read, min_size=1, max_size=12))
+    return [read[: 2 * length] for read in reads]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_numpy_kernel_matches_scalar_bma(data):
+    length = data.draw(st.integers(0, 40), label="length")
+    groups = data.draw(st.lists(read_groups(length), min_size=1, max_size=6))
+    expected = [double_sided_bma(group, length) for group in groups]
+    assert _consensus_batch_numpy(groups, length) == expected
+    assert consensus_batch(groups, length, backend="numpy") == expected
+    assert consensus_batch(groups, length, backend="python") == expected
+
+
+def test_vote_ties_follow_first_insertion_order():
+    # Every position is a 1-1 tie; the first read's symbol wins it.
+    groups = [["ACGT", "TGCA"], ["TGCA", "ACGT"]]
+    expected = [double_sided_bma(group, 4) for group in groups]
+    assert [strand[0] for strand in expected] == ["A", "T"]
+    assert _consensus_batch_numpy(groups, 4) == expected
+
+
+def test_non_ascii_group_falls_back_to_scalar():
+    groups = [["ACGT", "ACGA"], ["AΩGT", "ACGT", "ACCT"]]
+    assert _consensus_batch_numpy(groups, 4) is None
+    assert consensus_batch(groups, 4, backend="numpy") == [
+        double_sided_bma(group, 4) for group in groups
+    ]

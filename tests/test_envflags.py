@@ -12,9 +12,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 EXPECTED_FLAGS = (
     "REPRO_CLUSTER_SHARDS",
     "REPRO_CODEC_BACKEND",
-    "REPRO_CONSENSUS_BACKEND",
     "REPRO_DECODE_WORKERS",
-    "REPRO_DISTANCE_BACKEND",
     "REPRO_FUSED_KERNELS",
     "REPRO_QOS_SCALE_REQUESTS",
     "REPRO_TRACING",

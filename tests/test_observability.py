@@ -423,14 +423,27 @@ class TestTracedServiceRuns:
         assert metrics["service.requests.admitted"] == len(report.completed) + len(
             report.failed
         )
-        assert metrics["service.wetlab.pcr_reactions"] == report.pcr_reactions
-        assert metrics["service.wetlab.sequenced_reads"] == report.sequenced_reads
+        # Run totals come from the report itself; ones that stayed 0 read 0.
+        for name, value in (
+            ("service.wetlab.pcr_reactions", report.pcr_reactions),
+            ("service.wetlab.amplified_blocks", report.amplified_blocks),
+            ("service.wetlab.sequenced_reads", report.sequenced_reads),
+            ("service.retry.cycles", report.retry_cycles),
+            ("service.retry.requests", report.retried_requests),
+            ("service.decode.failures", report.decode_failures),
+            ("service.synthesis.orders", report.synthesis_orders),
+            ("service.synthesis.strands", report.synthesized_strands),
+            ("service.synthesis.nucleotides", report.synthesized_nucleotides),
+            ("service.qos.deadline_violations", report.deadline_violations),
+        ):
+            assert metrics[name] == value, name
         assert metrics["service.cache.hits"] == report.cache.hits
         assert metrics["service.lanes.count"] == report.wetlab_lanes
-        for lane, busy in enumerate(report.lane_busy_hours_by_lane):
-            assert metrics[f"service.lane.{lane}.busy_sim_hours"] == pytest.approx(
-                busy
-            )
+        for lane, (busy, utilization) in enumerate(
+            zip(report.lane_busy_hours_by_lane, report.lane_utilization_by_lane)
+        ):
+            assert metrics[f"service.lane.{lane}.busy_sim_hours"] == busy
+            assert metrics[f"service.lane.{lane}.utilization"] == utilization
 
     def test_text_summary_renders_for_traced_run(self):
         store = build_store()

@@ -33,7 +33,7 @@ from repro.service import (
     ServiceConfig,
     ServicePipeline,
     ServiceRequest,
-    schedule_lanes,
+    SharedLanePool,
 )
 from repro.store import DnaVolume, ObjectStore, VolumeConfig
 from repro.workloads import RequestEvent, multi_tenant_trace
@@ -652,8 +652,8 @@ class TestRetryCycles:
 class TestLanePool:
     def test_greedy_packing_is_deterministic(self):
         durations = [3.0, 1.0, 2.0, 1.0, 4.0]
-        first = schedule_lanes(durations, 2)
-        second = schedule_lanes(durations, 2)
+        first = SharedLanePool(2).schedule(0.0, durations)
+        second = SharedLanePool(2).schedule(0.0, durations)
         assert first == second
         # Earliest-free lane, ties to the lowest index.
         assert first[0] == (0, 0.0, 3.0)
@@ -663,15 +663,15 @@ class TestLanePool:
         assert first[4] == (1, 3.0, 7.0)
 
     def test_single_lane_serializes(self):
-        schedule = schedule_lanes([2.0, 3.0, 1.0], 1)
+        schedule = SharedLanePool(1).schedule(0.0, [2.0, 3.0, 1.0])
         assert [lane for lane, _, _ in schedule] == [0, 0, 0]
         assert schedule[-1][2] == 6.0
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ServiceError):
-            schedule_lanes([1.0], 0)
+            SharedLanePool(0)
         with pytest.raises(ServiceError):
-            schedule_lanes([-1.0], 2)
+            SharedLanePool(2).schedule(0.0, [-1.0])
 
     def test_more_lanes_never_slow_a_cycle(self):
         store, catalog = build_store(objects=6)

@@ -28,7 +28,6 @@ from repro.service import (
     SharedLanePool,
     TenantQoS,
     TokenBucket,
-    schedule_lanes,
     weighted_fair_shares,
 )
 from repro.workloads import (
@@ -80,10 +79,10 @@ class TestSharedLanePool:
             pool.schedule(0.0, [-1.0])
 
     def test_empty_pool_reproduces_standalone_packing(self):
-        # A single cycle on an idle pool must match the per-cycle greedy
-        # primitive exactly (relative offsets = absolute minus now).
+        # A single cycle on an idle pool packs the same way at any start
+        # time (relative offsets = absolute minus now).
         durations = [3.0, 1.0, 4.0, 1.5, 5.0, 2.0]
-        relative = schedule_lanes(durations, 3)
+        relative = SharedLanePool(3).schedule(0.0, durations)
         pool = SharedLanePool(3)
         absolute = pool.schedule(10.0, durations)
         assert [
@@ -563,14 +562,32 @@ class TestPipelineQoS:
         assert len(report.completed) == len(trace)
 
     def test_unbatched_policy_ignores_qos(self):
-        store, catalog = build_store()
-        trace = self.mixed_trace(catalog, requests=20)
-        report = ServicePipeline(
-            store,
-            config=ServiceConfig(window_hours=0.5, qos=self.qos_config()),
-        ).run(trace, "unbatched")
+        # Every read overruns this deadline, yet the unbatched policy runs
+        # no QoS admission, so it counts no violation either.
+        qos = QoSConfig(
+            profiles=self.qos_config().profiles,
+            default=TenantQoS(priority=1, deadline_hours=0.001),
+        )
+        reports = {}
+        for policy in ("unbatched", "batched"):
+            store, catalog = build_store()
+            trace = self.mixed_trace(catalog, requests=20)
+            reports[policy] = ServicePipeline(
+                store,
+                config=ServiceConfig(window_hours=0.5, qos=qos, tracing=True),
+            ).run(trace, policy)
+        report = reports["unbatched"]
         assert report.qos_enabled is False
         assert report.qos_throttled == 0
+        assert report.deadline_violations == 0
+        metrics = report.observability.metrics
+        assert metrics["service.qos.deadline_violations"] == 0
+        assert not [
+            name
+            for name in metrics
+            if name.startswith("service.qos.deadline_violations.")
+        ]
+        assert reports["batched"].deadline_violations > 0
 
     def test_aggressor_cannot_starve_victims(self):
         # Starvation regression: with QoS on, the victims' deadline
