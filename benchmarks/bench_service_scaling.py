@@ -13,9 +13,20 @@ of the serving-layer subsystem:
 * the simulation is fully deterministic under a fixed seed (a rerun
   reproduces every reported number bit-for-bit).
 
+It also records how a run's memory grows with its trace: RSS growth
+during ``run()`` on ``serve-mixed``-shaped traces of three lengths, each
+served in a fresh process (peak RSS is per process).  That record is
+informational; nothing gates it.
+
 Pure Python end to end — this benchmark runs with or without numpy.
 """
 
+import gc
+import json
+import platform
+import resource
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -33,6 +44,16 @@ REQUESTS = 10_000
 TENANTS = 120
 OBJECTS = 150
 SEED = 2023  # MICRO 2023
+
+#: Trace lengths of the memory record, and their arrival rate.
+MEMORY_REQUESTS = (10_000, 40_000, 160_000)
+MEMORY_ARRIVALS_PER_HOUR = 150.0
+#: Serves one trace length in a fresh interpreter and prints its record.
+MEMORY_PROBE = (
+    "import json, sys\n"
+    "from bench_service_scaling import rss_growth\n"
+    "print(json.dumps(rss_growth(int(sys.argv[1]))))\n"
+)
 
 
 def build_store() -> tuple[ObjectStore, dict[str, int]]:
@@ -192,6 +213,74 @@ def test_service_scaling():
             "trace_file": trace_path.name,
             **obs.bench_payload(),
         },
+    )
+
+
+def rss_growth(requests: int) -> dict:
+    """Peak-RSS growth while serving a ``serve-mixed``-shaped trace.
+
+    The trace has 5% updates and 1% puts, popularity follows size, and
+    it is served under ``batched+cache``.  Meaningful only in a fresh
+    process: ``ru_maxrss`` is the process's peak so far.
+    """
+    store, catalog = build_store()
+    trace = multi_tenant_trace(
+        catalog,
+        tenants=TENANTS,
+        requests=requests,
+        duration_hours=requests / MEMORY_ARRIVALS_PER_HOUR,
+        seed=SEED,
+        update_fraction=0.05,
+        put_fraction=0.01,
+        size_popularity_bias=-1.0,
+    )
+    pipeline = ServicePipeline(
+        store,
+        config=ServiceConfig(
+            window_hours=0.5,
+            wetlab_lanes=32,
+            pcr_hours=0.1,
+            cache_capacity_bytes=store.volume.block_size * 256,
+            tracing=False,
+        ),
+    )
+    # ru_maxrss counts kilobytes on Linux and bytes on macOS.
+    unit = 1 if sys.platform == "darwin" else 1024
+    gc.collect()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit
+    pipeline.run(trace, "batched+cache")
+    growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit - before
+    return {
+        "requests": requests,
+        "rss_growth_mb": round(growth / 2**20, 1),
+        "bytes_per_request": round(growth / requests),
+    }
+
+
+def test_service_memory_scaling():
+    """RSS growth during ``run()`` against trace length."""
+    records = []
+    for requests in MEMORY_REQUESTS:
+        probe = subprocess.run(
+            [sys.executable, "-c", MEMORY_PROBE, str(requests)],
+            cwd=Path(__file__).parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        records.append(json.loads(probe.stdout))
+    report(
+        "Service memory — RSS growth during run() against trace length",
+        [
+            f"{item['requests']:7d} requests: +{item['rss_growth_mb']:.1f} MB "
+            f"({item['bytes_per_request']} B per request)"
+            for item in records
+        ],
+    )
+    emit_bench_json(
+        "service_scaling",
+        "memory",
+        {"python": platform.python_version(), "runs": records},
     )
 
 
@@ -413,5 +502,6 @@ def test_service_mixed_pipeline_smoke():
 
 if __name__ == "__main__":
     test_service_scaling()
+    test_service_memory_scaling()
     test_service_wetlab_fidelity_smoke()
     test_service_mixed_pipeline_smoke()

@@ -27,7 +27,7 @@ OPERATIONS = ("read", "put", "update", "delete")
 WRITE_OPERATIONS = ("put", "update", "delete")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServiceRequest:
     """One tenant operation admitted to the service front-end.
 
@@ -77,7 +77,8 @@ class ServiceRequest:
             raise ServiceError("request offset must be non-negative")
         if self.length is not None and self.length < 0:
             raise ServiceError("request length must be non-negative (or None)")
-        if self.arrival_hours < 0:
+        # Written so that NaN times fail too: NaN compares false both ways.
+        if not self.arrival_hours >= 0:
             raise ServiceError("arrival_hours must be non-negative")
         if self.op in ("put", "update"):
             if not self.payload:
@@ -95,11 +96,11 @@ class ServiceRequest:
         if self.as_of is not None:
             if self.op != "read":
                 raise ServiceError("as_of is only valid on read requests")
-            if self.as_of < 0:
+            if not self.as_of >= 0:
                 raise ServiceError("as_of must be non-negative")
         if self.priority is not None and self.priority < 0:
             raise ServiceError("priority must be non-negative (0 = most urgent)")
-        if self.deadline_hours is not None and self.deadline_hours <= 0:
+        if self.deadline_hours is not None and not self.deadline_hours > 0:
             raise ServiceError("deadline_hours must be positive when set")
 
     @property
@@ -112,7 +113,7 @@ class ServiceRequest:
 ReadRequest = ServiceRequest
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompletedRequest:
     """The served outcome of one request.
 
@@ -144,15 +145,16 @@ class CompletedRequest:
         return self.completion_hours - self.request.arrival_hours
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FailedRequest:
     """A request the service rejected without aborting anyone else.
 
-    Malformed trace events (negative ranges), unknown objects, ranges past
-    the object's end, writes that cannot apply (duplicate names, exhausted
-    update slots) and reads whose blocks still fail to decode after the
-    retry budget all fail *individually*: the offending request gets a
-    rejection outcome and every other tenant's requests keep being served.
+    Malformed trace events (negative ranges, a negative or NaN arrival
+    time), unknown objects, ranges past the object's end, writes that
+    cannot apply (duplicate names, exhausted update slots) and reads whose
+    blocks still fail to decode after the retry budget all fail
+    *individually*: the offending request gets a rejection outcome and
+    every other tenant's requests keep being served.
 
     Attributes:
         request_id: admission id the request would have been assigned.

@@ -32,7 +32,7 @@ order, as the paper's update log replays patches in version order
   a write riding an uncommitted order;
 * every request reaches exactly one terminal outcome (served, committed
   or failed); ``run`` raises :class:`ServiceError` if one is still
-  outstanding when the event heap drains.
+  outstanding once arrivals and event heap are exhausted.
 
 :class:`~repro.service.barrier.ObjectBarrier` keeps that state.  Per
 operation it costs O(1) to enter, leave, test whether a read must wait
@@ -81,11 +81,15 @@ fidelity.
 arguments, sorts the trace and hands it to a private ``_Run``, which
 holds the run's state (queue, barrier, lane pool, cache, run totals) as
 attributes and has one handler per event kind: arrival, dispatch window,
-synthesis commit and cycle completion.  Each heap entry carries its
-handler, so the loop only pops and calls.  The run totals are one dict
-keyed by :class:`PolicyReport` field names.  Nothing refers back to the
-run once its heap drains, so its working state is freed by reference
-counting when ``run()`` returns.
+synthesis commit and cycle completion.  The event heap holds only the
+events the run schedules itself, each entry carrying its handler;
+arrivals are merged in from the sorted trace, ahead of any heap event at
+the same time.  A request's block list and time-travel view are dropped
+at its terminal outcome, so that state grows with the requests in
+flight, not with the trace.  The run totals are one dict keyed by
+:class:`PolicyReport` field names.  Nothing refers back to the run once
+arrivals and heap are exhausted, so the rest of its state is freed by
+reference counting when ``run()`` returns.
 
 The event loop is fully deterministic: simulated time only, ties broken
 by admission order, no wall-clock or unseeded randomness anywhere.  Every
@@ -143,9 +147,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import zlib
 from contextlib import ExitStack
-from operator import attrgetter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -544,6 +548,17 @@ class _InvalidationFanout:
         return dropped
 
 
+def _arrival_order(event: RequestEvent) -> float:
+    """Sort key of a trace event: its time, with a NaN time last.
+
+    NaN compares false both ways, so sorting on it could leave the rest
+    of the trace out of time order, and the loop merges arrivals in list
+    order.  Last, such an event fails alone at request validation.
+    """
+    time = event.time_hours
+    return time if time == time else math.inf
+
+
 def policy_latency_comparison(
     baseline: PolicyReport, improved: PolicyReport
 ) -> LatencyComparison:
@@ -627,8 +642,9 @@ class ServicePipeline:
 
         Raises:
             ServiceError: if the policy or fidelity is unknown, the trace
-                is empty, or a wetlab-decoded payload fails its reference
-                checksum.
+                is empty, a wetlab-decoded payload fails its reference
+                checksum, or a request is still outstanding once arrivals
+                and heap are exhausted.
         """
         if policy not in POLICIES:
             raise ServiceError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -636,7 +652,7 @@ class ServicePipeline:
             raise ServiceError(
                 f"unknown fidelity {fidelity!r}; expected one of {FIDELITIES}"
             )
-        events = sorted(trace, key=attrgetter("time_hours"))
+        events = sorted(trace, key=_arrival_order)
         if not events:
             raise ServiceError("cannot simulate an empty trace")
         return _Run(self, events, policy, fidelity, keep_data).serve()
@@ -708,14 +724,19 @@ class ServicePipeline:
 class _Run:
     """One :meth:`ServicePipeline.run`: the run's state and its event handlers.
 
-    Heap entries are ``(time, sequence, handler, payload)``, ties broken by
-    push order; :meth:`serve` pops the earliest and calls
-    ``handler(payload, now)``.  There is one handler per event kind:
-    :meth:`_arrive` (a request is admitted), :meth:`_dispatch` (a
-    scheduling window closes), :meth:`_commit` (a synthesis order
-    delivers) and :meth:`_complete` (a wetlab cycle finishes).  Once the
-    heap drains nothing refers back to the run, so its working state is
-    freed as soon as :meth:`ServicePipeline.run` returns.
+    Arrivals come from the arrival-sorted request list; the heap holds
+    only the events the run schedules itself, as ``(time, sequence,
+    handler, payload)`` entries, ties broken by push order.  :meth:`serve`
+    merges the two, handling an arrival before any heap event at the same
+    time, and calls ``handler(payload, now)``.  There is one handler per
+    event kind: :meth:`_arrive` (a request is admitted), :meth:`_dispatch`
+    (a scheduling window closes), :meth:`_commit` (a synthesis order
+    delivers) and :meth:`_complete` (a wetlab cycle finishes).  A request's
+    working state (its block list, its time-travel view) is dropped at its
+    terminal outcome, so the run holds it only for requests in flight.
+    Once arrivals and heap are exhausted nothing refers back to the run,
+    so what is left of its state is freed as soon as
+    :meth:`ServicePipeline.run` returns.
     """
 
     def __init__(
@@ -741,9 +762,7 @@ class _Run:
         # and never touches the heap, RNG state or store, so a traced
         # run's outcomes are byte-identical to an untraced run's.
         self.tel = (
-            RunTelemetry(policy=policy, fidelity=fidelity)
-            if tracing_enabled(config.tracing)
-            else None
+            RunTelemetry() if tracing_enabled(config.tracing) else None
         )
         self.cache = (
             DecodedBlockCache(
@@ -775,7 +794,9 @@ class _Run:
         self.payloads: dict[int, bytes] = {}
         self.distinct_requested: dict[tuple[str, int], None] = {}
         # Block addressing is computed once per request at admission and
-        # shared with the scheduler (halves the extent-walk work).
+        # shared with the scheduler (halves the extent-walk work).  Both
+        # maps hold requests in flight only: _serve and _reject drop a
+        # request's entries at its terminal outcome.
         self.blocks_by_id: dict[int, list[tuple[str, int]]] = {}
         #: request_id -> resolved StoreSnapshot for admitted as_of reads.
         self.asof_views: dict[int, object] = {}
@@ -830,11 +851,10 @@ class _Run:
                 )
             except DnaStorageError as exc:
                 self._reject(index, str(exc))
-        self.heap = [
-            (request.arrival_hours, next(self.sequence), self._arrive, request)
-            for request in requests
-        ]
-        heapq.heapify(self.heap)
+        #: Requests in arrival order; :meth:`serve` merges them with the heap.
+        self.arrivals = requests
+        #: Scheduled events only: window closes, commits, cycle completions.
+        self.heap: list[tuple[float, int, Callable, object]] = []
         # Time-travel support: when the trace carries as_of reads, the
         # committed-state timeline is sampled as copy-on-write snapshots —
         # one at run start, one per committed synthesis order.  Traces
@@ -850,7 +870,8 @@ class _Run:
         )
 
     def serve(self) -> PolicyReport:
-        """Run the event loop until the heap drains, then report.
+        """Run the event loop until arrivals and heap are exhausted, then
+        report.
 
         The store's cache attachment is restored and the run's
         time-travel snapshots are released however the loop ends.
@@ -882,6 +903,16 @@ class _Run:
                 stages = scope.enter_context(collect_stages())
             heap = self.heap
             heappop = heapq.heappop
+            # A local, not an attribute: a bound method stored on the run
+            # would refer back to it and make the run a reference cycle.
+            arrive = self._arrive
+            for request in self.arrivals:
+                # An arrival precedes every heap event at its time.
+                when = request.arrival_hours
+                while heap and heap[0][0] < when:
+                    now, _, handler, payload = heappop(heap)
+                    handler(payload, now)
+                arrive(request, when)
             while heap:
                 now, _, handler, payload = heappop(heap)
                 handler(payload, now)
@@ -986,6 +1017,8 @@ class _Run:
         event = self.events[index]
         when = event.time_hours if now is None else now
         self.barrier.leave(event.object_name, index)
+        self.blocks_by_id.pop(index, None)
+        self.asof_views.pop(index, None)
         if self.tel is not None:
             self.tel.failed(index, when, reason)
         self.failed.append(
@@ -1016,7 +1049,9 @@ class _Run:
         """Deliver a read (writes are acknowledged at commit)."""
         store = self.store
         tel = self.tel
-        view_at = self.asof_views.get(request.request_id)
+        # The read's terminal outcome: its working state goes.
+        self.blocks_by_id.pop(request.request_id, None)
+        view_at = self.asof_views.pop(request.request_id, None)
         data = store.get(
             request.object_name,
             offset=request.offset,

@@ -44,18 +44,11 @@ _REPORT_COUNTERS = {
 
 
 class RunTelemetry:
-    """Span and metric recording for one traced pipeline run.
+    """Span and metric recording for one traced pipeline run."""
 
-    Args:
-        policy: the serving policy of the run (span/metric annotation).
-        fidelity: the read-path fidelity of the run.
-    """
-
-    def __init__(self, policy: str, fidelity: str) -> None:
+    def __init__(self) -> None:
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
-        self.policy = policy
-        self.fidelity = fidelity
         #: request_id -> open root span (closed on serve/ack/failure).
         self._roots: dict[int, Span] = {}
         #: request_id -> open write_barrier span (held reads).
@@ -292,8 +285,9 @@ class RunTelemetry:
         (:data:`_REPORT_COUNTERS`) are copied from it, so they equal the
         report by construction; a total that stayed 0 reads 0.  Gauges
         describe end-of-run state: lane-pool shape, true per-lane busy
-        hours and utilization (the report's, over its horizon), and the
-        decode stages' aggregate wall seconds.
+        hours and utilization (the report's, over its horizon), the
+        decode stages' aggregate wall seconds, and whether the report's
+        policy caches decoded blocks.
         """
         for name, field_name in _REPORT_COUNTERS.items():
             self.metrics.counter(name).inc(getattr(report, field_name))
@@ -307,7 +301,7 @@ class RunTelemetry:
         for name, seconds in (stage_seconds or {}).items():
             self.metrics.gauge(f"decode.stage_wall_seconds.{name}").set(seconds)
         self.metrics.gauge("service.run.policy_is_cached").set(
-            1.0 if self.policy == "batched+cache" else 0.0
+            1.0 if report.policy == "batched+cache" else 0.0
         )
         return RunObservability(
             spans=list(self.tracer.spans), metrics=self.metrics.snapshot()

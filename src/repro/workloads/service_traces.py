@@ -43,7 +43,7 @@ from repro.exceptions import DnaStorageError
 from repro.workloads.generator import ZipfSampler
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestEvent:
     """One operation in a generated arrival trace.
 

@@ -56,6 +56,7 @@ NUMPY_FREE: tuple[str, ...] = (
     "test_sequence.py",
     "test_service_barrier.py",
     "test_service_cache.py",
+    "test_service_memory.py",
     "test_service_pipeline.py",
     "test_service_qos.py",
     "test_service_run_golden.py",

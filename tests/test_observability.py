@@ -445,6 +445,17 @@ class TestTracedServiceRuns:
             assert metrics[f"service.lane.{lane}.busy_sim_hours"] == busy
             assert metrics[f"service.lane.{lane}.utilization"] == utilization
 
+    @pytest.mark.parametrize(
+        ("policy", "expected"),
+        [("batched+cache", 1.0), ("batched", 0.0), ("unbatched", 0.0)],
+    )
+    def test_policy_is_cached_gauge(self, policy, expected):
+        store = build_store()
+        report = ServicePipeline(
+            store, config=ServiceConfig(tracing=True)
+        ).run(mixed_trace(store.volume.block_size), policy)
+        assert report.observability.metrics["service.run.policy_is_cached"] == expected
+
     def test_text_summary_renders_for_traced_run(self):
         store = build_store()
         report = ServicePipeline(

@@ -81,6 +81,13 @@ class TestOperationAgnosticRequests:
                 request_id=0, tenant="t", object_name="o", op="delete", offset=3
             )
 
+    @pytest.mark.parametrize("field", ["arrival_hours", "as_of", "deadline_hours"])
+    def test_nan_times_rejected(self, field):
+        with pytest.raises(ServiceError, match=field):
+            ServiceRequest(
+                request_id=0, tenant="t", object_name="o", **{field: float("nan")}
+            )
+
     def test_unknown_op_rejected(self):
         with pytest.raises(ServiceError):
             ServiceRequest(request_id=0, tenant="t", object_name="o", op="move")

@@ -14,9 +14,15 @@ read past an object's end.  A decode-failure injector fails some blocks
 on a cycle's first attempt (their riders retry once and succeed) and one
 object's blocks on every attempt (its reader exhausts the retry budget).
 
-The last test checks that a run frees everything it allocated by
-reference counting alone: with the cyclic collector off for the run,
-``gc.collect()`` afterwards must find nothing.
+A hand-built trace pins the loop's tie order: a request arriving at the
+exact time of a window close, a synthesis commit or a cycle completion
+is handled before that event.
+
+The last tests check what a run keeps: by the time it reports, no
+request's block list or time-travel view is left in its working state,
+and it frees everything it allocated by reference counting alone (with
+the cyclic collector off for the run, ``gc.collect()`` afterwards must
+find nothing).
 
 ``REPRO_TRACING=1`` turns tracing on for the pinned runs, which must not
 move any pinned value.  Everything here runs without numpy.
@@ -36,6 +42,7 @@ from repro.service import (
     ServiceRequest,
     TenantQoS,
 )
+from repro.service.simulator import _Run
 from repro.store import DnaVolume, ObjectStore, VolumeConfig
 from repro.workloads import RequestEvent, multi_tenant_trace
 from repro.workloads.objects import object_corpus
@@ -446,6 +453,84 @@ def test_goldens_cover_retries_failures_and_qos():
         else:
             assert pinned["deadline_violations"] == 0
     assert GOLDEN["batched-qos"]["qos_throttled"] > 0
+
+
+#: Arrival times that tie exactly with an event the loop scheduled itself.
+FIRST_WINDOW_CLOSE = 0.5
+#: The first window's synthesis order: 12 h set-up plus 2,250 nucleotides
+#: at 0.01 h per kilobase, dispatched at 0.5 h.
+ORDER_COMMIT = 12.5225
+#: The first wetlab cycle's completion on the shared lanes.
+CYCLE_COMPLETION = 2.7500299999999998
+
+TIE_TRACE = (
+    RequestEvent(time_hours=0.0, tenant="a", object_name="obj-0"),
+    RequestEvent(
+        time_hours=0.2,
+        tenant="w",
+        object_name="obj-2",
+        op="update",
+        offset=3,
+        payload=b"patched!",
+    ),
+    # Arrives as the first window closes: it rides that window's cycle.
+    RequestEvent(time_hours=FIRST_WINDOW_CLOSE, tenant="b", object_name="obj-1"),
+    # Arrives as the first cycle completes, before its blocks reach the
+    # cache: it waits for the next window, which serves it from the cache.
+    RequestEvent(time_hours=CYCLE_COMPLETION, tenant="d", object_name="obj-0"),
+    # Arrives as the update commits, before the commit is sampled into
+    # the time-travel timeline: it reads the bytes from before the update.
+    RequestEvent(
+        time_hours=ORDER_COMMIT, tenant="c", object_name="obj-2", as_of=ORDER_COMMIT
+    ),
+    # Arrives as the update commits, before the commit leaves the write
+    # barrier: it is held, released by the commit, and reads the update.
+    RequestEvent(time_hours=ORDER_COMMIT, tenant="e", object_name="obj-2"),
+)
+
+#: request id -> (batch id, completion hours, checksum).
+TIE_OUTCOMES = {
+    0: (0, CYCLE_COMPLETION, 3063055165),
+    1: (1, ORDER_COMMIT, 1474569016),
+    2: (0, CYCLE_COMPLETION, 2474732997),
+    3: (None, 3.2550299999999996, 3063055165),
+    4: (3, 15.272545000000001, 2126674546),
+    5: (3, 15.272545000000001, 182470500),
+}
+
+
+def test_arrivals_precede_scheduled_events_at_the_same_time():
+    """An arrival is handled before a window close, a synthesis commit or
+    a cycle completion that falls at the same instant."""
+    store, _ = build_store(objects=3)
+    sim = ServicePipeline(store, config=ServiceConfig(window_hours=0.5))
+    report = sim.run(TIE_TRACE, "batched+cache")
+    assert report.failed == ()
+    outcomes = {
+        item.request.request_id: (item.batch_id, item.completion_hours, item.checksum)
+        for item in report.completed
+    }
+    assert outcomes == TIE_OUTCOMES
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize(
+    ("policy", "qos"), CASES, ids=[case_id(*case) for case in CASES]
+)
+def test_run_drops_request_state_by_report_time(policy, qos, traced, monkeypatch):
+    """Every request has reached its outcome when the run reports, so no
+    block list or time-travel view is left in the run's working state."""
+    left = []
+    report = _Run._report
+
+    def capture(run):
+        left.append((dict(run.blocks_by_id), dict(run.asof_views)))
+        return report(run)
+
+    monkeypatch.setattr(_Run, "_report", capture)
+    sim, trace = build_run(qos, tracing=traced)
+    sim.run(trace, policy)
+    assert left == [({}, {})]
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])

@@ -146,6 +146,24 @@ class TestEventLoop:
         )
         assert report.batches == 1
 
+    def test_nan_arrival_fails_alone_and_keeps_time_order(self):
+        store, catalog = build_store(objects=3)
+        simulator = ServicePipeline(store, config=ServiceConfig(window_hours=1.0))
+        names = list(catalog)
+        valid = [
+            RequestEvent(time_hours=1.0, tenant="a", object_name=names[0]),
+            RequestEvent(time_hours=0.5, tenant="c", object_name=names[2]),
+        ]
+        nan = RequestEvent(time_hours=float("nan"), tenant="b", object_name=names[1])
+        report = simulator.run([valid[0], nan, valid[1]], "batched")
+        (failed,) = report.failed
+        assert failed.request_id == 2 and failed.object_name == names[1]
+        assert "arrival_hours" in failed.reason
+        # The NaN event changes nothing for the others: same ids, same times.
+        alone = simulator.run(valid, "batched")
+        assert report.completed == alone.completed
+        assert [item.request.arrival_hours for item in report.completed] == [0.5, 1.0]
+
     def test_unknown_policy_and_empty_trace_rejected(self):
         store, catalog = build_store(objects=1)
         simulator = ServicePipeline(store)

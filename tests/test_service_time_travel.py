@@ -16,6 +16,8 @@ Everything here runs without numpy (the wetlab-fidelity time-travel
 integration self-skips); the suite must pass on the fallback backend.
 """
 
+import zlib
+
 import pytest
 
 from repro.exceptions import ServiceError
@@ -57,6 +59,35 @@ class TestAsOfRequests:
             ServiceRequest(
                 request_id=0, tenant="t", object_name="o", as_of=-0.5
             )
+
+    def test_nan_as_of_fails_alone(self):
+        """A NaN as_of used to stop the timeline's sampling, so every other
+        time-travel read in the run served the run's starting bytes."""
+
+        def run(extra):
+            store, _ = build_store()
+            trace = [
+                *extra,
+                RequestEvent(
+                    time_hours=0.1, tenant="w", object_name="obj-0",
+                    op="update", payload=b"TIMETRAVEL",
+                ),
+                RequestEvent(
+                    time_hours=40.0, tenant="r", object_name="obj-0", as_of=30.0
+                ),
+            ]
+            return pipeline(store).run(trace, "batched"), store.get("obj-0")
+
+        nan_read = RequestEvent(
+            time_hours=0.0, tenant="n", object_name="obj-1", as_of=float("nan")
+        )
+        report, updated = run([nan_read])
+        (failed,) = report.failed
+        assert failed.tenant == "n" and "as_of" in failed.reason
+        (read,) = [item for item in report.completed if item.request.tenant == "r"]
+        alone, _ = run([])
+        (expected,) = [item for item in alone.completed if item.request.tenant == "r"]
+        assert read.checksum == expected.checksum == zlib.crc32(updated)
 
     def test_time_travel_read_sees_pre_update_version(self):
         store, _ = build_store()
