@@ -78,7 +78,7 @@ def test_sec8_decoding_latency(benchmark, alice_experiment, precise_access_531):
 
 
 def _serving_readout():
-    """The wetlab-serving workload both engine benchmarks run on.
+    """The wetlab-serving workload both decode benchmarks run on.
 
     Exactly what ``ServicePipeline`` feeds ``decode_readout`` under
     ``fidelity="wetlab"``: a 64-block merged plan of one partition,
@@ -179,41 +179,25 @@ def test_sec8_clustering_backend_speedup():
     assert speedup >= 3.0
 
 
-def test_sec8_parallel_decode_engine_speedup():
-    """End-to-end readout decode through the parallel engine: fused
-    GF(2^m) / clustering kernels plus multi-worker decoding must be
-    byte-identical to — and >= 2x faster than — the reference serial
-    path (``REPRO_FUSED_KERNELS=0``, one worker, the seed-equivalent
-    numpy pipeline).
+def test_sec8_fused_decode_speedup():
+    """End-to-end readout decode, inline: the fused GF(2^m), clustering
+    and consensus kernels must be byte-identical to — and >= 2x faster
+    than — their reference implementations (``REPRO_FUSED_KERNELS=0``,
+    the seed-equivalent pipeline).
 
     Emits a per-stage wall-clock breakdown (cluster / consensus /
-    syndrome+solve / orchestration), a workers=1 vs workers=N table, a
-    sharded staged-decode mode, and a per-shard cluster-stage breakdown
-    with its ``shard_cluster_speedup`` into ``BENCH_decoding.json``.  On
-    single-core runners neither the worker pool nor cluster sharding can
-    add wall-clock speedup (the ``host_multi_core`` / ``shard_gate_active``
-    flags record that honestly, and the regression gate treats the
-    affected ratios as informational); the >= 2x gate is carried by the
-    fused kernels, which parallelism compounds on real multi-core hosts.
+    syndrome+solve / orchestration) of both modes into
+    ``BENCH_decoding.json``.
     """
     import os
 
     from repro.observability.stages import collect_stages, orchestration_seconds
-    from repro.pipeline.clustering import cluster_reads
-    from repro.pipeline.decoder import BlockDecoder
-    from repro.pipeline.parallel import DecodeEngine
-    from repro.pipeline.reads import reads_with_prefix
 
     store, partition_name, blocks, raw_reads = _serving_readout()
     targets = {partition_name: blocks}
     reads = {partition_name: raw_reads}
-    workers_n = 4
-    shards_n = 4
-    host_cpus = os.cpu_count() or 1
-    host_multi_core = host_cpus >= workers_n
-    shard_gate_active = host_cpus >= shards_n
 
-    def run_mode(workers: int, fused: bool, shards: int = 1) -> dict:
+    def run_mode(fused: bool) -> dict:
         previous = os.environ.get("REPRO_FUSED_KERNELS")
         os.environ["REPRO_FUSED_KERNELS"] = "1" if fused else "0"
         try:
@@ -221,9 +205,7 @@ def test_sec8_parallel_decode_engine_speedup():
             for _ in range(2):
                 started = time.perf_counter()
                 with collect_stages() as stages:
-                    payloads, failures = store.try_decode_blocks(
-                        targets, reads, workers=workers, cluster_shards=shards
-                    )
+                    payloads, failures = store.try_decode_blocks(targets, reads)
                 seconds = time.perf_counter() - started
                 if best is None or seconds < best["seconds"]:
                     best = {
@@ -239,73 +221,18 @@ def test_sec8_parallel_decode_engine_speedup():
             else:
                 os.environ["REPRO_FUSED_KERNELS"] = previous
 
-    # Reference first (serial, no pool), so the fused pooled run forks its
-    # workers with a clean environment.
-    reference = run_mode(1, fused=False)
-    fused_serial = run_mode(1, fused=True)
-    fused_parallel = run_mode(workers_n, fused=True)
-    sharded_staged = run_mode(workers_n, fused=True, shards=shards_n)
+    reference = run_mode(fused=False)
+    fused = run_mode(fused=True)
 
     assert not reference["failures"]
     byte_identical = (
-        reference["payloads"] == fused_serial["payloads"] == fused_parallel["payloads"]
-        and reference["failures"] == fused_serial["failures"] == fused_parallel["failures"]
+        reference["payloads"] == fused["payloads"]
+        and reference["failures"] == fused["failures"]
     )
     assert byte_identical
 
-    fused_speedup = reference["seconds"] / fused_parallel["seconds"]
-    workers_speedup = fused_serial["seconds"] / fused_parallel["seconds"]
+    fused_speedup = reference["seconds"] / fused["seconds"]
     meets_target = fused_speedup >= 2.0
-
-    # Sharded clustering itself: serial cluster_reads vs the engine's
-    # per-shard agglomeration on the pool, plus byte-identity of both the
-    # clusters and the staged decode's payloads.
-    partition = store.volume.partition(partition_name)
-    decoder = BlockDecoder(partition)
-    on_prefix = reads_with_prefix(
-        raw_reads,
-        partition.config.primers.forward,
-        max_errors=decoder.max_prefix_errors,
-    )
-    signature_start, signature_length = decoder._signature_window()
-    serial_cluster_seconds = float("inf")
-    for _ in range(2):
-        started = time.perf_counter()
-        serial_clusters = cluster_reads(
-            on_prefix,
-            signature_start=signature_start,
-            signature_length=signature_length,
-        )
-        serial_cluster_seconds = min(
-            serial_cluster_seconds, time.perf_counter() - started
-        )
-    engine = DecodeEngine(workers=workers_n, cluster_shards=shards_n)
-    try:
-        sharded_cluster_seconds = float("inf")
-        shard_stats: list[dict] = []
-        for _ in range(2):
-            started = time.perf_counter()
-            sharded_clusters, stats = engine.cluster_sharded(
-                on_prefix,
-                signature_start=signature_start,
-                signature_length=signature_length,
-            )
-            elapsed = time.perf_counter() - started
-            if elapsed < sharded_cluster_seconds:
-                sharded_cluster_seconds = elapsed
-                shard_stats = stats
-    finally:
-        engine.shutdown()
-    shard_byte_identical = (
-        [(c.signature, c.reads) for c in sharded_clusters]
-        == [(c.signature, c.reads) for c in serial_clusters]
-        and sharded_staged["payloads"] == reference["payloads"]
-        and sharded_staged["failures"] == reference["failures"]
-    )
-    assert shard_byte_identical
-    shard_cluster_speedup = serial_cluster_seconds / sharded_cluster_seconds
-    if shard_gate_active:
-        assert shard_cluster_speedup >= 1.5
 
     def stage_row(mode: dict) -> dict:
         stages = mode["stages"]
@@ -320,60 +247,28 @@ def test_sec8_parallel_decode_engine_speedup():
         }
 
     report(
-        "Section 8 — parallel decode engine (fused kernels + workers)",
+        "Section 8 — inline readout decode (fused vs reference kernels)",
         [
             f"readout: {len(raw_reads)} reads, {len(blocks)} blocks",
-            f"reference serial (REPRO_FUSED_KERNELS=0): "
-            f"{reference['seconds']:.3f}s",
-            f"fused, workers=1: {fused_serial['seconds']:.3f}s",
-            f"fused, workers={workers_n}: {fused_parallel['seconds']:.3f}s "
-            f"(host has {host_cpus} CPU(s))",
-            f"staged, workers={workers_n}, shards={shards_n}: "
-            f"{sharded_staged['seconds']:.3f}s",
-            f"end-to-end speedup: {fused_speedup:.1f}x (acceptance: >= 2x); "
-            f"workers {workers_n} vs 1: {workers_speedup:.2f}x",
-            f"sharded clustering: {serial_cluster_seconds:.3f}s serial vs "
-            f"{sharded_cluster_seconds:.3f}s at {shards_n} shards "
-            f"({shard_cluster_speedup:.2f}x; gate "
-            f"{'active' if shard_gate_active else 'informational on this host'})",
-            f"byte-identical across all modes (incl. shards): "
-            f"{byte_identical and shard_byte_identical}",
+            f"reference (REPRO_FUSED_KERNELS=0): {reference['seconds']:.3f}s",
+            f"fused: {fused['seconds']:.3f}s",
+            f"end-to-end speedup: {fused_speedup:.1f}x (acceptance: >= 2x)",
+            f"byte-identical: {byte_identical}",
         ],
     )
+    # The section keeps its name so the regression gate's paths
+    # (``parallel_engine.fused_speedup`` ...) stay as they were.
     emit_bench_json(
         "decoding",
         "parallel_engine",
         {
             "reads": len(raw_reads),
             "blocks": len(blocks),
-            "host_cpus": host_cpus,
-            "host_multi_core": host_multi_core,
-            "parallel_workers": workers_n,
-            "cluster_shards": shards_n,
             "modes": {
-                "reference_serial": stage_row(reference),
-                "fused_workers_1": stage_row(fused_serial),
-                f"fused_workers_{workers_n}": stage_row(fused_parallel),
-                f"staged_workers_{workers_n}_shards_{shards_n}": stage_row(
-                    sharded_staged
-                ),
+                "reference_inline": stage_row(reference),
+                "fused_inline": stage_row(fused),
             },
-            "cluster_stage_shards": [
-                {
-                    "shard": stat["shard"],
-                    "buckets": stat["buckets"],
-                    "reads": stat["reads"],
-                    "seconds": round(stat["seconds"], 4),
-                }
-                for stat in shard_stats
-            ],
-            "serial_cluster_seconds": round(serial_cluster_seconds, 4),
-            "sharded_cluster_seconds": round(sharded_cluster_seconds, 4),
-            "shard_cluster_speedup": round(shard_cluster_speedup, 2),
-            "shard_gate_active": shard_gate_active,
-            "shard_byte_identical": shard_byte_identical,
             "fused_speedup": round(fused_speedup, 2),
-            "workers_speedup": round(workers_speedup, 2),
             "byte_identical": byte_identical,
             "meets_speedup_target": meets_target,
         },

@@ -16,24 +16,13 @@ Gated metrics (higher is better):
 * ``decoding``: ``clustering_backend.speedup`` — the numpy clustering
   backend's speedup over pure Python (wall-clock based, hence the
   tolerance);
-* ``decoding``: ``parallel_engine.fused_speedup`` — the fused-kernel
-  parallel decode engine's end-to-end readout-decode speedup over the
-  reference serial path (``REPRO_FUSED_KERNELS=0``, one worker);
+* ``decoding``: ``parallel_engine.fused_speedup`` — the fused kernels'
+  end-to-end inline readout-decode speedup over the reference kernels
+  (``REPRO_FUSED_KERNELS=0``);
 * ``qos_isolation``: ``isolation.p99_protection_factor`` — how much of
   the scanning aggressor's victim-p99 damage the QoS admission layer
   undoes (unprotected p99 over protected p99, simulation-exact under a
   fixed seed).
-
-Conditionally gated metrics (gated only when the paired condition flag is
-true in the current run — a wall-clock parallelism ratio is meaningless
-on a host with fewer CPUs than workers/shards, so such runs report the
-number informationally instead):
-
-* ``decoding``: ``parallel_engine.workers_speedup`` when
-  ``parallel_engine.host_multi_core`` (host CPUs >= pool workers);
-* ``decoding``: ``parallel_engine.shard_cluster_speedup`` when
-  ``parallel_engine.shard_gate_active`` (host CPUs >= cluster shards),
-  with an absolute >= 1.5x floor at 4 shards.
 
 A metric present in the fresh run but absent from the committed baseline
 (a newly added benchmark section) is reported informationally instead of
@@ -47,10 +36,8 @@ Boolean invariants (must be true in both baseline and current):
 
 * wetlab checksums match the reference path;
 * the Section 8 block decodes correctly;
-* the parallel decode engine's outputs are byte-identical to serial and
-  meet the >= 2x fused-speedup target;
-* sharded clustering (and the staged decode built on it) is
-  byte-identical to the serial path at every shard count;
+* the fused inline decode is byte-identical to the reference kernels
+  and meets the >= 2x fused-speedup target;
 * snapshot-compare byte parity with the rebuild path;
 * QoS isolation: the protected victims' p99 stays bounded, the
   admission layer is byte-transparent (QoS off serves exactly the
@@ -82,25 +69,6 @@ GATED_METRICS = [
     ("qos_isolation", "isolation.p99_protection_factor"),
 ]
 
-#: (file stem, metric path, condition path, absolute floor or None) ->
-#: gated like GATED_METRICS, but only when the condition flag is true in
-#: the *current* run (wall-clock parallelism ratios are informational on
-#: hosts without the CPUs to realize them).
-CONDITIONALLY_GATED = [
-    (
-        "decoding",
-        "parallel_engine.workers_speedup",
-        "parallel_engine.host_multi_core",
-        None,
-    ),
-    (
-        "decoding",
-        "parallel_engine.shard_cluster_speedup",
-        "parallel_engine.shard_gate_active",
-        1.5,
-    ),
-]
-
 #: (file stem, dotted metric path) -> must be true in the current run.
 REQUIRED_TRUE = [
     ("service_scaling", "wetlab_smoke.checksum_matches_reference"),
@@ -108,7 +76,6 @@ REQUIRED_TRUE = [
     ("service_scaling", "observability.traced_byte_identical"),
     ("decoding", "few_reads_decode.decoded_correctly"),
     ("decoding", "parallel_engine.byte_identical"),
-    ("decoding", "parallel_engine.shard_byte_identical"),
     ("decoding", "parallel_engine.meets_speedup_target"),
     ("snapshot_compare", "policy_parity.policies_byte_identical"),
     ("snapshot_compare", "time_travel.historical_read_correct"),
@@ -120,10 +87,7 @@ REQUIRED_TRUE = [
 
 
 #: Every stem the gate knows about (for the stray-artifact sweep).
-KNOWN_STEMS = sorted(
-    {stem for stem, _ in GATED_METRICS + REQUIRED_TRUE}
-    | {stem for stem, _, _, _ in CONDITIONALLY_GATED}
-)
+KNOWN_STEMS = sorted({stem for stem, _ in GATED_METRICS + REQUIRED_TRUE})
 
 
 def iter_result_files(directory: Path) -> list[Path]:
@@ -235,44 +199,6 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 f"{stem}:{metric} regressed: {current:.3f} < {floor:.3f} "
                 f"(baseline {baseline:.3f}, tolerance {args.tolerance:.0%})"
-            )
-
-    for stem, metric, condition, floor in CONDITIONALLY_GATED:
-        current_doc = load(args.current_dir, stem)
-        if current_doc is None:
-            failures.append(f"missing current BENCH_{stem}.json (did the bench run?)")
-            continue
-        current = lookup(current_doc, metric)
-        if not isinstance(current, (int, float)):
-            # An older emitter that predates the metric: nothing to gate
-            # until the benchmark is rerun with the new emitter.
-            rows.append(f"  {stem}:{metric}: absent (not emitted) -> skipped")
-            continue
-        if lookup(current_doc, condition) is not True:
-            rows.append(
-                f"  {stem}:{metric}: current {current:.3f} -> informational "
-                f"({condition} is not true on this host)"
-            )
-            continue
-        baseline_doc = load(args.baseline_dir, stem) or {}
-        baseline = lookup(baseline_doc, metric)
-        threshold = floor if floor is not None else 0.0
-        # The committed baseline may come from a host where the condition
-        # did not hold (its ratio says nothing about parallel capacity);
-        # only fold it into the threshold when it was gate-active there.
-        if (
-            isinstance(baseline, (int, float))
-            and lookup(baseline_doc, condition) is True
-        ):
-            threshold = max(threshold, baseline * (1.0 - args.tolerance))
-        status = "ok" if current >= threshold else "REGRESSION"
-        rows.append(
-            f"  {stem}:{metric}: current {current:.3f}, threshold "
-            f"{threshold:.3f} ({condition} true) -> {status}"
-        )
-        if current < threshold:
-            failures.append(
-                f"{stem}:{metric} regressed: {current:.3f} < {threshold:.3f}"
             )
 
     for stem, metric in REQUIRED_TRUE:

@@ -4,9 +4,8 @@ The pass enforces, statically, the invariants the test suite can only
 catch dynamically: seeded randomness (RL001), a single wall-clock read
 point (RL002), no set-iteration order leaks (RL003), env reads through
 the flag registry (RL004/RL007/RL010), sim-vs-wall clock separation
-(RL005), optional-numpy hygiene (RL006), the decode-worker pickle
-boundary (RL008), store/service exception discipline (RL009) and
-justified suppressions (RL011).
+(RL005), optional-numpy hygiene (RL006), store/service exception
+discipline (RL009) and justified suppressions (RL011).
 
 Run it with ``python -m repro.analysis.lint [paths...]``; see
 ``--list-rules`` for the registry and ``reprolint-baseline.json`` for

@@ -36,8 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis.lint",
         description=(
             "reprolint: AST-based invariant checker for determinism, clock "
-            "discipline, optional-numpy hygiene, env-flag registration, "
-            "pickle boundaries and exception discipline."
+            "discipline, optional-numpy hygiene, env-flag registration "
+            "and exception discipline."
         ),
     )
     parser.add_argument(

@@ -12,7 +12,6 @@ dynamically (and only when they happen to execute the violating line):
            latency fields must declare their clock
 ``RL006``  optional-numpy hygiene: gated imports, guarded usage
 ``RL007``  every ``REPRO_*`` flag literal must be registered
-``RL008``  decode-worker pickle boundary stays in its declared type set
 ``RL009``  store/service raise ``repro.exceptions`` types, not builtins
 ``RL010``  generated env-flag docs must match the registry
 ``RL011``  suppressions need a justification and a known code
@@ -702,159 +701,6 @@ class EnvFlagRegistryRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# RL008 — decode-worker pickle boundary
-# ----------------------------------------------------------------------
-
-_TYPING_WRAPPERS = frozenset({"Optional", "Union", "Any", "Literal"})
-
-
-def _annotation_type_names(node: ast.expr) -> set[str]:
-    """Base type names referenced by an annotation expression.
-
-    String annotations (``"dict[int, DecodeReport]"``) are parsed and
-    recursed into; subscripts, unions and tuples contribute every part.
-    """
-    names: set[str] = set()
-    if isinstance(node, ast.Constant):
-        if node.value is None:
-            names.add("None")
-        elif isinstance(node.value, str):
-            try:
-                parsed = ast.parse(node.value, mode="eval").body
-            except SyntaxError:
-                names.add(node.value)
-            else:
-                names |= _annotation_type_names(parsed)
-        return names
-    if isinstance(node, ast.Name):
-        if node.id not in _TYPING_WRAPPERS:
-            names.add(node.id)
-        return names
-    if isinstance(node, ast.Attribute):
-        if node.attr not in _TYPING_WRAPPERS:
-            names.add(node.attr)
-        return names
-    if isinstance(node, ast.Subscript):
-        names |= _annotation_type_names(node.value)
-        names |= _annotation_type_names(node.slice)
-        return names
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
-        names |= _annotation_type_names(node.left)
-        names |= _annotation_type_names(node.right)
-        return names
-    if isinstance(node, ast.Tuple):
-        for element in node.elts:
-            names |= _annotation_type_names(element)
-        return names
-    return names
-
-
-class PickleBoundaryRule(Rule):
-    """Worker payload types stay in the declared picklable set."""
-
-    code = "RL008"
-    name = "pickle-boundary"
-    description = (
-        "Types in the signature of _run_stage_task, the DecodeEngine's one "
-        "worker entry point, must appear in PICKLE_BOUNDARY_TYPES — the "
-        "declared set of types proven to pickle deterministically "
-        "(GaloisField.cached precedent)."
-    )
-    scopes = ("src/repro/pipeline/parallel.py",)
-
-    _BOUNDARY_FUNCTIONS: tuple[str, ...] = ("_run_stage_task",)
-
-    def check(self, ctx: FileContext) -> list[Finding]:
-        declared = self._declared_types(ctx.tree)
-        if declared is None:
-            return [
-                self.finding(
-                    ctx,
-                    1,
-                    "PICKLE_BOUNDARY_TYPES (frozenset of type names allowed "
-                    "across the worker boundary) is not declared",
-                )
-            ]
-        findings: list[Finding] = []
-        checked_any = False
-        for node in ctx.tree.body:
-            if (
-                isinstance(node, ast.FunctionDef)
-                and node.name in self._BOUNDARY_FUNCTIONS
-            ):
-                checked_any = True
-                arguments = [
-                    *node.args.posonlyargs,
-                    *node.args.args,
-                    *node.args.kwonlyargs,
-                ]
-                for argument in arguments:
-                    if argument.annotation is not None:
-                        findings.extend(
-                            self._check_annotation(
-                                ctx, argument.annotation, declared
-                            )
-                        )
-                if node.returns is not None:
-                    findings.extend(
-                        self._check_annotation(ctx, node.returns, declared)
-                    )
-        if not checked_any:
-            findings.append(
-                self.finding(
-                    ctx,
-                    1,
-                    "the _run_stage_task worker entry point was not found; "
-                    "update PickleBoundaryRule alongside the engine",
-                )
-            )
-        return findings
-
-    def _declared_types(self, tree: ast.Module) -> set[str] | None:
-        for node in tree.body:
-            if not isinstance(node, ast.Assign):
-                continue
-            if not any(
-                isinstance(target, ast.Name)
-                and target.id == "PICKLE_BOUNDARY_TYPES"
-                for target in node.targets
-            ):
-                continue
-            value = node.value
-            if (
-                isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Name)
-                and value.func.id == "frozenset"
-                and value.args
-            ):
-                value = value.args[0]
-            if isinstance(value, ast.Set):
-                return {
-                    element.value
-                    for element in value.elts
-                    if isinstance(element, ast.Constant)
-                    and isinstance(element.value, str)
-                }
-        return None
-
-    def _check_annotation(
-        self, ctx: FileContext, annotation: ast.expr, declared: set[str]
-    ) -> list[Finding]:
-        findings: list[Finding] = []
-        for name in sorted(_annotation_type_names(annotation)):
-            if name not in declared:
-                findings.append(
-                    self.finding(
-                        ctx,
-                        annotation.lineno,
-                        f"type {name!r} crosses the decode-worker pickle "
-                        "boundary but is not in PICKLE_BOUNDARY_TYPES",
-                    )
-                )
-        return findings
-
-
-# ----------------------------------------------------------------------
 # RL009 — exception discipline in store/service
 # ----------------------------------------------------------------------
 
@@ -982,7 +828,6 @@ ALL_RULES: tuple[Rule, ...] = (
     ClockDisciplineRule(),
     OptionalNumpyRule(),
     EnvFlagRegistryRule(),
-    PickleBoundaryRule(),
     ExceptionDisciplineRule(),
     EnvDocsRule(),
     SuppressionRule(),
@@ -1000,7 +845,6 @@ __all__ = [
     "EnvReadRule",
     "ExceptionDisciplineRule",
     "OptionalNumpyRule",
-    "PickleBoundaryRule",
     "SetIterationRule",
     "SuppressionRule",
     "UnseededRandomRule",

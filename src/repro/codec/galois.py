@@ -34,9 +34,9 @@ _PRIMITIVE_POLYNOMIALS: dict[int, int] = {
 
 #: Module-scope exp/log tables keyed by ``(m, primitive_polynomial)``.
 #: Every :class:`GaloisField` built for the same field — no matter how it
-#: was constructed, pickled into a worker, or wrapped by a codec backend —
-#: binds the *same* list objects, so the tables exist once per process and
-#: the python and numpy backends provably read one table source.
+#: was constructed or wrapped by a codec backend — binds the *same* list
+#: objects, so the tables exist once per process and the python and numpy
+#: backends provably read one table source.
 _TABLE_CACHE: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
 
 
@@ -110,11 +110,6 @@ class GaloisField:
         for power in range(self.max_value, 2 * self.size):
             self._exp[power] = self._exp[power - self.max_value]
         _TABLE_CACHE[key] = (self._exp, self._log)
-
-    def __reduce__(self):
-        # Unpickling (e.g. shipping a codec to a decode worker) resolves to
-        # the shared per-process instance instead of rebuilding tables.
-        return (GaloisField.cached, (self.m, self.primitive_polynomial))
 
     # ------------------------------------------------------------------
     # Element arithmetic

@@ -116,13 +116,6 @@ class Partition:
             tuple[int, int], tuple[PrefixCover, tuple[ElongatedPrimer, ...]]
         ] = {}
 
-    def __getstate__(self) -> dict:
-        # Plans are rebuilt on demand: a pickled partition (a decode-pool
-        # payload) carries an empty memo.
-        state = self.__dict__.copy()
-        state["_range_plans"] = {}
-        return state
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -53,29 +53,12 @@ class EnvFlag:
 
 _FLAGS: tuple[EnvFlag, ...] = (
     EnvFlag(
-        name="REPRO_CLUSTER_SHARDS",
-        default="1",
-        accepted="positive integer (1 = unsharded serial clustering)",
-        owner="repro.pipeline.clustering",
-        description="Shard count for intra-partition clustering "
-        "(signature-bucket shards agglomerate independently); clusters are "
-        "byte-identical at any shard count.",
-    ),
-    EnvFlag(
         name="REPRO_CODEC_BACKEND",
         default="auto",
         accepted="auto | numpy | python",
         owner="repro.codec.backend",
         description="Which batched GF(2^m)/Reed-Solomon codec backend to use "
         "(auto prefers numpy when importable).",
-    ),
-    EnvFlag(
-        name="REPRO_DECODE_WORKERS",
-        default="",
-        accepted="positive integer (blank = CPU count; 1 = inline serial)",
-        owner="repro.pipeline.parallel",
-        description="Worker-process count for the parallel decode engine; "
-        "results are byte-identical at any worker count.",
     ),
     EnvFlag(
         name="REPRO_FUSED_KERNELS",

@@ -7,8 +7,7 @@ render a run as a Perfetto/Chrome-trace timeline, a plain-text digest,
 or a JSON-able snapshot for ``BENCH_*.json``.
 
 * :mod:`repro.observability.tracing` — :class:`Tracer` / :class:`Span`:
-  sim-clock and wall-clock span trees with cross-process adoption (the
-  parallel decode engine's workers ship their spans home).
+  sim-clock and wall-clock span trees.
 * :mod:`repro.observability.metrics` — :class:`MetricsRegistry` of
   counters, gauges and histograms, snapshot-able per run.
 * :mod:`repro.observability.stages` — the per-stage wall-clock collector
@@ -49,7 +48,6 @@ from repro.observability.tracing import (
     current_tracer,
     maybe_wall_span,
     tracing_enabled,
-    worker_track,
 )
 
 __all__ = [
@@ -74,6 +72,5 @@ __all__ = [
     "stage",
     "text_summary",
     "tracing_enabled",
-    "worker_track",
     "write_chrome_trace",
 ]

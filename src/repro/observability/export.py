@@ -9,9 +9,9 @@ seconds:
 * pid 1 — "simulated clock (hours)": one thread (track) per tenant and
   per wetlab lane; 1 simulated hour is rendered as 3600 "seconds" of
   trace time (µs × 3.6e9).
-* pid 2 — "wall clock (seconds)": one track for the service process and
-  one per decode worker; timestamps are rebased to the earliest wall
-  span so the timeline starts near zero.
+* pid 2 — "wall clock (seconds)": the service process's track;
+  timestamps are rebased to the earliest wall span so the timeline
+  starts near zero.
 
 :func:`span_coverage` computes, per request root span, the fraction of
 its extent covered by the union of its sim-clock descendants — the
@@ -39,10 +39,10 @@ _WALL_PID = 2
 
 
 def _track_sort_key(track: str) -> tuple:
-    """Group tracks by kind, then name — tenants, lanes, service, workers."""
+    """Group tracks by kind, then name — tenants, lanes, service."""
     kind, _, rest = track.partition(":")
-    order = {"tenant": 0, "lane": 1, "service": 2, "worker": 3}.get(kind, 4)
-    # Numeric suffixes (lane ids, pids) sort numerically.
+    order = {"tenant": 0, "lane": 1, "service": 2}.get(kind, 3)
+    # Numeric suffixes (lane ids) sort numerically.
     return (order, (0, int(rest)) if rest.isdigit() else (1, rest), track)
 
 
@@ -249,7 +249,7 @@ class RunObservability:
 
     Attributes:
         spans: every span the run recorded (request trees, lane
-            occupancy, decode-worker wall clock), in recording order.
+            occupancy, decode wall clock), in recording order.
         metrics: the metrics registry's snapshot — a flat JSON-able dict
             of counters, gauges and histogram summaries.
     """

@@ -1,13 +1,13 @@
 """Per-stage wall-clock accounting for the decode hot path.
 
-The decode engine and the benchmarks want to know where a readout decode
-spends its time — clustering, consensus, Reed-Solomon syndrome/solve — on
-top of the end-to-end number.  A global collector keeps the hot path free
-of plumbing: the engine (or a benchmark) opens :func:`collect_stages`
-around a decode, the pipeline brackets its phases with :func:`stage`, and
-everything recorded in between lands in the collector's dict.  When no
-collector is active, :func:`stage` is a no-op ``yield``, so ordinary
-decodes pay nothing.
+The serving pipeline and the benchmarks want to know where a readout
+decode spends its time — clustering, consensus, Reed-Solomon
+syndrome/solve — on top of the end-to-end number.  A global collector
+keeps the hot path free of plumbing: the caller opens
+:func:`collect_stages` around a decode, the pipeline brackets its phases
+with :func:`stage`, and everything recorded in between lands in the
+collector's dict.  When no collector is active, :func:`stage` is a no-op
+``yield``, so ordinary decodes pay nothing.
 
 On top of the aggregate dict, :func:`stage` also emits a wall-clock
 :class:`~repro.observability.tracing.Span` when an ambient tracer is
@@ -15,9 +15,8 @@ active, so traced runs get *individual* stage regions (nested under
 whatever decode span is open) while the collector keeps the cheap
 per-run totals.
 
-The collector is process-global (each worker process of the parallel
-engine collects its own stages and ships them back with its result); the
-``stage`` regions in the pipeline never nest.
+The collector is process-global, and the ``stage`` regions in the
+pipeline never nest.
 """
 
 from __future__ import annotations
@@ -80,9 +79,9 @@ def stage(name: str) -> Iterator[None]:
 def record_stages(stages: dict[str, float]) -> None:
     """Add an already-collected stage breakdown into the active collector.
 
-    The parallel engine's workers collect stages in their own process and
-    ship the dict back with each result; the parent calls this to fold
-    them into whatever collection *it* has open.  No-op without one.
+    A serving run collects its stages in its own collector, which
+    shadows any the caller opened; it calls this on the way out to fold
+    them into the caller's collection.  No-op without one.
     """
     if _collector is None or not stages:
         return

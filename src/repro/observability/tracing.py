@@ -19,25 +19,15 @@ instrumentation site guards on ``tracer is None`` (or the module-level
 :func:`current_tracer`, one global read), allocates nothing, and never
 perturbs simulation state — enabling tracing must not (and does not)
 change request outcomes.
-
-**Cross-process propagation.**  The parallel decode engine
-(:mod:`repro.pipeline.parallel`) forwards a ``trace`` flag to its worker
-processes; each worker runs its task under a fresh local tracer
-(activated via :func:`activate`, exactly like the stage-timing
-collector) and ships its spans back with the result, where the parent
-tracer :meth:`~Tracer.adopt` s them — remapping span ids and re-rooting
-them under the engine's decode span — so one trace covers the whole
-request, whatever the worker count.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro import envflags
 
@@ -73,11 +63,11 @@ class Span:
     """One timed region on one track of one clock.
 
     Attributes:
-        span_id: tracer-local id (remapped on cross-process adoption).
+        span_id: tracer-local id.
         parent_id: enclosing span's id, or ``None`` for a root span.
         name: what the region is ("read obj-3", "queue_wait", "cluster").
         track: the timeline the span renders on — ``tenant:<name>``,
-            ``lane:<index>``, ``worker:<pid>``, ``service``.
+            ``lane:<index>``, ``service``.
         clock: :data:`SIM_CLOCK` (simulated hours) or :data:`WALL_CLOCK`
             (host seconds); start/end are on this clock only.
         start / end: span extent on ``clock`` (``end=None`` = still open).
@@ -210,48 +200,6 @@ class Tracer:
             self._stack.pop()
             span.end = perf_counter()
 
-    # ------------------------------------------------------------------
-    # Cross-process adoption
-    # ------------------------------------------------------------------
-    def adopt(
-        self,
-        spans: Iterable[Span],
-        *,
-        parent: Span | None | object = _CURRENT,
-    ) -> list[Span]:
-        """Fold foreign span records into this tracer.
-
-        Used by the decode engine: worker processes trace into their own
-        tracer and ship the spans back with their results; the parent
-        adopts them — ids are remapped into this tracer's sequence, and
-        records that were roots in the worker are re-parented under
-        ``parent`` (default: the current wall-span scope).
-        """
-        parent_span = self.current if parent is _CURRENT else parent
-        root_parent = parent_span.span_id if parent_span is not None else None
-        mapping: dict[int, int] = {}
-        adopted: list[Span] = []
-        for record in spans:
-            new_id = next(self._ids)
-            mapping[record.span_id] = new_id
-            if record.parent_id is None:
-                parent_id = root_parent
-            else:
-                parent_id = mapping.get(record.parent_id, root_parent)
-            span = Span(
-                span_id=new_id,
-                parent_id=parent_id,
-                name=record.name,
-                track=record.track,
-                clock=record.clock,
-                start=record.start,
-                end=record.end,
-                attributes=dict(record.attributes),
-            )
-            self.spans.append(span)
-            adopted.append(span)
-        return adopted
-
 
 # ----------------------------------------------------------------------
 # Ambient tracer (stage-timing-collector style)
@@ -268,9 +216,7 @@ def current_tracer() -> Tracer | None:
 def activate(tracer: Tracer | None) -> Iterator[Tracer | None]:
     """Make ``tracer`` ambient for the dynamic extent of the block.
 
-    ``activate(None)`` explicitly disables ambient tracing for the block
-    — decode workers use this to shed any tracer state inherited across
-    a ``fork`` when their task is untraced.
+    ``activate(None)`` explicitly disables ambient tracing for the block.
     """
     global _active
     previous = _active
@@ -296,11 +242,6 @@ def maybe_wall_span(name: str, **kwargs) -> Iterator[Span | None]:
         yield span
 
 
-def worker_track() -> str:
-    """The per-process decode-worker track name (one timeline per worker)."""
-    return f"worker:{os.getpid()}"
-
-
 __all__ = [
     "SIM_CLOCK",
     "WALL_CLOCK",
@@ -311,5 +252,4 @@ __all__ = [
     "maybe_wall_span",
     "tracing_enabled",
     "wall_now",
-    "worker_track",
 ]

@@ -27,34 +27,17 @@ single clustering decision:
   kernel, while the pure-Python backend keeps its per-pair banded
   reference.
 
-The two phases are exposed separately so the decode engine can
-parallelize *within* one readout:
-
-* :func:`route_reads` is the sequential phase-1 pass (routing is
-  order-dependent — the nearest-bucket search and the fused route memo
-  both depend on which buckets exist *so far* — so it always runs in one
-  place);
-* :func:`build_shard_payloads` partitions the routed buckets onto
-  ``REPRO_CLUSTER_SHARDS`` deterministic shards (CRC32 of the bucket
-  signature), :func:`cluster_shard` agglomerates one shard with builtin
-  in/out types (worker-safe), and :func:`merge_shard_clusters`
-  reassembles shard outputs into the exact serial result.
-
-Sharding is byte-identical at any shard count because phase-2
-agglomeration is independent *per bucket*: a read's bucket is fixed
-before any shard starts, and bucket signatures are pairwise more than
-``max_signature_errors`` apart by construction (a closer signature would
-have been routed into the existing bucket, not created), so no
-cross-shard comparisons can ever change a membership decision.
+Clustering runs in two phases: :func:`route_reads` routes every read to
+a signature bucket (order-dependent — the nearest-bucket search and the
+fused route memo both depend on which buckets exist *so far*), then each
+bucket agglomerates on its own.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro import envflags
 from repro.exceptions import ClusteringError
 from repro.fastpath import fused_kernels_enabled
 from repro.pipeline.distance import (
@@ -79,12 +62,8 @@ _CHUNK_MAX = 64
 
 _KMER_SIZE = 6
 
-_SHARDS_ENV = "REPRO_CLUSTER_SHARDS"
-
-#: Defaults shared by every clustering entry point (``cluster_reads``,
-#: ``route_reads``, ``cluster_shard`` and the decode engine's staged
-#: path) so a sharded run can never drift from the serial one by using
-#: different thresholds.
+#: Defaults shared by the clustering entry points (``cluster_reads`` and
+#: ``route_reads``).
 DEFAULT_MAX_SIGNATURE_ERRORS = 2
 DEFAULT_MAX_READ_DISTANCE = 12
 DEFAULT_MIN_KMER_SIMILARITY = 0.35
@@ -116,36 +95,6 @@ class ReadCluster:
         if not self.reads:
             raise ClusteringError("cluster has no reads")
         return self.reads[0]
-
-
-def resolve_cluster_shards(shards: int | None = None) -> int:
-    """The effective clustering shard count: argument, then env, then 1."""
-    if shards is None:
-        raw = envflags.read(_SHARDS_ENV).strip()
-        if raw:
-            try:
-                shards = int(raw)
-            except ValueError:
-                raise ClusteringError(
-                    f"{_SHARDS_ENV} must be an integer, got {raw!r}"
-                ) from None
-        else:
-            shards = 1
-    if shards < 1:
-        raise ClusteringError("cluster shard count must be >= 1")
-    return shards
-
-
-def shard_of_signature(signature: str, shards: int) -> int:
-    """The deterministic home shard of a bucket signature.
-
-    CRC32 is stable across processes, platforms and interpreter runs
-    (unlike ``hash()``, which is salted per process), so a bucket lands
-    on the same shard wherever the assignment is computed.
-    """
-    if shards <= 1:
-        return 0
-    return zlib.crc32(signature.encode("utf-8", "surrogatepass")) % shards
 
 
 def _signature(read: str, signature_start: int, signature_length: int) -> str:
@@ -198,20 +147,6 @@ class _SignatureIndex:
         return sorted(found, key=self._creation_order.__getitem__)
 
 
-@dataclass
-class RoutedReads:
-    """Outcome of the sequential signature-routing pass (phase 1).
-
-    ``bucket_reads`` maps bucket signature → member read indices, with
-    keys in bucket **creation order** (dict insertion order).  Routing is
-    what makes sharding safe: every read's bucket is fixed here, before
-    any shard starts agglomerating, so shard boundaries can never change
-    a membership decision.
-    """
-
-    bucket_reads: dict[str, list[int]]
-
-
 def route_reads(
     reads: Sequence[str],
     *,
@@ -219,11 +154,13 @@ def route_reads(
     signature_length: int,
     max_signature_errors: int = DEFAULT_MAX_SIGNATURE_ERRORS,
     distance_backend: str | DistanceBackend | None = None,
-) -> RoutedReads:
+) -> dict[str, list[int]]:
     """Phase 1 — route each read to a signature bucket.
 
-    Routing only depends on which buckets exist, never on cluster
-    contents, so it is a cheap sequential pass over the signature index.
+    Returns bucket signature → member read indices, with keys in bucket
+    creation order.  Routing only depends on which buckets exist, never
+    on cluster contents, so it is a cheap sequential pass over the
+    signature index.
 
     Corrupted signatures repeat heavily (every read of a skewed strand
     shares the same corruption), so the fused path memoizes each routed
@@ -289,7 +226,7 @@ def route_reads(
                 index.add(signature)
                 created_signatures.append(signature)
         bucket_reads[signature].append(read_index)
-    return RoutedReads(bucket_reads=bucket_reads)
+    return bucket_reads
 
 
 def _agglomerate(
@@ -479,136 +416,6 @@ def _agglomerate(
     return buckets
 
 
-@dataclass(frozen=True)
-class ClusterShard:
-    """One shard of a clustering workload (phase-2 input).
-
-    Attributes:
-        shard: the shard index (``shard_of_signature`` of every bucket).
-        reads: the shard's member reads, grouped contiguously per bucket.
-        buckets: ``(signature, member_count)`` per bucket, in global
-            bucket-creation order restricted to this shard.
-    """
-
-    shard: int
-    reads: list[str]
-    buckets: list[tuple[str, int]]
-
-
-def build_shard_payloads(
-    reads: Sequence[str],
-    bucket_reads: dict[str, list[int]],
-    shards: int,
-) -> list[ClusterShard]:
-    """Partition routed buckets onto ``shards`` deterministic shards.
-
-    Buckets — never individual reads — are the sharding unit: phase-2
-    agglomeration is independent per bucket, so *any* bucket partition
-    reproduces the serial clusters exactly, and hashing the bucket
-    signature keeps the assignment stable across processes and runs.
-    Corrupted-signature reads were already routed to their home bucket by
-    the SymSpell deletion-neighborhood index, so they follow that
-    bucket's shard no matter where their corrupted signature itself would
-    have hashed.  Empty shards are dropped.
-    """
-    grouped: list[list[tuple[str, list[int]]]] = [[] for _ in range(shards)]
-    for signature, members in bucket_reads.items():
-        grouped[shard_of_signature(signature, shards)].append(
-            (signature, members)
-        )
-    payloads: list[ClusterShard] = []
-    for shard_index, entries in enumerate(grouped):
-        if not entries:
-            continue
-        flat: list[str] = []
-        sizes: list[tuple[str, int]] = []
-        for signature, members in entries:
-            sizes.append((signature, len(members)))
-            flat.extend(reads[read_index] for read_index in members)
-        payloads.append(
-            ClusterShard(shard=shard_index, reads=flat, buckets=sizes)
-        )
-    return payloads
-
-
-def cluster_shard(
-    reads: list[str],
-    buckets: list[tuple[str, int]],
-    *,
-    max_read_distance: int = DEFAULT_MAX_READ_DISTANCE,
-    min_kmer_similarity: float = DEFAULT_MIN_KMER_SIMILARITY,
-    distance_backend: str | DistanceBackend | None = None,
-) -> list[tuple[str, list[list[str]]]]:
-    """Agglomerate one clustering shard (pure function, worker-safe).
-
-    ``reads`` holds the shard's member reads grouped contiguously per
-    bucket and ``buckets`` lists ``(signature, member_count)`` in bucket
-    creation order — exactly a :class:`ClusterShard`'s fields.  Returns
-    ``(signature, clusters as read lists)`` per bucket, builtin types
-    only, so payload and result cross the decode-worker pickle boundary
-    without custom classes.
-    """
-    require_non_negative("max_read_distance", max_read_distance)
-    backend = get_distance_backend(distance_backend)
-    bucket_reads: dict[str, list[int]] = {}
-    offset = 0
-    for signature, count in buckets:
-        bucket_reads[signature] = list(range(offset, offset + count))
-        offset += count
-    if offset != len(reads):
-        raise ClusteringError(
-            f"shard buckets cover {offset} reads, payload has {len(reads)}"
-        )
-    agglomerated = _agglomerate(
-        reads,
-        bucket_reads,
-        max_read_distance=max_read_distance,
-        min_kmer_similarity=min_kmer_similarity,
-        backend=backend,
-    )
-    return [
-        (signature, [list(cluster.reads) for cluster in clusters])
-        for signature, clusters in agglomerated.items()
-    ]
-
-
-def merge_shard_clusters(
-    routed: RoutedReads,
-    shard_outputs: Iterable[list[tuple[str, list[list[str]]]]],
-) -> list[ReadCluster]:
-    """Deterministic cross-shard reconciliation.
-
-    Shard outputs are reassembled in **global bucket-creation order**
-    (the routing pass's key order), then the serial path's final stable
-    size sort is applied — which makes the merged result byte-identical
-    to the unsharded run at any shard count.
-
-    No representative-vs-representative comparisons are needed here:
-    routing guarantees every pair of bucket signatures is more than
-    ``max_signature_errors`` apart (a closer signature would have been
-    routed into the existing bucket instead of creating a new one), so
-    no two shards can ever hold mergeable buckets and reconciliation
-    reduces to exact order restoration.
-    """
-    by_signature: dict[str, list[list[str]]] = {}
-    for output in shard_outputs:
-        for signature, groups in output:
-            by_signature[signature] = groups
-    clusters: list[ReadCluster] = []
-    for signature in routed.bucket_reads:
-        groups = by_signature.get(signature)
-        if groups is None:
-            raise ClusteringError(
-                f"shard outputs are missing bucket {signature!r}"
-            )
-        clusters.extend(
-            ReadCluster(signature=signature, reads=list(group))
-            for group in groups
-        )
-    clusters.sort(key=lambda cluster: cluster.size, reverse=True)
-    return clusters
-
-
 def cluster_reads(
     reads: list[str],
     *,
@@ -618,7 +425,6 @@ def cluster_reads(
     max_read_distance: int = DEFAULT_MAX_READ_DISTANCE,
     min_kmer_similarity: float = DEFAULT_MIN_KMER_SIMILARITY,
     distance_backend: str | DistanceBackend | None = None,
-    shards: int | None = None,
 ) -> list[ReadCluster]:
     """Cluster reads into per-strand groups.
 
@@ -638,12 +444,6 @@ def cluster_reads(
         distance_backend: ``"python"``, ``"numpy"``, ``"auto"``/None (numpy
             when importable) or a backend instance.  Both backends produce
             identical clusters.
-        shards: clustering shard count (``None`` =
-            ``REPRO_CLUSTER_SHARDS``, then 1).  Any value produces
-            byte-identical clusters; values above 1 agglomerate the
-            signature shards independently — inline here, or on the
-            decode-engine pool when the staged engine drives the same
-            primitives.
 
     Returns:
         Clusters sorted by decreasing size (the order in which the decoder
@@ -656,30 +456,16 @@ def cluster_reads(
     require_non_negative("max_signature_errors", max_signature_errors)
     require_non_negative("max_read_distance", max_read_distance)
     backend = get_distance_backend(distance_backend)
-    shard_count = resolve_cluster_shards(shards)
-    routed = route_reads(
+    bucket_reads = route_reads(
         reads,
         signature_start=signature_start,
         signature_length=signature_length,
         max_signature_errors=max_signature_errors,
         distance_backend=backend,
     )
-    if shard_count > 1:
-        payloads = build_shard_payloads(reads, routed.bucket_reads, shard_count)
-        outputs = [
-            cluster_shard(
-                payload.reads,
-                payload.buckets,
-                max_read_distance=max_read_distance,
-                min_kmer_similarity=min_kmer_similarity,
-                distance_backend=backend,
-            )
-            for payload in payloads
-        ]
-        return merge_shard_clusters(routed, outputs)
     buckets = _agglomerate(
         reads,
-        routed.bucket_reads,
+        bucket_reads,
         max_read_distance=max_read_distance,
         min_kmer_similarity=min_kmer_similarity,
         backend=backend,

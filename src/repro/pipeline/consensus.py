@@ -118,39 +118,6 @@ def double_sided_bma(reads: list[str], length: int) -> str:
     return forward[:half] + backward[half:]
 
 
-def split_consensus_batches(
-    read_groups: Sequence[list[str]], batches: int
-) -> list[list[list[str]]]:
-    """Split a consensus workload into contiguous, read-balanced chunks.
-
-    Group boundaries depend only on the group sizes, so the split is
-    deterministic, and groups reconstruct independently, so concatenating
-    the per-chunk :func:`consensus_batch` outputs equals one whole-batch
-    call — which is what lets the decode engine farm consensus chunks to
-    different workers without changing a single strand.
-    """
-    if not read_groups:
-        return []
-    if batches <= 1 or len(read_groups) == 1:
-        return [list(read_groups)]
-    total = sum(len(group) for group in read_groups)
-    chunks: list[list[list[str]]] = []
-    current: list[list[str]] = []
-    consumed = 0
-    for group in read_groups:
-        current.append(group)
-        consumed += len(group)
-        if (
-            len(chunks) + 1 < batches
-            and consumed * batches >= total * (len(chunks) + 1)
-        ):
-            chunks.append(current)
-            current = []
-    if current:
-        chunks.append(current)
-    return chunks
-
-
 # ----------------------------------------------------------------------
 # Batched consensus
 # ----------------------------------------------------------------------

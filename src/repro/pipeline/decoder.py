@@ -52,8 +52,7 @@ class ReadoutPlan:
 
     Produced by :meth:`BlockDecoder.readout_plan`; downstream stages
     (clustering, consensus, candidate collection, solving) consume the
-    plan instead of re-deriving targets and filtered reads, which lets
-    the staged decode engine run those stages as separate pool tasks.
+    plan instead of re-deriving targets and filtered reads.
     """
 
     targets: list[int]
@@ -85,9 +84,7 @@ def try_decode_units_batch(
     All units go through one :meth:`Partition.decode_units_batch` call;
     if any unit is uncorrectable the batch is split in half so healthy
     units still decode in bulk and only failures drop out (they are
-    retried later by the per-slot candidate search).  A module-level
-    function so the decode engine can run the solve stage in a worker
-    without shipping a :class:`BlockDecoder`.
+    retried later by the per-slot candidate search).
     """
     keys = list(units) if keys is None else keys
     if not keys:
@@ -154,7 +151,6 @@ class BlockDecoder:
         max_candidates_per_address: int = 3,
         max_decode_attempts_per_slot: int = 48,
         distance_backend=None,
-        cluster_shards: int | None = None,
     ) -> None:
         self.partition = partition
         self.max_prefix_errors = max_prefix_errors
@@ -164,9 +160,6 @@ class BlockDecoder:
         #: Distance backend used by the clustering pass (``"python"``,
         #: ``"numpy"``, ``None`` for auto); both produce identical clusters.
         self.distance_backend = distance_backend
-        #: Clustering shard count (``None`` = ``REPRO_CLUSTER_SHARDS``);
-        #: any value yields byte-identical clusters.
-        self.cluster_shards = cluster_shards
 
     # ------------------------------------------------------------------
     # Internals
@@ -418,7 +411,6 @@ class BlockDecoder:
                 signature_length=signature_length,
                 max_read_distance=self.max_read_distance,
                 distance_backend=self.distance_backend,
-                shards=self.cluster_shards,
             )
         report.clusters_total = len(clusters)
 
@@ -447,10 +439,8 @@ class BlockDecoder:
         return reports
 
     # ------------------------------------------------------------------
-    # Readout decode, decomposed by stage.  ``decode_readout`` composes
-    # these pieces inline; the staged decode engine drives the same
-    # pieces with the cluster shards, consensus batches and the batched
-    # solve running as separate pool tasks — byte-identical either way.
+    # Readout decode, decomposed by stage (``decode_readout`` composes
+    # these pieces).
     # ------------------------------------------------------------------
     def readout_plan(
         self, reads: list[str], blocks: list[int] | None = None
@@ -475,7 +465,6 @@ class BlockDecoder:
                 signature_length=signature_length,
                 max_read_distance=self.max_read_distance,
                 distance_backend=self.distance_backend,
-                shards=self.cluster_shards,
             )
 
     def collect_readout(

@@ -136,18 +136,19 @@ class TenantQoS:
     deadline_hours: float | None = None
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
+        # Each check is written so that NaN fails it.
+        if not self.weight > 0:
             raise ServiceError("QoS weight must be positive")
-        if self.rate_blocks_per_hour is not None and self.rate_blocks_per_hour <= 0:
+        if self.rate_blocks_per_hour is not None and not self.rate_blocks_per_hour > 0:
             raise ServiceError("rate_blocks_per_hour must be positive when set")
         if self.burst_blocks is not None:
-            if self.burst_blocks <= 0:
+            if not self.burst_blocks > 0:
                 raise ServiceError("burst_blocks must be positive when set")
             if self.rate_blocks_per_hour is None:
                 raise ServiceError("burst_blocks requires rate_blocks_per_hour")
         if self.priority < 0:
             raise ServiceError("priority must be non-negative")
-        if self.deadline_hours is not None and self.deadline_hours <= 0:
+        if self.deadline_hours is not None and not self.deadline_hours > 0:
             raise ServiceError("deadline_hours must be positive when set")
 
 

@@ -234,16 +234,9 @@ class ServiceConfig:
             block-decode failures (see :data:`DecodeFailureInjector`);
             honoured under both fidelities so retry accounting is testable
             without numpy.
-        decode_workers: worker processes of the parallel decode engine
-            used for wetlab-fidelity cycle decodes (``None`` defers to
-            ``REPRO_DECODE_WORKERS``, then the CPU count; ``1`` = serial).
-            Compute-side only: lane scheduling (wetlab time) is untouched,
-            and decoded bytes are identical for any worker count.
-        decode_cluster_shards: intra-partition clustering shard count of
-            the decode engine (``None`` defers to ``REPRO_CLUSTER_SHARDS``,
-            then 1 = unsharded).  Compute-side only, like
-            ``decode_workers``: clusters and decoded bytes are
-            byte-identical at any shard count.
+        decode_workers / decode_cluster_shards: ignored (every readout
+            decodes inline); validated as >= 1 when set, and accepted
+            only while ``perfbench/workloads.py`` still passes them.
         tracing: record the run's span tree and metrics registry
             (:mod:`repro.observability`) onto the report's
             ``observability`` field.  ``None`` defers to the
@@ -284,9 +277,11 @@ class ServiceConfig:
     qos: QoSConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.window_hours < 0:
+        # Each check is written so that NaN fails it (every ordered
+        # comparison with NaN is false).
+        if not self.window_hours >= 0:
             raise ServiceError("window_hours must be non-negative")
-        if self.pcr_hours < 0 or self.cache_service_hours < 0:
+        if not (self.pcr_hours >= 0 and self.cache_service_hours >= 0):
             raise ServiceError("stage latencies must be non-negative")
         if self.reads_per_block <= 0:
             raise ServiceError("reads_per_block must be positive")
@@ -296,9 +291,11 @@ class ServiceConfig:
             raise ServiceError("wetlab_lanes must be positive")
         if self.retry_budget < 0:
             raise ServiceError("retry_budget must be non-negative")
-        if self.retry_coverage_factor < 1.0:
+        if not self.retry_coverage_factor >= 1.0:
             raise ServiceError("retry_coverage_factor must be >= 1")
-        if self.synthesis_setup_hours < 0 or self.synthesis_hours_per_kilobase < 0:
+        if not (
+            self.synthesis_setup_hours >= 0 and self.synthesis_hours_per_kilobase >= 0
+        ):
             raise ServiceError("synthesis latencies must be non-negative")
         if self.cache_capacity_bytes <= 0:
             raise ServiceError("cache_capacity_bytes must be positive")
@@ -894,7 +891,7 @@ class _Run:
                     if previous_cache is None
                     else _InvalidationFanout(self.cache, previous_cache)
                 )
-            # A traced run activates its tracer (ambient — the decode engine
+            # A traced run activates its tracer (ambient — the store's decode
             # and stage regions find it there) and opens a stage collector
             # for the loop's extent; untraced runs skip both entirely.
             stages: dict[str, float] = {}
@@ -1335,12 +1332,7 @@ class _Run:
                     batch_seed=batch.batch_id,
                     reads_per_block=reads_per_block,
                 )
-            decoded, decode_failures = store.try_decode_blocks(
-                planned,
-                reads,
-                workers=self.config.decode_workers,
-                cluster_shards=self.config.decode_cluster_shards,
-            )
+            decoded, decode_failures = store.try_decode_blocks(planned, reads)
             for key, reason in decode_failures.items():
                 failures.setdefault(key, reason)
             for key, data in decoded.items():

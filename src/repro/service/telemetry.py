@@ -6,8 +6,8 @@ sim-clock side of the trace — one root span per admitted request on its
 tenant's track, phase children (write-barrier holds, queue wait, wetlab
 cycle rides, synthesis, cache service), and per-unit lane-occupancy spans
 — plus the run's :class:`~repro.observability.metrics.MetricsRegistry`
-counters.  Wall-clock spans (decode workers, pipeline stages, readout
-sampling) are recorded by the layers below through the ambient tracer the
+counters.  Wall-clock spans (per-partition decodes, pipeline stages,
+readout sampling) are recorded by the layers below through the ambient tracer the
 pipeline activates for the event loop's extent.
 
 Every hook is a plain method the simulator's event handlers call behind

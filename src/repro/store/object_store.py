@@ -29,7 +29,8 @@ time-travel reads of historical object versions.
 from __future__ import annotations
 
 from repro.exceptions import StoreError
-from repro.pipeline.parallel import DecodeTask, shared_engine
+from repro.observability.tracing import maybe_wall_span
+from repro.pipeline.decoder import BlockDecoder
 from repro.store.objects import ObjectRecord
 from repro.store.planner import (
     BatchReadPlan,
@@ -304,11 +305,10 @@ class ObjectStore:
             blocks_by_partition: partition-local block numbers to decode.
             reads_by_partition: raw read strings per partition name (e.g.
                 the sequencing output of the plan's PCR accesses).
-            workers: decode worker processes (``None`` =
-                ``REPRO_DECODE_WORKERS``, then CPU count; ``1`` = serial).
-            cluster_shards: intra-partition clustering shard count
-                (``None`` = ``REPRO_CLUSTER_SHARDS``, then 1); results
-                are byte-identical at any shard count.
+            workers: ignored (decode is inline); validated as >= 1 when
+                set, and accepted only while ``perfbench/workloads.py``
+                still passes it.
+            cluster_shards: ignored and validated like ``workers``.
             decoder_options: forwarded to :class:`BlockDecoder`.
 
         Returns:
@@ -345,10 +345,10 @@ class ObjectStore:
         a wetlab cycle failed (insufficient coverage, unclusterable reads)
         so only the affected requests re-enter a deeper-coverage cycle.
 
-        Each partition's readout is one task of the process-parallel
-        :class:`~repro.pipeline.parallel.DecodeEngine` (``workers`` /
-        ``cluster_shards`` as in :meth:`decode_blocks`); results are
-        byte-identical for any worker and shard count.
+        Each partition's readout decodes inline, in
+        ``blocks_by_partition`` order, under one ``decode:<partition>``
+        wall span.  ``workers`` and ``cluster_shards`` are ignored, as in
+        :meth:`decode_blocks`.
 
         Returns:
             ``(payloads, failures)``: decoded current contents keyed by
@@ -356,39 +356,29 @@ class ObjectStore:
             per block that could not be decoded (missing partition reads
             fail every requested block of that partition).
         """
-        targets_of: dict[str, list[int]] = {}
-        tasks: list[DecodeTask] = []
-        task_index_of: dict[str, int] = {}
+        for name, value in (("workers", workers), ("cluster_shards", cluster_shards)):
+            if value is not None and value < 1:
+                raise StoreError(f"{name} must be >= 1 when set")
+        payloads: dict[tuple[str, int], bytes] = {}
+        failures: dict[tuple[str, int], str] = {}
         for partition_name, blocks in blocks_by_partition.items():
             if not blocks:
                 continue
-            targets_of[partition_name] = sorted(set(blocks))
+            targets = sorted(set(blocks))
             if partition_name not in reads_by_partition:
-                continue
-            task_index_of[partition_name] = len(tasks)
-            tasks.append(
-                DecodeTask(
-                    partition=self.volume.partition(partition_name),
-                    reads=reads_by_partition[partition_name],
-                    blocks=targets_of[partition_name],
-                    decoder_options=decoder_options,
-                    label=partition_name,
-                )
-            )
-        engine = shared_engine(workers=workers, cluster_shards=cluster_shards)
-        outcomes = engine.decode(tasks)
-
-        payloads: dict[tuple[str, int], bytes] = {}
-        failures: dict[tuple[str, int], str] = {}
-        for partition_name, targets in targets_of.items():
-            if partition_name not in task_index_of:
                 for block in targets:
                     failures[(partition_name, block)] = (
                         f"no reads provided for partition {partition_name!r}"
                     )
                 continue
             partition = self.volume.partition(partition_name)
-            reports = outcomes[task_index_of[partition_name]].reports
+            reads = reads_by_partition[partition_name]
+            with maybe_wall_span(
+                f"decode:{partition_name}", blocks=len(targets), reads=len(reads)
+            ):
+                reports = BlockDecoder(partition, **decoder_options).decode_readout(
+                    reads, targets
+                )
             for block in targets:
                 report = reports[block]
                 if not report.success or report.data is None:
@@ -419,6 +409,7 @@ class ObjectStore:
         Args:
             reads_by_partition: raw read strings per partition name (e.g.
                 the sequencing output of the plan's PCR accesses).
+            workers / cluster_shards: ignored, as in :meth:`decode_blocks`.
             decoder_options: forwarded to :class:`BlockDecoder`.
 
         Returns:

@@ -13,8 +13,8 @@ set) per accessed partition range.  The planner turns an object's extents
 A range's cover and primers depend only on its partition's index tree,
 forward primer and the range, so each partition memoises them per
 ``(start, end)`` (:meth:`repro.core.partition.Partition.range_plan`):
-bounded, oldest entry dropped first, and never pickled with the
-partition.  Serving traces plan the same hot ranges cycle after cycle.
+bounded, oldest entry dropped first.  Serving traces plan the same hot
+ranges cycle after cycle.
 
 The resulting :class:`BatchReadPlan` quantifies the wetlab work (primer
 and reaction counts, amplified-vs-wanted blocks) and carries the concrete

@@ -262,15 +262,15 @@ class WetlabReadout:
         batch_seed: int = 0,
         reads_per_block: int | None = None,
     ) -> dict[str, list[str]]:
-        """Per-partition reads of a plan, packed for the decode engine.
+        """Per-partition reads of a plan, packed for decoding.
 
         Each partition's list concatenates its units' reads in access
-        order — exactly the batch the parallel decode engine takes as one
-        :class:`~repro.pipeline.parallel.DecodeTask`, so the clustering
-        pass sees the same reads in the same order however many decode
-        workers (or wetlab lanes) are in play.  Per-unit randomness is
-        seeded by ``(wetlab seed, batch_seed, access index)``, never by
-        execution order.
+        order — exactly the readout
+        :meth:`~repro.store.object_store.ObjectStore.try_decode_blocks`
+        decodes per partition, so the clustering pass sees the same reads
+        in the same order however many wetlab lanes are in play.
+        Per-unit randomness is seeded by ``(wetlab seed, batch_seed,
+        access index)``, never by execution order.
         """
         reads_by_partition: dict[str, list[str]] = {}
         for unit in self.plan_units(plan):

@@ -32,7 +32,6 @@ NUMPY_FREE: tuple[str, ...] = (
     "test_addressing.py",
     "test_binary_codec.py",
     "test_capacity.py",
-    "test_cluster_shards.py",
     "test_codec_backends.py",
     "test_constrained.py",
     "test_distance_backends.py",
@@ -44,7 +43,6 @@ NUMPY_FREE: tuple[str, ...] = (
     "test_matrix_unit.py",
     "test_molecule.py",
     "test_observability.py",
-    "test_parallel_engine.py",
     "test_partition.py",
     "test_pool_manager.py",
     "test_prefix_cover.py",

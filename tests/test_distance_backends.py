@@ -19,7 +19,6 @@ from repro.exceptions import ClusteringError
 from repro.pipeline.clustering import (
     DEFAULT_MAX_READ_DISTANCE,
     cluster_reads,
-    cluster_shard,
     route_reads,
 )
 from repro.pipeline.distance import (
@@ -228,13 +227,6 @@ class TestNegativeBounds:
                 signature_start=0,
                 signature_length=4,
                 max_signature_errors=-1,
-                distance_backend=backend,
-            )
-        with pytest.raises(ClusteringError, match="max_read_distance"):
-            cluster_shard(
-                self.READS,
-                [("ACGT", len(self.READS))],
-                max_read_distance=-1,
                 distance_backend=backend,
             )
 

@@ -10,9 +10,7 @@ from repro.exceptions import ConfigError
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 EXPECTED_FLAGS = (
-    "REPRO_CLUSTER_SHARDS",
     "REPRO_CODEC_BACKEND",
-    "REPRO_DECODE_WORKERS",
     "REPRO_FUSED_KERNELS",
     "REPRO_QOS_SCALE_REQUESTS",
     "REPRO_TRACING",
@@ -56,10 +54,10 @@ class TestRead:
         assert envflags.read("REPRO_CODEC_BACKEND") == "python"
 
     def test_resolution_is_per_call(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DECODE_WORKERS", "2")
-        assert envflags.read("REPRO_DECODE_WORKERS") == "2"
-        monkeypatch.setenv("REPRO_DECODE_WORKERS", "4")
-        assert envflags.read("REPRO_DECODE_WORKERS") == "4"
+        monkeypatch.setenv("REPRO_QOS_SCALE_REQUESTS", "2")
+        assert envflags.read("REPRO_QOS_SCALE_REQUESTS") == "2"
+        monkeypatch.setenv("REPRO_QOS_SCALE_REQUESTS", "4")
+        assert envflags.read("REPRO_QOS_SCALE_REQUESTS") == "4"
 
 
 class TestEnabled:

@@ -168,13 +168,6 @@ class TestTableCache:
     def test_distinct_fields_do_not_share(self):
         assert GaloisField(4)._exp is not GaloisField(8)._exp
 
-    def test_pickle_resolves_to_the_shared_instance(self):
-        import pickle
-
-        field = GaloisField.cached(4)
-        clone = pickle.loads(pickle.dumps(field))
-        assert clone is field
-
     def test_python_and_numpy_backends_read_one_table_source(self):
         numpy = pytest.importorskip("numpy")
         from repro.codec.backend.numpy_backend import _FieldTables

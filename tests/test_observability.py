@@ -2,14 +2,13 @@
 
 The load-bearing guarantee: **tracing never changes outcomes**.  A traced
 :meth:`ServicePipeline.run` must deliver byte-identical results to an
-untraced one under every policy (and at wetlab fidelity with a worker
-pool), while producing a span tree that explains >= 95% of every
-request's latency and exports as valid Chrome-trace/Perfetto JSON.
+untraced one under every policy (and at wetlab fidelity), while
+producing a span tree that explains >= 95% of every request's latency
+and exports as valid Chrome-trace/Perfetto JSON.
 
-Unit coverage: span trees and cross-process adoption, the metrics
-registry's instrument kinds and collectors, the stage-timing shim's
-shared collector, the two-clock Perfetto export, and the cache's
-normalized metrics view.
+Unit coverage: span trees, the metrics registry's instrument kinds and
+collectors, the stage-timing shim's shared collector, the two-clock
+Perfetto export, and the cache's normalized metrics view.
 """
 
 import json
@@ -30,6 +29,7 @@ from repro.observability import (
     collect_stages,
     current_tracer,
     maybe_wall_span,
+    record_stages,
     span_coverage,
     stage,
     text_summary,
@@ -79,21 +79,6 @@ class TestTracer:
         assert inner.parent_id == outer.span_id
         assert outer.clock == WALL_CLOCK and outer.duration > 0.0
 
-    def test_adopt_remaps_ids_and_reroots(self):
-        worker = Tracer()
-        with worker.wall_span("decode:task"):
-            with worker.wall_span("cluster"):
-                pass
-        parent = Tracer()
-        with parent.wall_span("decode_engine") as engine:
-            adopted = parent.adopt(worker.spans)
-        roots = [span for span in adopted if span.name == "decode:task"]
-        stages_ = [span for span in adopted if span.name == "cluster"]
-        assert roots[0].parent_id == engine.span_id
-        assert stages_[0].parent_id == roots[0].span_id
-        ids = {span.span_id for span in parent.spans}
-        assert len(ids) == len(parent.spans)  # no id collisions
-
     def test_activate_and_maybe_wall_span(self):
         assert current_tracer() is None
         with maybe_wall_span("noop") as span:
@@ -103,7 +88,7 @@ class TestTracer:
             assert current_tracer() is tracer
             with maybe_wall_span("work", blocks=3) as span:
                 assert span is not None
-            with activate(None):  # workers shed fork-inherited tracers
+            with activate(None):  # an explicit None switches tracing off
                 assert current_tracer() is None
         assert current_tracer() is None
         assert [span.name for span in tracer.spans] == ["work"]
@@ -175,6 +160,13 @@ class TestStages:
         assert names == ["decode:task", "consensus"]
         assert tracer.spans[1].parent_id == tracer.spans[0].span_id
 
+    def test_record_stages_accumulates(self):
+        with collect_stages() as stages:
+            record_stages({"cluster": 1.0, "consensus": 0.5})
+            record_stages({"cluster": 0.25})
+        assert stages == {"cluster": 1.25, "consensus": 0.5}
+        record_stages({"cluster": 9.0})  # no active collector: no-op
+
 
 # ----------------------------------------------------------------------
 # Export
@@ -196,7 +188,7 @@ def _sample_spans() -> list[Span]:
     tracer.record(
         "unit:p0", start=0.5, end=2.0, track="lane:0", parent=None, clock=SIM_CLOCK
     )
-    with tracer.wall_span("decode:p0", track="worker:123"):
+    with tracer.wall_span("decode:p0"):
         pass
     return tracer.spans
 
@@ -217,7 +209,7 @@ class TestExport:
         }
         assert "hours" in process_names[1] and "seconds" in process_names[2]
         track_names = {e["args"]["name"] for e in meta if e["name"] == "thread_name"}
-        assert {"tenant:alpha", "lane:0", "worker:123"} <= track_names
+        assert {"tenant:alpha", "lane:0", "service"} <= track_names
         for event in complete:
             assert set(event) >= {"name", "pid", "tid", "ts", "dur", "args"}
             assert event["args"]["clock"] in (SIM_CLOCK, WALL_CLOCK)
@@ -467,7 +459,7 @@ class TestTracedServiceRuns:
 
 
 # ----------------------------------------------------------------------
-# Cross-process span propagation (decode worker pool)
+# Traced inline decode
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def decode_workload():
@@ -498,51 +490,50 @@ def decode_workload():
     return store, blocks, reads
 
 
-class TestWorkerSpanPropagation:
-    def test_pooled_decode_ships_spans_home(self, decode_workload):
-        store, blocks, reads = decode_workload
-        baseline = store.try_decode_blocks(blocks, reads, workers=1)
-        tracer = Tracer()
-        with activate(tracer):
-            traced = store.try_decode_blocks(blocks, reads, workers=2)
-        assert traced == baseline  # tracing + pooling change nothing
-        names = [span.name for span in tracer.spans]
-        assert any(name == "decode_engine" for name in names)
-        worker_tracks = {
-            span.track for span in tracer.spans if span.track.startswith("worker:")
-        }
-        assert worker_tracks, "worker spans should be adopted into the parent"
-        # Stage spans from inside the workers arrive nested under their
-        # task's decode span.
-        stage_spans = [span for span in tracer.spans if span.name in STAGES]
-        assert stage_spans
-        by_id = {span.span_id: span for span in tracer.spans}
-        for span in stage_spans:
-            assert span.clock == WALL_CLOCK
-            assert span.parent_id in by_id
-
-    def test_untraced_pooled_decode_records_nothing(self, decode_workload):
+class TestTracedDecode:
+    def test_traced_decode_is_byte_identical(self, decode_workload):
         store, blocks, reads = decode_workload
         assert current_tracer() is None
-        payloads, failures = store.try_decode_blocks(blocks, reads, workers=2)
-        assert not failures and payloads
+        untraced = store.try_decode_blocks(blocks, reads)
+        assert not untraced[1] and untraced[0]
+        tracer = Tracer()
+        with activate(tracer):
+            traced = store.try_decode_blocks(blocks, reads)
+        assert traced == untraced
 
-    def test_inline_decode_spans_land_in_ambient_tracer(self, decode_workload):
+    def test_one_decode_span_per_partition_holds_its_stages(self, decode_workload):
         store, blocks, reads = decode_workload
         tracer = Tracer()
         with activate(tracer):
-            store.try_decode_blocks(blocks, reads, workers=1)
-        names = [span.name for span in tracer.spans]
-        assert any(name.startswith("decode:") for name in names)
-        assert any(name in STAGES for name in names)
+            store.try_decode_blocks(blocks, reads)
+        decode_spans = {
+            span.span_id: span
+            for span in tracer.spans
+            if span.name.startswith("decode:")
+        }
+        assert sorted(span.name for span in decode_spans.values()) == sorted(
+            f"decode:{name}" for name in blocks
+        )
+        for span in decode_spans.values():
+            name = span.name.removeprefix("decode:")
+            assert span.clock == WALL_CLOCK and span.parent_id is None
+            assert span.attributes == {
+                "blocks": len(blocks[name]),
+                "reads": len(reads[name]),
+            }
+        stage_spans = [span for span in tracer.spans if span.name in STAGES]
+        assert {span.name for span in stage_spans} == set(STAGES)
+        for span in stage_spans:
+            assert span.clock == WALL_CLOCK
+            assert span.parent_id in decode_spans
 
 
 # ----------------------------------------------------------------------
-# Wetlab fidelity with a worker pool (numpy only)
+# Traced wetlab fidelity (numpy only)
 # ----------------------------------------------------------------------
 @pytest.mark.skipif(not _numpy_available(), reason="wetlab fidelity needs numpy")
 class TestTracedWetlab:
-    def test_traced_wetlab_with_workers_byte_identical(self):
+    def test_traced_wetlab_byte_identical(self):
         def run(tracing):
             volume = DnaVolume(
                 config=VolumeConfig(
@@ -556,11 +547,7 @@ class TestTracedWetlab:
             )
             for name, data in corpus.items():
                 store.put(name, data)
-            config = ServiceConfig(
-                reads_per_block=150,
-                decode_workers=2,
-                tracing=tracing,
-            )
+            config = ServiceConfig(reads_per_block=150, tracing=tracing)
             trace = [
                 RequestEvent(
                     time_hours=0.1 * i,
@@ -582,11 +569,9 @@ class TestTracedWetlab:
         obs = traced.observability
         coverage = obs.span_coverage()
         assert coverage and min(coverage.values()) >= 0.95
-        # The decode ran in worker processes; their spans came home.
-        worker_tracks = {
-            span.track for span in obs.spans if span.track.startswith("worker:")
-        }
-        assert worker_tracks
+        # Each cycle's decode is on the wall clock, one span per
+        # partition, with its stages inside.
+        assert any(span.name.startswith("decode:") for span in obs.spans)
         assert any(span.name in STAGES for span in obs.spans)
         json.dumps(obs.chrome_trace())
 

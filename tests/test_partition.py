@@ -1,7 +1,6 @@
 """Tests for the Partition (block store) API."""
 
 import os
-import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -291,15 +290,6 @@ class TestRangePlanMemo:
                     expected_keys.append((start, end))
                     del expected_keys[: -case["limit"]]
                 assert list(memo) == expected_keys
-
-    def test_pickled_partition_carries_no_plans(self):
-        partition = Partition(PartitionConfig(primers=PAIR, leaf_count=200, tree_seed=9))
-        ranges = [(0, 199), (3, 17), (3, 17), (150, 150)]
-        plans = [partition.range_plan(start, end) for start, end in ranges]
-        clone = pickle.loads(pickle.dumps(partition))
-        assert clone._range_plans == {}
-        assert len(partition._range_plans) == 3
-        assert [clone.range_plan(start, end) for start, end in ranges] == plans
 
 
 class TestDecoding:

@@ -62,7 +62,7 @@ class TestRegistry:
 
     def test_at_least_the_required_rule_domains_exist(self):
         assert len(ALL_RULES) >= 6
-        for code in ("RL001", "RL002", "RL004", "RL006", "RL007", "RL008", "RL009"):
+        for code in ("RL001", "RL002", "RL004", "RL006", "RL007", "RL009"):
             assert code in RULES_BY_CODE
 
     def test_every_rule_has_a_description(self):
@@ -319,65 +319,6 @@ class TestEnvFlagRegistry:
         source = 'a = "REPRO flag docs"\nb = "repro_tracing"\n'
         result = lint(tmp_path, {"src/repro/foo.py": source})
         assert codes(result) == []
-
-
-class TestPickleBoundary:
-    PARALLEL = "src/repro/pipeline/parallel.py"
-
-    def test_fires_when_declaration_missing(self, tmp_path):
-        source = "def _run_stage_task(kind: str) -> tuple:\n    return ()\n"
-        result = lint(tmp_path, {self.PARALLEL: source})
-        assert codes(result) == ["RL008"]
-
-    def test_fires_on_undeclared_boundary_type(self, tmp_path):
-        source = (
-            "PICKLE_BOUNDARY_TYPES = frozenset({'str', 'tuple'})\n"
-            "def _run_stage_task(kind: str, sneaky: SocketHolder) -> tuple:\n"
-            "    return ()\n"
-        )
-        result = lint(tmp_path, {self.PARALLEL: source})
-        assert codes(result) == ["RL008"]
-        assert "SocketHolder" in result.findings[0].message
-
-    def test_checks_run_task_signature_and_string_annotations(self, tmp_path):
-        source = (
-            "PICKLE_BOUNDARY_TYPES = frozenset({'str', 'dict', 'int', 'Report'})\n"
-            "def _run_stage_task(\n"
-            "    kind: Mystery, reports: 'dict[int, Report]'\n"
-            ") -> 'DecodeOutcome':\n"
-            "    return DecodeOutcome()\n"
-        )
-        result = lint(tmp_path, {self.PARALLEL: source})
-        flagged = {f.message.split("'")[1] for f in result.findings}
-        assert flagged == {"Mystery", "DecodeOutcome"}
-
-    def test_fires_when_entry_point_missing(self, tmp_path):
-        source = (
-            "PICKLE_BOUNDARY_TYPES = frozenset({'str'})\n"
-            "def _run_task(task: str) -> str:\n"
-            "    return task\n"
-        )
-        result = lint(tmp_path, {self.PARALLEL: source})
-        assert codes(result) == ["RL008"]
-        assert "_run_stage_task" in result.findings[0].message
-
-    def test_quiet_when_boundary_is_declared(self, tmp_path):
-        source = (
-            "PICKLE_BOUNDARY_TYPES = frozenset({'str', 'int', 'list', 'tuple'})\n"
-            "def _run_stage_task(kind: str, blocks: list[int]) -> tuple:\n"
-            "    return ()\n"
-        )
-        result = lint(tmp_path, {self.PARALLEL: source})
-        assert codes(result) == []
-
-    def test_real_parallel_module_is_clean(self):
-        result = run_lint(
-            [REPO_ROOT / "src/repro/pipeline/parallel.py"],
-            root=REPO_ROOT,
-            baseline_path=None,
-            env_docs=None,
-        )
-        assert [f for f in result.findings if f.code == "RL008"] == []
 
 
 class TestExceptionDiscipline:

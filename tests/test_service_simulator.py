@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import ServiceError
-from repro.service import POLICIES, ServiceConfig, ServicePipeline
+from repro.service import POLICIES, ServiceConfig, ServicePipeline, TenantQoS
 from repro.store import DnaVolume, ObjectStore, VolumeConfig
 from repro.workloads import RequestEvent, multi_tenant_trace
 from repro.workloads.objects import object_corpus
@@ -240,3 +240,70 @@ class TestCacheCoherence:
         assert held > 0
         store.delete(name)
         assert len(cache) < held
+
+
+_NAN_FIELDS = [
+    (ServiceConfig, name)
+    for name in (
+        "window_hours",
+        "pcr_hours",
+        "cache_service_hours",
+        "synthesis_setup_hours",
+        "synthesis_hours_per_kilobase",
+        "retry_coverage_factor",
+    )
+] + [
+    (TenantQoS, name)
+    for name in ("weight", "rate_blocks_per_hour", "burst_blocks", "deadline_hours")
+]
+
+
+@pytest.mark.parametrize(
+    "config_type, field", _NAN_FIELDS, ids=[name for _, name in _NAN_FIELDS]
+)
+def test_nan_config_field_rejected(config_type, field):
+    # NaN fails every ordered comparison, so a check written as ``x < 0``
+    # lets it through; a NaN latency used to surface only as NaN
+    # completion times in the report.  A burst needs a rate to get to
+    # its own check.
+    extra = {"rate_blocks_per_hour": 1.0} if field == "burst_blocks" else {}
+    with pytest.raises(ServiceError):
+        config_type(**extra, **{field: float("nan")})
+
+
+def test_decode_worker_and_shard_counts_are_validated():
+    # Both are ignored (decode is inline) but still rejected below 1.
+    for field in ("decode_workers", "decode_cluster_shards"):
+        with pytest.raises(ServiceError, match=field):
+            ServiceConfig(**{field: 0})
+        assert getattr(ServiceConfig(**{field: 4}), field) == 4
+
+
+def first_cycle_failure_injector():
+    """Fails one block of the first cycle the run schedules, once."""
+    first: list[tuple[int, tuple[str, int]]] = []
+
+    def injector(cycle_id, attempt, key):
+        if attempt == 1 and not first:
+            first.append((cycle_id, key))
+        return attempt == 1 and first[0] == (cycle_id, key)
+
+    return injector
+
+
+def test_injected_decode_failure_rides_a_retry_cycle():
+    store, catalog = build_store(objects=3, max_blocks=2)
+    trace = build_trace(catalog, requests=8, tenants=3)
+    simulator = ServicePipeline(
+        store,
+        config=ServiceConfig(
+            reads_per_block=120,
+            retry_budget=2,
+            decode_failure_injector=first_cycle_failure_injector(),
+        ),
+    )
+    report = simulator.run(trace, "batched+cache")
+    assert report.failed == ()
+    assert report.retry_cycles >= 1
+    assert report.decode_failures >= 1
+    assert max(completed.attempts for completed in report.completed) == 2

@@ -9,6 +9,8 @@ guarantee — per-request bytes identical to the reference path on the same
 trace — plus determinism and the request-isolation bugfixes.
 """
 
+import multiprocessing
+
 import pytest
 
 np = pytest.importorskip("numpy")
@@ -381,6 +383,51 @@ class TestWetlabPipeline:
         assert served.attempts > 1
         assert report.retry_cycles == served.attempts - 1
         assert report.payloads[served.request.request_id] == store.get("obj-0")
+
+
+class TestInlineDecode:
+    def test_default_config_run_leaves_no_child_process(self):
+        # Every readout decodes in the serving process itself.
+        store, catalog = build_store()
+        trace = multi_tenant_trace(
+            catalog, tenants=2, requests=6, duration_hours=2.0, seed=5
+        )
+        report = ServicePipeline(store, config=ServiceConfig()).run(
+            trace, "batched+cache", fidelity="wetlab"
+        )
+        assert report.batches > 0
+        assert len(report.completed) + len(report.failed) == len(trace)
+        assert multiprocessing.active_children() == []
+
+    def test_injected_failure_retry_matches_the_reference_run(self):
+        store, catalog = build_store(objects=3)
+        trace = multi_tenant_trace(
+            catalog, tenants=3, requests=8, duration_hours=6.0, seed=11
+        )
+
+        def run(fidelity):
+            first: list[tuple[int, tuple[str, int]]] = []
+
+            def injector(cycle_id, attempt, key):
+                if attempt == 1 and not first:
+                    first.append((cycle_id, key))
+                return attempt == 1 and first[0] == (cycle_id, key)
+
+            simulator = ServicePipeline(
+                store,
+                config=ServiceConfig(
+                    window_hours=0.5,
+                    reads_per_block=120,
+                    retry_budget=2,
+                    decode_failure_injector=injector,
+                ),
+            )
+            return simulator.run(trace, "batched+cache", fidelity=fidelity)
+
+        wetlab = run("wetlab")
+        assert wetlab.failed == ()
+        assert wetlab.retry_cycles >= 1
+        assert wetlab.checksum == run("reference").checksum
 
 
 class TestDecodeBlocksContract:

@@ -1,16 +1,24 @@
 """Digital tests for the repro.store volume layer.
 
 Covers striped allocation across partitions, named put/get/update/delete,
-block-granular patching, and the batched prefix-cover read planner.  No
-wetlab simulation here (and no numpy requirement); the full sequencing
-round trip lives in ``tests/test_store_wetlab_roundtrip.py``.
+block-granular patching, the batched prefix-cover read planner, and
+inline block decoding from digitally perfect reads.  No wetlab
+simulation here (and no numpy requirement); the full sequencing round
+trip lives in ``tests/test_store_wetlab_roundtrip.py``.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codec.backend import available_backends
 from repro.exceptions import StoreError
+from repro.observability.stages import collect_stages
+from repro.pipeline.distance import (
+    NumpyDistanceBackend,
+    PythonDistanceBackend,
+    available_distance_backends,
+)
 from repro.store import (
     DnaVolume,
     ObjectStore,
@@ -21,7 +29,7 @@ from repro.store import (
     plan_partition_ranges,
 )
 from repro.store.objects import Extent, ObjectRecord
-from repro.workloads.objects import synthetic_object
+from repro.workloads.objects import object_corpus, synthetic_object
 
 
 def small_store(**overrides) -> ObjectStore:
@@ -490,3 +498,121 @@ class TestCacheReadPath:
         assert cache.entries
         store.update("obj", 0, b"FRESH")
         assert store.get("obj")[:5] == b"FRESH"
+
+
+# ----------------------------------------------------------------------
+# Inline block decoding (try_decode_blocks)
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def decode_workload():
+    """A two-partition store with digitally perfect reads (numpy-free).
+
+    Each written partition contributes every strand three times — enough
+    coverage for clustering and consensus without a sequencing simulator.
+    """
+    volume = DnaVolume(
+        config=VolumeConfig(partition_leaf_count=16, stripe_blocks=2, stripe_width=2)
+    )
+    store = ObjectStore(volume)
+    corpus = object_corpus(
+        {f"obj-{i}": volume.block_size * 3 for i in range(3)}, seed=7
+    )
+    for name, data in corpus.items():
+        store.put(name, data)
+    blocks: dict[str, list[int]] = {}
+    reads: dict[str, list[str]] = {}
+    for partition_name in volume.partition_names:
+        partition = volume.partition(partition_name)
+        written = partition.written_blocks()
+        if not written:
+            continue
+        blocks[partition_name] = list(written)
+        reads[partition_name] = [
+            molecule.to_strand()
+            for molecule in partition.all_molecules()
+            for _ in range(3)
+        ]
+    assert len(blocks) >= 2, "the decode should span several partitions"
+    return store, blocks, reads
+
+
+def _distance_backend_specs() -> list[str]:
+    """Each distance backend by name, then as an instance."""
+    names = available_distance_backends()
+    return names + [f"{name}-instance" for name in names]
+
+
+class TestInlineDecode:
+    def test_decodes_every_block_to_the_stored_bytes(self, decode_workload):
+        store, blocks, reads = decode_workload
+        payloads, failures = store.try_decode_blocks(blocks, reads)
+        assert not failures
+        assert payloads == {
+            (name, block): store.volume.partition(name).read_block_reference(block)
+            for name, targets in blocks.items()
+            for block in targets
+        }
+
+    def test_codec_backends_decode_identically(self, decode_workload, monkeypatch):
+        store, blocks, reads = decode_workload
+        outputs = {}
+        for backend in available_backends():
+            monkeypatch.setenv("REPRO_CODEC_BACKEND", backend)
+            outputs[backend] = store.try_decode_blocks(blocks, reads)
+        assert not outputs["python"][1]
+        assert all(output == outputs["python"] for output in outputs.values())
+
+    @pytest.mark.parametrize("distance_backend", _distance_backend_specs())
+    def test_fused_and_reference_kernels_decode_identically(
+        self, decode_workload, monkeypatch, distance_backend
+    ):
+        # A backend goes to the decoder by name or as an instance.
+        store, blocks, reads = decode_workload
+        name, _, instance = distance_backend.partition("-")
+        backend = (
+            {"python": PythonDistanceBackend, "numpy": NumpyDistanceBackend}[name]()
+            if instance
+            else name
+        )
+        outputs = {}
+        for flag in ("0", "1"):
+            monkeypatch.setenv("REPRO_FUSED_KERNELS", flag)
+            outputs[flag] = store.try_decode_blocks(
+                blocks, reads, distance_backend=backend
+            )
+        assert outputs["0"] == outputs["1"]
+        assert not outputs["1"][1]
+
+    def test_missing_partition_reads_fail_per_block(self, decode_workload):
+        store, blocks, reads = decode_workload
+        dropped = next(iter(reads))
+        partial = {name: r for name, r in reads.items() if name != dropped}
+        payloads, failures = store.try_decode_blocks(blocks, partial)
+        assert set(failures) == {(dropped, block) for block in blocks[dropped]}
+        assert set(failures.values()) == {
+            f"no reads provided for partition {dropped!r}"
+        }
+        assert set(payloads) == {
+            (name, block)
+            for name, targets in blocks.items()
+            if name != dropped
+            for block in targets
+        }
+
+    def test_stage_seconds_land_in_the_callers_collector(self, decode_workload):
+        store, blocks, reads = decode_workload
+        with collect_stages() as stages:
+            store.try_decode_blocks(blocks, reads)
+        assert stages.get("cluster", 0.0) > 0.0
+        assert "consensus" in stages and "syndrome_solve" in stages
+
+    def test_worker_and_shard_counts_are_validated_and_ignored(
+        self, decode_workload
+    ):
+        store, blocks, reads = decode_workload
+        for counts in ({"workers": 0}, {"cluster_shards": 0}):
+            with pytest.raises(StoreError, match="must be >= 1"):
+                store.try_decode_blocks(blocks, reads, **counts)
+        assert store.try_decode_blocks(
+            blocks, reads, workers=2, cluster_shards=4
+        ) == store.try_decode_blocks(blocks, reads)
