@@ -30,6 +30,7 @@ from pathlib import Path
 NUMPY_FREE: tuple[str, ...] = (
     "test_address_space.py",
     "test_addressing.py",
+    "test_bench_regression_gate.py",
     "test_binary_codec.py",
     "test_capacity.py",
     "test_codec_backends.py",

@@ -113,6 +113,32 @@ class TestClustering:
         )
         assert clusters[0].size == 7
 
+    @pytest.mark.parametrize("fused", ["0", "1"])
+    @pytest.mark.parametrize("edit", ["substitution", "insertion", "deletion"])
+    def test_one_signature_edit_anywhere_routes_home(self, edit, fused, monkeypatch):
+        # Whatever the corrupt signature hashes or sorts to, the
+        # deletion-neighbourhood index routes it to its home bucket.  Each
+        # corrupt read comes twice, so the fused path also answers from
+        # its route memo.
+        monkeypatch.setenv("REPRO_FUSED_KERNELS", fused)
+        strand = self._strands(1)[0]
+        start, length = 20, 13
+        corrupted = []
+        for position in range(start, start + length):
+            other = "A" if strand[position] != "A" else "C"
+            if edit == "substitution":
+                read = strand[:position] + other + strand[position + 1 :]
+            elif edit == "insertion":
+                read = strand[:position] + other + strand[position:]
+            else:
+                read = strand[:position] + strand[position + 1 :]
+            corrupted += [read, read]
+        clusters = cluster_reads(
+            [strand] * 6 + corrupted, signature_start=start, signature_length=length
+        )
+        assert [cluster.size for cluster in clusters] == [6 + 2 * length]
+        assert clusters[0].signature == strand[start : start + length]
+
     def test_invalid_signature_length(self):
         with pytest.raises(ClusteringError):
             cluster_reads(["ACGT"], signature_start=0, signature_length=0)

@@ -271,12 +271,13 @@ def test_nan_config_field_rejected(config_type, field):
         config_type(**extra, **{field: float("nan")})
 
 
-def test_decode_worker_and_shard_counts_are_validated():
+@pytest.mark.parametrize("field", ["decode_workers", "decode_cluster_shards"])
+def test_decode_worker_and_shard_counts_are_validated(field):
     # Both are ignored (decode is inline) but still rejected below 1.
-    for field in ("decode_workers", "decode_cluster_shards"):
-        with pytest.raises(ServiceError, match=field):
-            ServiceConfig(**{field: 0})
-        assert getattr(ServiceConfig(**{field: 4}), field) == 4
+    with pytest.raises(ServiceError, match=field):
+        ServiceConfig(**{field: 0})
+    assert getattr(ServiceConfig(**{field: 4}), field) == 4
+    assert getattr(ServiceConfig(), field) is None
 
 
 def first_cycle_failure_injector():

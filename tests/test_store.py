@@ -573,13 +573,33 @@ class TestInlineDecode:
         assert stages.get("cluster", 0.0) > 0.0
         assert "consensus" in stages and "syndrome_solve" in stages
 
-    def test_worker_and_shard_counts_are_validated_and_ignored(
-        self, decode_workload
+    @staticmethod
+    def _decode(store, entry, blocks, reads, **counts):
+        if entry == "decode_object":
+            return store.decode_object("obj-0", reads, **counts)
+        return getattr(store, entry)(blocks, reads, **counts)
+
+    @pytest.mark.parametrize("keyword", ["workers", "cluster_shards"])
+    @pytest.mark.parametrize(
+        "entry", ["decode_blocks", "try_decode_blocks", "decode_object"]
+    )
+    def test_worker_and_shard_counts_are_validated(
+        self, decode_workload, entry, keyword
     ):
+        # Ignored (decode is inline), but still rejected below 1 on every
+        # decode entry point.
         store, blocks, reads = decode_workload
-        for counts in ({"workers": 0}, {"cluster_shards": 0}):
-            with pytest.raises(StoreError, match="must be >= 1"):
-                store.try_decode_blocks(blocks, reads, **counts)
-        assert store.try_decode_blocks(
-            blocks, reads, workers=2, cluster_shards=4
-        ) == store.try_decode_blocks(blocks, reads)
+        for value in (0, -1):
+            with pytest.raises(StoreError, match=f"{keyword} must be >= 1"):
+                self._decode(store, entry, blocks, reads, **{keyword: value})
+
+    @pytest.mark.parametrize(
+        "entry", ["decode_blocks", "try_decode_blocks", "decode_object"]
+    )
+    def test_worker_and_shard_counts_are_ignored(self, decode_workload, entry):
+        store, blocks, reads = decode_workload
+        inline = self._decode(store, entry, blocks, reads)
+        for counts in ({"workers": 1, "cluster_shards": 1}, {"workers": 2, "cluster_shards": 4}):
+            assert self._decode(store, entry, blocks, reads, **counts) == inline
+        if entry == "decode_object":
+            assert inline == store.get("obj-0")
