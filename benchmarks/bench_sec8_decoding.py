@@ -105,9 +105,8 @@ def _serving_readout():
     plan = plan_partition_ranges(
         volume, {partition_name: [(written[0], written[-1])]}
     )
-    raw_reads = WetlabReadout(volume, reads_per_block=150, seed=3).readout(plan)[
-        partition_name
-    ]
+    readout = WetlabReadout(volume, reads_per_block=150, seed=3)
+    raw_reads = readout.unit_reads_by_partition(plan)[partition_name]
     return store, partition_name, list(written), raw_reads
 
 
@@ -118,19 +117,16 @@ def test_sec8_clustering_backend_speedup():
     wetlab-fidelity serving affordable at trace scale).
     """
     from repro.pipeline.clustering import cluster_reads
-    from repro.pipeline.decoder import BlockDecoder
+    from repro.pipeline.decoder import MAX_PREFIX_ERRORS, BlockDecoder
     from repro.pipeline.distance import available_distance_backends
     from repro.pipeline.reads import reads_with_prefix
 
     store, partition_name, _, raw_reads = _serving_readout()
     partition = store.volume.partition(partition_name)
-    decoder = BlockDecoder(partition)
     reads = reads_with_prefix(
-        raw_reads,
-        partition.config.primers.forward,
-        max_errors=decoder.max_prefix_errors,
+        raw_reads, partition.config.primers.forward, max_errors=MAX_PREFIX_ERRORS
     )
-    signature_start, signature_length = decoder._signature_window()
+    signature_start, signature_length = BlockDecoder(partition)._signature_window()
 
     assert "numpy" in available_distance_backends(), (
         "the clustering speedup benchmark needs the numpy backend"

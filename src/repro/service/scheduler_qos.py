@@ -146,7 +146,7 @@ class TenantQoS:
                 raise ServiceError("burst_blocks must be positive when set")
             if self.rate_blocks_per_hour is None:
                 raise ServiceError("burst_blocks requires rate_blocks_per_hour")
-        if self.priority < 0:
+        if not self.priority >= 0:
             raise ServiceError("priority must be non-negative")
         if self.deadline_hours is not None and not self.deadline_hours > 0:
             raise ServiceError("deadline_hours must be positive when set")
@@ -191,13 +191,19 @@ class QoSConfig:
     window_block_budget: int | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.profiles, Mapping):
+            raise ServiceError(
+                "QoS profiles must be a mapping of tenant name to profile, "
+                f"got {type(self.profiles).__name__}"
+            )
         coerced = {
             tenant: _coerce_profile(profile)
             for tenant, profile in self.profiles.items()
         }
         object.__setattr__(self, "profiles", coerced)
         object.__setattr__(self, "default", _coerce_profile(self.default))
-        if self.window_block_budget is not None and self.window_block_budget < 1:
+        # Written so that NaN fails it.
+        if self.window_block_budget is not None and not self.window_block_budget >= 1:
             raise ServiceError("window_block_budget must be >= 1 when set")
 
     def profile(self, tenant: str) -> TenantQoS:

@@ -12,8 +12,8 @@ Two retrieval paths exist:
   benchmarks (originals plus patch chains, no wetlab round trip);
 * :meth:`ObjectStore.decode_object` — the full pipeline: per-partition
   sequencing reads are clustered, reconstructed and Reed-Solomon decoded
-  through :class:`repro.pipeline.decoder.BlockDecoder`, block by block,
-  with updates applied in slot order.
+  through :class:`repro.pipeline.decoder.BlockDecoder`, one readout pass
+  per partition, with updates applied in slot order.
 
 :meth:`ObjectStore.read_plan` exposes the batched prefix-cover planner so
 callers can run the minimal set of PCR reactions for an object (or byte
@@ -290,7 +290,7 @@ class ObjectStore:
         *,
         workers: int | None = None,
         cluster_shards: int | None = None,
-        **decoder_options,
+        distance_backend=None,
     ) -> dict[tuple[str, int], bytes]:
         """Decode exactly one set of blocks from per-partition reads.
 
@@ -309,7 +309,8 @@ class ObjectStore:
                 set, and accepted only while ``perfbench/workloads.py``
                 still passes it.
             cluster_shards: ignored and validated like ``workers``.
-            decoder_options: forwarded to :class:`BlockDecoder`.
+            distance_backend: the clustering pass's distance backend
+                (see :class:`BlockDecoder`).
 
         Returns:
             The decoded current contents (updates applied, trimmed to the
@@ -324,7 +325,7 @@ class ObjectStore:
             reads_by_partition,
             workers=workers,
             cluster_shards=cluster_shards,
-            **decoder_options,
+            distance_backend=distance_backend,
         )
         if failures:
             raise StoreError(next(iter(failures.values())))
@@ -337,7 +338,7 @@ class ObjectStore:
         *,
         workers: int | None = None,
         cluster_shards: int | None = None,
-        **decoder_options,
+        distance_backend=None,
     ) -> tuple[dict[tuple[str, int], bytes], dict[tuple[str, int], str]]:
         """Decode a block set, reporting per-block failures instead of raising.
 
@@ -347,8 +348,8 @@ class ObjectStore:
 
         Each partition's readout decodes inline, in
         ``blocks_by_partition`` order, under one ``decode:<partition>``
-        wall span.  ``workers`` and ``cluster_shards`` are ignored, as in
-        :meth:`decode_blocks`.
+        wall span.  ``workers``, ``cluster_shards`` and
+        ``distance_backend`` are as in :meth:`decode_blocks`.
 
         Returns:
             ``(payloads, failures)``: decoded current contents keyed by
@@ -376,9 +377,8 @@ class ObjectStore:
             with maybe_wall_span(
                 f"decode:{partition_name}", blocks=len(targets), reads=len(reads)
             ):
-                reports = BlockDecoder(partition, **decoder_options).decode_readout(
-                    reads, targets
-                )
+                decoder = BlockDecoder(partition, distance_backend=distance_backend)
+                reports = decoder.decode_readout(reads, targets)
             for block in targets:
                 report = reports[block]
                 if not report.success or report.data is None:
@@ -402,15 +402,15 @@ class ObjectStore:
         *,
         workers: int | None = None,
         cluster_shards: int | None = None,
-        **decoder_options,
+        distance_backend=None,
     ) -> bytes:
         """Decode an object from per-partition sequencing reads.
 
         Args:
             reads_by_partition: raw read strings per partition name (e.g.
                 the sequencing output of the plan's PCR accesses).
-            workers / cluster_shards: ignored, as in :meth:`decode_blocks`.
-            decoder_options: forwarded to :class:`BlockDecoder`.
+            workers / cluster_shards / distance_backend: as in
+                :meth:`decode_blocks`.
 
         Returns:
             The object's bytes with all recovered updates applied.
@@ -430,7 +430,7 @@ class ObjectStore:
             reads_by_partition,
             workers=workers,
             cluster_shards=cluster_shards,
-            **decoder_options,
+            distance_backend=distance_backend,
         )
         pieces = [
             payloads[(extent.partition, partition_block)]

@@ -13,7 +13,7 @@ A plan is executed as independent per-partition-access
 :class:`ReadoutUnit` s: each unit amplifies and sequences one access and
 can run on its own thermocycler/flow-cell lane, so the serving pipeline
 schedules units of the same cycle concurrently onto a bounded lane pool.
-:meth:`WetlabReadout.readout` remains the run-everything convenience.
+:meth:`WetlabReadout.unit_reads_by_partition` runs every unit of a plan.
 
 Everything is deterministic per seed: synthesis skew is seeded per
 partition (stable in the partition's name), sequencing sampling per
@@ -190,10 +190,6 @@ class WetlabReadout:
     # ------------------------------------------------------------------
     # Readout
     # ------------------------------------------------------------------
-    def plan_units(self, plan: "BatchReadPlan") -> list[ReadoutUnit]:
-        """The independently executable units of one cycle's plan."""
-        return plan_units(plan)
-
     def unit_reads(
         self,
         unit: ReadoutUnit,
@@ -231,7 +227,7 @@ class WetlabReadout:
         result = sequencer.sequence(amplified, access.block_count * depth)
         return result.sequences()
 
-    def readout(
+    def unit_reads_by_partition(
         self,
         plan: "BatchReadPlan",
         *,
@@ -240,30 +236,6 @@ class WetlabReadout:
     ) -> dict[str, list[str]]:
         """Sequencing reads of every access of a plan, per partition.
 
-        Executes every :class:`ReadoutUnit` of the plan in access order; a
-        partition touched by several accesses contributes the
-        concatenation of their reads.  The result is identical however the
-        units are scheduled across lanes.
-
-        Args:
-            plan: the merged read plan of one wetlab cycle.
-            batch_seed: per-cycle seed component (e.g. the batch id), so
-                distinct cycles sample distinct reads deterministically.
-            reads_per_block: optional per-cycle coverage override.
-        """
-        return self.unit_reads_by_partition(
-            plan, batch_seed=batch_seed, reads_per_block=reads_per_block
-        )
-
-    def unit_reads_by_partition(
-        self,
-        plan: "BatchReadPlan",
-        *,
-        batch_seed: int = 0,
-        reads_per_block: int | None = None,
-    ) -> dict[str, list[str]]:
-        """Per-partition reads of a plan, packed for decoding.
-
         Each partition's list concatenates its units' reads in access
         order — exactly the readout
         :meth:`~repro.store.object_store.ObjectStore.try_decode_blocks`
@@ -271,9 +243,15 @@ class WetlabReadout:
         in the same order however many wetlab lanes are in play.
         Per-unit randomness is seeded by ``(wetlab seed, batch_seed,
         access index)``, never by execution order.
+
+        Args:
+            plan: the merged read plan of one wetlab cycle.
+            batch_seed: per-cycle seed component (e.g. the batch id), so
+                distinct cycles sample distinct reads deterministically.
+            reads_per_block: optional per-cycle coverage override.
         """
         reads_by_partition: dict[str, list[str]] = {}
-        for unit in self.plan_units(plan):
+        for unit in plan_units(plan):
             reads_by_partition.setdefault(unit.partition, []).extend(
                 self.unit_reads(
                     unit, batch_seed=batch_seed, reads_per_block=reads_per_block

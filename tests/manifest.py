@@ -35,6 +35,7 @@ NUMPY_FREE: tuple[str, ...] = (
     "test_capacity.py",
     "test_codec_backends.py",
     "test_constrained.py",
+    "test_decoder_pin.py",
     "test_distance_backends.py",
     "test_elongation.py",
     "test_envflags.py",
@@ -45,6 +46,7 @@ NUMPY_FREE: tuple[str, ...] = (
     "test_molecule.py",
     "test_observability.py",
     "test_partition.py",
+    "test_perfbench_layers.py",
     "test_pool_manager.py",
     "test_prefix_cover.py",
     "test_primers.py",

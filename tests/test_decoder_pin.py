@@ -1,0 +1,205 @@
+"""Pinned decode reports of ``BlockDecoder`` on seeded noisy reads.
+
+The reads come from one small partition's strands through a seeded
+``random.Random`` channel — substitutions, insertions, deletions and
+whole-strand dropouts — plus forged strands that carry a real address
+with a wrong payload in larger clusters than the true strand (what a
+misprimed product looks like to the decoder, Section 8.1).  Every
+:class:`DecodeReport` field is pinned, the payload as a CRC32, for the
+per-block path (``decode_block``) and the readout path
+(``decode_readout``), under both ``REPRO_FUSED_KERNELS`` modes.
+
+Nothing here needs numpy: the decoder falls back to the pure-Python
+distance and consensus backends, which produce the same clusters and
+consensi as the numpy ones.
+"""
+
+from __future__ import annotations
+
+import random
+import zlib
+from dataclasses import fields, replace
+
+import pytest
+
+from repro.core.partition import Partition, PartitionConfig
+from repro.core.updates import UpdatePatch
+from repro.pipeline.decoder import BlockDecoder, DecodeReport
+from repro.primers.library import PrimerPair
+
+PAIR = PrimerPair("ATCGTGCAAGCTTGACCTGA", "CGTAGACTTGCAACTGGACT")
+
+#: Block carrying one update patch (slot 1).
+UPDATED = 2
+#: Block whose primary candidates for three slot-0 columns are forged:
+#: the batched solve fails and the per-slot candidate search must swap
+#: a true strand back in.
+SEARCHED = 3
+#: Block with five forged slot-0 columns: the candidate search runs and
+#: still fails.
+UNRECOVERABLE = 1
+#: Forged slot-0 columns per block.
+FORGED = {SEARCHED: (1, 6, 9), UNRECOVERABLE: (0, 2, 5, 8, 12)}
+#: Block that lost five slot-0 columns to dropout: fewer than the
+#: eleven data columns survive, so it cannot decode.
+STARVED = 4
+#: Blocks written to the partition.
+WRITTEN = tuple(range(6))
+
+BASES = "ACGT"
+
+
+def _fingerprint(report: DecodeReport) -> tuple:
+    """Every report field, in declaration order, with data as a CRC32."""
+    values = []
+    for item in fields(DecodeReport):
+        value = getattr(report, item.name)
+        if item.name == "data":
+            value = None if value is None else zlib.crc32(value)
+        elif isinstance(value, list):
+            value = tuple(value)
+        values.append(value)
+    return tuple(values)
+
+
+def _corrupt(strand: str, rng: random.Random) -> str:
+    """One read of ``strand`` through a substitution/insertion/deletion channel."""
+    out = []
+    for base in strand:
+        draw = rng.random()
+        if draw < 0.006:
+            out.append(rng.choice([b for b in BASES if b != base]))
+        elif draw < 0.008:
+            out.append(base)
+            out.append(rng.choice(BASES))
+        elif draw < 0.01:
+            continue
+        else:
+            out.append(base)
+    return "".join(out)
+
+
+def _build():
+    partition = Partition(PartitionConfig(primers=PAIR, leaf_count=64, tree_seed=17))
+    rng = random.Random(2023)
+    partition.write(bytes(rng.randrange(256) for _ in range(len(WRITTEN) * 256)))
+    partition.update_block(UPDATED, UpdatePatch(5, 10, 5, b"[pinned]"))
+
+    reads: list[str] = []
+    for molecule in partition.all_molecules():
+        address = partition.parse_unit_index(molecule.unit_index)
+        column = molecule.intra_index
+        if address.block == STARVED and address.slot == 0 and column < 5:
+            continue
+        strand = molecule.to_strand()
+        copies = rng.randint(4, 8)
+        if address.block in FORGED:
+            # Clean reads, so the forged columns alone decide the outcome.
+            reads.extend([strand] * copies)
+            if address.slot == 0 and column in FORGED[address.block]:
+                payload = bytes(rng.randrange(256) for _ in molecule.payload)
+                reads.extend([replace(molecule, payload=payload).to_strand()] * 12)
+            continue
+        if rng.random() < 0.03:
+            continue
+        reads.extend(_corrupt(strand, rng) for _ in range(copies))
+    rng.shuffle(reads)
+    return partition, reads
+
+
+@pytest.fixture(scope="module")
+def pinned_setup():
+    return _build()
+
+
+# Fingerprint fields: block, CRC32 of data, success, reads_total,
+# reads_on_prefix, clusters_total, clusters_used, strands_recovered,
+# duplicate_strands_discarded, decode_attempts, slots_recovered,
+# used_error_correction.  Recorded before the per-block and readout paths
+# of the decoder were merged into one pass.
+#
+# Block 2's bytes differ from ``read_block_reference(2)`` at four
+# offsets: three of its slot-0 consensi are wrong and one column is
+# missing, and the erasure demotion of the candidate search accepts a
+# Reed-Solomon miscorrection.  The pin holds the decoder to what it
+# returns, right or wrong.
+
+#: ``decode_block`` per block.
+BLOCK_PINS = {
+    0: (0, 768043896, True, 657, 581, 114, 114, 14, 0, 1, (0,), True),
+    1: (1, None, False, 657, 620, 127, 127, 15, 5, 36, (), True),
+    2: (2, 1196416753, True, 657, 518, 105, 105, 29, 6, 9, (0, 1), True),
+    3: (3, 787338847, True, 657, 619, 125, 125, 15, 3, 2, (0,), True),
+    4: (4, None, False, 657, 415, 76, 76, 10, 1, 0, (), False),
+    5: (5, 619959195, True, 657, 481, 90, 90, 14, 1, 1, (0,), True),
+}
+
+#: ``decode_readout`` of every written block.
+READOUT_PINS = {
+    0: (0, 768043896, True, 657, 655, 140, 140, 14, 0, 1, (0,), True),
+    1: (1, None, False, 657, 655, 140, 140, 15, 5, 36, (), True),
+    2: (2, 1196416753, True, 657, 655, 140, 140, 29, 6, 9, (0, 1), True),
+    3: (3, 787338847, True, 657, 655, 140, 140, 15, 3, 2, (0,), True),
+    4: (4, None, False, 657, 655, 140, 140, 10, 1, 0, (), False),
+    5: (5, 619959195, True, 657, 655, 140, 140, 14, 1, 1, (0,), True),
+}
+
+#: ``decode_readout`` of two blocks, in request order.
+SUBSET = (SEARCHED, UPDATED)
+
+#: A failed report with nothing counted, for an empty read list.
+EMPTY = (None, False, 0, 0, 0, 0, 0, 0, 0, (), False)
+
+
+@pytest.fixture(params=["1", "0"], ids=["fused", "reference"])
+def kernels(request, monkeypatch):
+    monkeypatch.setenv("REPRO_FUSED_KERNELS", request.param)
+    return request.param
+
+
+@pytest.mark.usefixtures("kernels")
+class TestPinnedDecodeReports:
+    @pytest.mark.parametrize("block", sorted(BLOCK_PINS))
+    def test_decode_block(self, pinned_setup, block):
+        partition, reads = pinned_setup
+        report = BlockDecoder(partition).decode_block(reads, block)
+        assert _fingerprint(report) == BLOCK_PINS[block]
+
+    def test_decode_readout(self, pinned_setup):
+        partition, reads = pinned_setup
+        reports = BlockDecoder(partition).decode_readout(reads)
+        assert {block: _fingerprint(r) for block, r in reports.items()} == READOUT_PINS
+
+    def test_decode_readout_of_a_subset(self, pinned_setup):
+        partition, reads = pinned_setup
+        reports = BlockDecoder(partition).decode_readout(reads, list(SUBSET))
+        assert list(reports) == list(SUBSET)
+        assert {block: _fingerprint(r) for block, r in reports.items()} == {
+            block: READOUT_PINS[block] for block in SUBSET
+        }
+
+    def test_empty_reads(self, pinned_setup):
+        partition, _ = pinned_setup
+        decoder = BlockDecoder(partition)
+        assert _fingerprint(decoder.decode_block([], UPDATED)) == (UPDATED, *EMPTY)
+        reports = decoder.decode_readout([], list(SUBSET))
+        assert {block: _fingerprint(r) for block, r in reports.items()} == {
+            block: (block, *EMPTY) for block in SUBSET
+        }
+
+
+class TestUnwrittenBlock:
+    #: In range, never written, and its elongated primer matches reads of
+    #: the written blocks within the prefix filter's error budget.
+    BLOCK = 9
+
+    def test_both_paths_report_a_failure(self, pinned_setup):
+        partition, _ = pinned_setup
+        assert not partition.has_block(self.BLOCK)
+        reads = [molecule.to_strand() for molecule in partition.all_molecules()] * 3
+        decoder = BlockDecoder(partition)
+        report = decoder.decode_block(reads, self.BLOCK)
+        assert report.reads_on_prefix > 0
+        assert (report.success, report.data) == (False, None)
+        readout = decoder.decode_readout(reads, [self.BLOCK])[self.BLOCK]
+        assert (readout.success, readout.data) == (False, None)

@@ -412,6 +412,11 @@ class TestQoSAdmission:
             QoSConfig(window_block_budget=0)
         with pytest.raises(ServiceError):
             QoSConfig(profiles={"a": 42})
+        # Profiles that are not a mapping at all are a typed failure naming
+        # the type (not a builtin AttributeError from ``.items()``).
+        for profiles, name in (([("a", {})], "list"), ("abc", "str"), (1.5, "float")):
+            with pytest.raises(ServiceError, match=name):
+                QoSConfig(profiles=profiles)
         # A misspelled field is a typed failure naming it and the fields
         # a profile takes (not a builtin TypeError from the constructor).
         with pytest.raises(ServiceError, match="weigth") as caught:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import ServiceError
-from repro.service import POLICIES, ServiceConfig, ServicePipeline, TenantQoS
+from repro.service import POLICIES, QoSConfig, ServiceConfig, ServicePipeline, TenantQoS
 from repro.store import DnaVolume, ObjectStore, VolumeConfig
 from repro.workloads import RequestEvent, multi_tenant_trace
 from repro.workloads.objects import object_corpus
@@ -254,8 +254,14 @@ _NAN_FIELDS = [
     )
 ] + [
     (TenantQoS, name)
-    for name in ("weight", "rate_blocks_per_hour", "burst_blocks", "deadline_hours")
-]
+    for name in (
+        "weight",
+        "rate_blocks_per_hour",
+        "burst_blocks",
+        "priority",
+        "deadline_hours",
+    )
+] + [(QoSConfig, "window_block_budget")]
 
 
 @pytest.mark.parametrize(

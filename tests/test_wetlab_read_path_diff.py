@@ -450,7 +450,7 @@ def readout_crc(pcr_config):
     readout = WetlabReadout(
         store.volume, pcr_config=pcr_config, reads_per_block=100, seed=11
     )
-    reads = readout.readout(store.read_plan("obj-1"), batch_seed=3)
+    reads = readout.unit_reads_by_partition(store.read_plan("obj-1"), batch_seed=3)
     crc = 0
     count = 0
     for partition, partition_reads in reads.items():
