@@ -7,8 +7,8 @@ reads for the same block at the same per-strand coverage (only 0.34% of its
 output is useful).
 
 This file also benchmarks the clustering engine itself — the serving
-layer's wetlab-fidelity hot path — comparing the pure-Python and
-numpy-batched distance backends on the full precise-access readout.
+layer's wetlab-fidelity hot path — comparing the fused kernels with the
+reference ones (``REPRO_FUSED_KERNELS=0``) on a wetlab-serving readout.
 Results are recorded in ``BENCH_decoding.json``.
 """
 
@@ -110,15 +110,15 @@ def _serving_readout():
     return store, partition_name, list(written), raw_reads
 
 
-def test_sec8_clustering_backend_speedup():
-    """The clustering hot path on a wetlab-serving readout: the
-    numpy-batched distance backend must produce identical clusters at a
-    >= 3x speedup over the pure-Python banded backend (it is what makes
-    wetlab-fidelity serving affordable at trace scale).
+def test_sec8_clustering_backend_speedup(monkeypatch):
+    """The clustering hot path on a wetlab-serving readout: the fused
+    kernels must produce identical clusters at a >= 3x speedup over the
+    reference ones (``REPRO_FUSED_KERNELS=0``: the banded Levenshtein on
+    every pair, the inverted k-mer index and no route memo).  It is what
+    makes wetlab-fidelity serving affordable at trace scale.
     """
     from repro.pipeline.clustering import cluster_reads
     from repro.pipeline.decoder import MAX_PREFIX_ERRORS, BlockDecoder
-    from repro.pipeline.distance import available_distance_backends
     from repro.pipeline.reads import reads_with_prefix
 
     store, partition_name, _, raw_reads = _serving_readout()
@@ -128,12 +128,10 @@ def test_sec8_clustering_backend_speedup():
     )
     signature_start, signature_length = BlockDecoder(partition)._signature_window()
 
-    assert "numpy" in available_distance_backends(), (
-        "the clustering speedup benchmark needs the numpy backend"
-    )
     timings = {}
     shapes = {}
-    for backend in ("python", "numpy"):
+    for mode, flag in (("reference", "0"), ("fused", "1")):
+        monkeypatch.setenv("REPRO_FUSED_KERNELS", flag)
         best = float("inf")
         for _ in range(2):
             started = time.perf_counter()
@@ -141,41 +139,42 @@ def test_sec8_clustering_backend_speedup():
                 reads,
                 signature_start=signature_start,
                 signature_length=signature_length,
-                distance_backend=backend,
             )
             best = min(best, time.perf_counter() - started)
-        timings[backend] = best
-        shapes[backend] = [
+        timings[mode] = best
+        shapes[mode] = [
             (cluster.signature, tuple(cluster.reads)) for cluster in clusters
         ]
-    assert shapes["python"] == shapes["numpy"]
+    assert shapes["reference"] == shapes["fused"]
 
-    speedup = timings["python"] / timings["numpy"]
+    speedup = timings["reference"] / timings["fused"]
     report(
-        "Section 8 — clustering backend speedup (serving hot path)",
+        "Section 8 — clustering speedup of the fused kernels (serving hot path)",
         [
             f"reads clustered: {len(reads)}",
-            f"clusters: {len(shapes['python'])}",
-            f"python backend: {timings['python']:.3f}s",
-            f"numpy backend:  {timings['numpy']:.3f}s",
+            f"clusters: {len(shapes['fused'])}",
+            f"reference (REPRO_FUSED_KERNELS=0): {timings['reference']:.3f}s",
+            f"fused: {timings['fused']:.3f}s",
             f"speedup: {speedup:.1f}x (acceptance: >= 3x)",
         ],
     )
+    # The section keeps its name so the regression gate's path
+    # (``clustering_backend.speedup``) stays as it was.
     emit_bench_json(
         "decoding",
         "clustering_backend",
         {
             "reads": len(reads),
-            "clusters": len(shapes["python"]),
-            "python_seconds": round(timings["python"], 4),
-            "numpy_seconds": round(timings["numpy"], 4),
+            "clusters": len(shapes["fused"]),
+            "reference_seconds": round(timings["reference"], 4),
+            "fused_seconds": round(timings["fused"], 4),
             "speedup": round(speedup, 2),
         },
     )
     assert speedup >= 3.0
 
 
-def test_sec8_fused_decode_speedup():
+def test_sec8_fused_decode_speedup(monkeypatch):
     """End-to-end readout decode, inline: the fused GF(2^m), clustering
     and consensus kernels must be byte-identical to — and >= 2x faster
     than — their reference implementations (``REPRO_FUSED_KERNELS=0``,
@@ -185,8 +184,6 @@ def test_sec8_fused_decode_speedup():
     syndrome+solve / orchestration) of both modes into
     ``BENCH_decoding.json``.
     """
-    import os
-
     from repro.observability.stages import collect_stages, orchestration_seconds
 
     store, partition_name, blocks, raw_reads = _serving_readout()
@@ -194,28 +191,21 @@ def test_sec8_fused_decode_speedup():
     reads = {partition_name: raw_reads}
 
     def run_mode(fused: bool) -> dict:
-        previous = os.environ.get("REPRO_FUSED_KERNELS")
-        os.environ["REPRO_FUSED_KERNELS"] = "1" if fused else "0"
-        try:
-            best = None
-            for _ in range(2):
-                started = time.perf_counter()
-                with collect_stages() as stages:
-                    payloads, failures = store.try_decode_blocks(targets, reads)
-                seconds = time.perf_counter() - started
-                if best is None or seconds < best["seconds"]:
-                    best = {
-                        "seconds": seconds,
-                        "stages": dict(stages),
-                        "payloads": payloads,
-                        "failures": failures,
-                    }
-            return best
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_FUSED_KERNELS", None)
-            else:
-                os.environ["REPRO_FUSED_KERNELS"] = previous
+        monkeypatch.setenv("REPRO_FUSED_KERNELS", "1" if fused else "0")
+        best = None
+        for _ in range(2):
+            started = time.perf_counter()
+            with collect_stages() as stages:
+                payloads, failures = store.try_decode_blocks(targets, reads)
+            seconds = time.perf_counter() - started
+            if best is None or seconds < best["seconds"]:
+                best = {
+                    "seconds": seconds,
+                    "stages": dict(stages),
+                    "payloads": payloads,
+                    "failures": failures,
+                }
+        return best
 
     reference = run_mode(fused=False)
     fused = run_mode(fused=True)

@@ -13,9 +13,9 @@ Gated metrics (higher is better):
   ``policies.pcr_reduction_cached`` — the batched / batched+cache PCR
   amortization over the unbatched baseline (simulation counts, exact
   under a fixed seed);
-* ``decoding``: ``clustering_backend.speedup`` — the numpy clustering
-  backend's speedup over pure Python (wall-clock based, hence the
-  tolerance);
+* ``decoding``: ``clustering_backend.speedup`` — the fused clustering
+  kernels' speedup over the reference ones (``REPRO_FUSED_KERNELS=0``;
+  wall-clock based, hence the tolerance);
 * ``decoding``: ``parallel_engine.fused_speedup`` — the fused kernels'
   end-to-end inline readout-decode speedup over the reference kernels
   (``REPRO_FUSED_KERNELS=0``);

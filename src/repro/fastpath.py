@@ -1,13 +1,15 @@
 """One switch between the fused kernels and their reference oracles.
 
 The decode hot path ships two byte-identical implementations of every
-expensive step: a straightforward reference (scalar consensus, scalar
-nearest-bucket routing, always-indexed k-mer prefilter, per-erasure-pattern
-Reed-Solomon solves) and the fused/batched fast path this engine runs by
-default.  ``REPRO_FUSED_KERNELS=0`` selects the reference implementations
-everywhere at once — the identity tests diff the two modes, and the
-decoding benchmark uses the reference serial path as the baseline its
-speedup gate is measured against.
+expensive step: a straightforward reference (the banded Levenshtein on
+every untrimmed read pair, scalar nearest-bucket routing without a route
+memo, the inverted-index k-mer prefilter, ``double_sided_bma`` per
+cluster, per-erasure-pattern Reed-Solomon solves) and the fused/batched
+fast path this engine runs by default.  ``REPRO_FUSED_KERNELS=0`` selects
+the reference implementations everywhere at once; it is the only switch
+between them.  The identity tests diff the two modes, and the decoding
+benchmarks use the reference as the baseline their speedup gates are
+measured against.
 
 The flag is resolved per call through :mod:`repro.envflags` (not cached)
 so tests and benchmarks can toggle it with ``monkeypatch.setenv``; the

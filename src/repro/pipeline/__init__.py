@@ -20,19 +20,11 @@ The pipeline follows the decoding procedure of Section 8:
 from repro.pipeline.clustering import ReadCluster, cluster_reads
 from repro.pipeline.consensus import double_sided_bma, majority_consensus
 from repro.pipeline.decoder import BlockDecoder, DecodeReport
-from repro.pipeline.distance import (
-    DistanceBackend,
-    available_distance_backends,
-    get_distance_backend,
-)
 from repro.pipeline.reads import extract_region, find_primer_end, reads_with_prefix
 
 __all__ = [
-    "DistanceBackend",
     "ReadCluster",
-    "available_distance_backends",
     "cluster_reads",
-    "get_distance_backend",
     "double_sided_bma",
     "majority_consensus",
     "BlockDecoder",

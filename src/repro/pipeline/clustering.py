@@ -20,12 +20,12 @@ single clustering decision:
   each), replacing the O(#buckets) linear scan per novel signature;
 * every read's k-mer set and every representative's k-mer set are
   computed **once** and reused across comparisons;
-* representative comparisons are funneled through a
-  :class:`repro.pipeline.distance.DistanceBackend` in cross-bucket
-  batches: the numpy backend screens out certain matches and ruled-out
-  candidates and sends the rest through a bit-parallel edit-distance
-  kernel, while the pure-Python backend keeps its per-pair banded
-  reference.
+* representative comparisons go through
+  :func:`repro.pipeline.distance.first_within_batch` in cross-bucket
+  batches: the fused kernels screen out certain matches and ruled-out
+  candidates and send the rest through a bit-parallel edit-distance
+  kernel, while ``REPRO_FUSED_KERNELS=0`` runs the per-pair banded
+  Levenshtein reference.
 
 Clustering runs in two phases: :func:`route_reads` routes every read to
 a signature bucket (order-dependent — the nearest-bucket search and the
@@ -41,17 +41,20 @@ from typing import Sequence
 from repro.exceptions import ClusteringError
 from repro.fastpath import fused_kernels_enabled
 from repro.pipeline.distance import (
-    DistanceBackend,
-    get_distance_backend,
+    first_within,
+    first_within_batch,
+    kmer_masks,
+    nearest,
     require_non_negative,
 )
 from repro.sequence import bounded_edit_distance, kmer_set
 
 #: Bounds of the per-bucket round chunk (reads whose representative
-#: comparisons are batched into one backend call).  Only reads of the
-#: *same* bucket are order-dependent, and a cluster born inside a round is
-#: handled by the post-batch fix-up, so chunking only trades batch size
-#: against wasted comparisons — it never changes the resulting clusters.
+#: comparisons are batched into one ``first_within_batch`` call).  Only
+#: reads of the *same* bucket are order-dependent, and a cluster born
+#: inside a round is handled by the post-batch fix-up, so chunking only
+#: trades batch size against wasted comparisons — it never changes the
+#: resulting clusters.
 #: The chunk adapts per bucket: stable buckets (reads keep joining
 #: existing clusters) grow toward the maximum, buckets that keep spawning
 #: clusters shrink so new representatives enter the batched snapshot
@@ -153,7 +156,6 @@ def route_reads(
     signature_start: int,
     signature_length: int,
     max_signature_errors: int = DEFAULT_MAX_SIGNATURE_ERRORS,
-    distance_backend: str | DistanceBackend | None = None,
 ) -> dict[str, list[int]]:
     """Phase 1 — route each read to a signature bucket.
 
@@ -175,7 +177,6 @@ def route_reads(
     if signature_length <= 0:
         raise ClusteringError("signature_length must be positive")
     require_non_negative("max_signature_errors", max_signature_errors)
-    backend = get_distance_backend(distance_backend)
     fused = fused_kernels_enabled()
     bucket_reads: dict[str, list[int]] = {}
     index = _SignatureIndex(max_signature_errors)
@@ -189,7 +190,7 @@ def route_reads(
         if signature not in bucket_reads:
             # Route to the nearest existing bucket if the signature is a
             # slightly corrupted version of one we have seen (candidates
-            # from the deletion index, verified through the backend; ties
+            # from the deletion index, verified by ``nearest``; ties
             # go to the earliest-created bucket).
             routed: str | None = None
             memo = route_memo.get(signature) if fused else None
@@ -210,9 +211,7 @@ def route_reads(
                 routed = target
             else:
                 candidates = index.candidates(signature)
-                found = backend.nearest(
-                    signature, candidates, max_signature_errors
-                )
+                found = nearest(signature, candidates, max_signature_errors)
                 if found is not None:
                     routed = candidates[found[0]]
                     if fused:
@@ -235,35 +234,34 @@ def _agglomerate(
     *,
     max_read_distance: int,
     min_kmer_similarity: float,
-    backend: DistanceBackend,
 ) -> dict[str, list[ReadCluster]]:
     """Phase 2 — greedy agglomeration around representatives.
 
     Buckets are independent and each bucket contributes a chunk of
     consecutive reads per round, so all (read, representative)
-    comparisons of a round go through one batched backend call.  Clusters
-    born *inside* a round only affect later reads of the same bucket's
-    chunk; those few extra comparisons run in the fix-up below (one
-    :meth:`DistanceBackend.first_within` call per unplaced read), which
-    keeps the result bit-identical to a fully sequential pass.
+    comparisons of a round go through one ``first_within_batch`` call.
+    Clusters born *inside* a round only affect later reads of the same
+    bucket's chunk; those few extra comparisons run in the fix-up below
+    (one ``first_within`` call per unplaced read), which keeps the result
+    bit-identical to a fully sequential pass.
 
     The k-mer prefilter has two byte-identical implementations: the
     reference walks an inverted index (k-mer → positions of the
     representatives containing it) per bucket; the fused path stores
     every k-mer set as a bitmask and evaluates the same Jaccard test with
     a word-parallel AND+popcount per representative, which is an order
-    of magnitude cheaper than set intersections.  The backend builds all
-    of the call's masks at once (:meth:`DistanceBackend.kmer_masks`) under
-    one bit numbering of its choosing: popcounts and intersection counts
-    do not depend on which bit stands for which k-mer, so neither do the
-    clusters.
+    of magnitude cheaper than set intersections.  ``kmer_masks`` builds
+    all of the call's masks at once under one bit numbering (k-mer codes
+    with numpy, order of first sight without): popcounts and intersection
+    counts do not depend on which bit stands for which k-mer, so neither
+    do the clusters.
     """
     fused = fused_kernels_enabled()
     order = [index for members in bucket_reads.values() for index in members]
     read_kmers: dict[int, frozenset[str]] = {}
     read_masks: dict[int, int] = {}
     if fused:
-        masks = backend.kmer_masks([reads[index] for index in order], _KMER_SIZE)
+        masks = kmer_masks([reads[index] for index in order], _KMER_SIZE)
         read_masks = dict(zip(order, masks))
     else:
         read_kmers = {index: kmer_set(reads[index], _KMER_SIZE) for index in order}
@@ -384,9 +382,7 @@ def _agglomerate(
                     [clusters[position].representative for position in passing]
                 )
                 metadata.append((key, read_index, passing, snapshot))
-        matches = backend.first_within_batch(
-            queries, candidate_lists, max_read_distance
-        )
+        matches = first_within_batch(queries, candidate_lists, max_read_distance)
         grew: dict[str, bool] = {}
         for (key, read_index, passing, snapshot), match in zip(metadata, matches):
             clusters = buckets[key]
@@ -396,7 +392,7 @@ def _agglomerate(
             # No pre-round representative matched; try clusters created by
             # earlier reads of this same round before starting a new one.
             late = passing_positions(key, read_index, snapshot, len(clusters))
-            found = backend.first_within(
+            found = first_within(
                 reads[read_index],
                 [clusters[position].representative for position in late],
                 max_read_distance,
@@ -424,7 +420,6 @@ def cluster_reads(
     max_signature_errors: int = DEFAULT_MAX_SIGNATURE_ERRORS,
     max_read_distance: int = DEFAULT_MAX_READ_DISTANCE,
     min_kmer_similarity: float = DEFAULT_MIN_KMER_SIMILARITY,
-    distance_backend: str | DistanceBackend | None = None,
 ) -> list[ReadCluster]:
     """Cluster reads into per-strand groups.
 
@@ -441,9 +436,6 @@ def cluster_reads(
             target's address from the target's own reads).
         min_kmer_similarity: cheap k-mer prefilter threshold applied before
             computing edit distance against a representative.
-        distance_backend: ``"python"``, ``"numpy"``, ``"auto"``/None (numpy
-            when importable) or a backend instance.  Both backends produce
-            identical clusters.
 
     Returns:
         Clusters sorted by decreasing size (the order in which the decoder
@@ -455,20 +447,17 @@ def cluster_reads(
     """
     require_non_negative("max_signature_errors", max_signature_errors)
     require_non_negative("max_read_distance", max_read_distance)
-    backend = get_distance_backend(distance_backend)
     bucket_reads = route_reads(
         reads,
         signature_start=signature_start,
         signature_length=signature_length,
         max_signature_errors=max_signature_errors,
-        distance_backend=backend,
     )
     buckets = _agglomerate(
         reads,
         bucket_reads,
         max_read_distance=max_read_distance,
         min_kmer_similarity=min_kmer_similarity,
-        backend=backend,
     )
     clusters = [cluster for bucket in buckets.values() for cluster in bucket]
     clusters.sort(key=lambda cluster: cluster.size, reverse=True)

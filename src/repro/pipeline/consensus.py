@@ -7,10 +7,12 @@ of Lin et al.: BMA is run left-to-right and right-to-left and the two
 reconstructions are stitched together, which makes the result robust to
 indels near either end.
 
-Two implementations are provided behind one batch API:
+Two implementations are provided behind one batch API,
+:func:`consensus_batch`, and ``REPRO_FUSED_KERNELS`` picks one:
 
 * the scalar reference (:func:`bma_consensus` / :func:`double_sided_bma`),
-  one cluster at a time — the oracle;
+  one cluster at a time — the oracle, and the only path under
+  ``REPRO_FUSED_KERNELS=0`` or without numpy;
 * a numpy kernel that advances the pointers of **every read of every
   cluster of a readout together**, one array step per output position, so
   a whole readout's trace reconstruction collapses into ~2x``length``
@@ -18,9 +20,7 @@ Two implementations are provided behind one batch API:
 
 Both produce byte-identical strands (``tests/test_consensus_backends.py``
 asserts it, including the majority tie-break, which follows ``Counter``
-first-insertion order).  An explicit name selects a backend; ``None``
-or ``"auto"`` picks numpy when it is importable and the fused kernels are
-on (``REPRO_FUSED_KERNELS``).
+first-insertion order).
 """
 
 from __future__ import annotations
@@ -30,6 +30,11 @@ from typing import Sequence
 
 from repro.exceptions import ReconstructionError
 from repro.fastpath import fused_kernels_enabled
+
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
+    np = None  # consensus_batch falls back to the scalar double_sided_bma.
 
 
 def majority_consensus(reads: list[str], length: int) -> str:
@@ -121,48 +126,16 @@ def double_sided_bma(reads: list[str], length: int) -> str:
 # ----------------------------------------------------------------------
 # Batched consensus
 # ----------------------------------------------------------------------
-def _numpy_or_none():
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
-
-
-def _resolve_backend(backend: str | None) -> str:
-    requested = (backend or "auto").strip().lower()
-    if requested == "auto":
-        # The fused-kernel switch only moves the *default*: an explicit
-        # backend name is always honored.
-        requested = (
-            "numpy"
-            if _numpy_or_none() is not None and fused_kernels_enabled()
-            else "python"
-        )
-    if requested not in ("python", "numpy"):
-        raise ReconstructionError(
-            f"unknown consensus backend {requested!r}; expected one of "
-            f"{['auto', 'python', 'numpy']}"
-        )
-    if requested == "numpy" and _numpy_or_none() is None:
-        raise ReconstructionError(
-            "the numpy consensus backend was requested but numpy is not installed"
-        )
-    return requested
-
-
-def consensus_batch(
-    read_groups: Sequence[list[str]],
-    length: int,
-    backend: str | None = None,
-) -> list[str]:
+def consensus_batch(read_groups: Sequence[list[str]], length: int) -> list[str]:
     """:func:`double_sided_bma` of many clusters in one call.
+
+    The fused kernels (the default) run the numpy batch kernel when numpy
+    is importable; ``REPRO_FUSED_KERNELS=0`` runs :func:`double_sided_bma`
+    per cluster.  Both return byte-identical strands.
 
     Args:
         read_groups: one list of noisy reads per cluster (each non-empty).
         length: the (known) strand length, shared by every cluster.
-        backend: ``"python"``, ``"numpy"``, or ``"auto"``/None
-            (autodetection).  Both backends return byte-identical strands.
 
     Returns:
         The reconstructed strand of each group, in order.
@@ -172,8 +145,7 @@ def consensus_batch(
     for group in read_groups:
         if not group:
             raise ReconstructionError("cannot build a consensus from zero reads")
-    resolved = _resolve_backend(backend)
-    if resolved == "numpy":
+    if fused_kernels_enabled():
         strands = _consensus_batch_numpy(read_groups, length)
         if strands is not None:
             return strands
@@ -185,10 +157,11 @@ def _consensus_batch_numpy(
 ) -> list[str] | None:
     """Vectorized double-sided BMA; ``None`` defers to the scalar path.
 
-    The only deferral is non-ASCII input (reads cannot pack into a uint8
-    matrix); the DNA alphabet never hits it.
+    It defers without numpy, and for non-ASCII input (reads cannot pack
+    into a uint8 matrix), which the DNA alphabet never hits.
     """
-    np = _numpy_or_none()
+    if np is None:
+        return None
     flat_reads = [read for group in read_groups for read in group]
     try:
         blob = "".join(flat_reads).encode("ascii")
@@ -230,11 +203,11 @@ def _consensus_batch_numpy(
     lut[alphabet] = np.arange(len(alphabet), dtype=np.int64)
 
     forward = _bma_batch_numpy(
-        np, matrix, lengths, group_of, group_start, group_end,
+        matrix, lengths, group_of, group_start, group_end,
         group_count, length, alphabet, lut,
     )
     backward = _bma_batch_numpy(
-        np, reversed_matrix, lengths, group_of, group_start, group_end,
+        reversed_matrix, lengths, group_of, group_start, group_end,
         group_count, length, alphabet, lut,
     )
     half = length // 2
@@ -245,7 +218,7 @@ def _consensus_batch_numpy(
 
 
 def _bma_batch_numpy(
-    np, matrix, lengths, group_of, group_start, group_end,
+    matrix, lengths, group_of, group_start, group_end,
     group_count, length, alphabet, lut,
 ):
     """One-directional batch BMA over a padded read matrix.
@@ -259,6 +232,7 @@ def _bma_batch_numpy(
     by a per-tie scan over the group's reads; ties are rare, so the scan
     stays off the hot path.
     """
+    assert np is not None  # only _consensus_batch_numpy calls this, with numpy
     total, width = matrix.shape
     codes = lut[matrix]
     flat_codes = codes.ravel()

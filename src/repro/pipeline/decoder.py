@@ -129,14 +129,10 @@ class BlockDecoder:
 
     Args:
         partition: the partition whose strands the reads come from.
-        distance_backend: distance backend of the clustering pass
-            (``"python"``, ``"numpy"``, ``None`` for auto, or an instance);
-            every backend produces identical clusters.
     """
 
-    def __init__(self, partition: Partition, *, distance_backend=None) -> None:
+    def __init__(self, partition: Partition) -> None:
         self.partition = partition
-        self.distance_backend = distance_backend
 
     def _signature_window(self) -> tuple[int, int]:
         """Offset and length of the address region within a clean strand."""
@@ -217,7 +213,6 @@ class BlockDecoder:
                 signature_start=signature_start,
                 signature_length=signature_length,
                 max_read_distance=MAX_READ_DISTANCE,
-                distance_backend=self.distance_backend,
             )
         with stage("consensus"):
             strands = consensus_batch(

@@ -290,7 +290,6 @@ class ObjectStore:
         *,
         workers: int | None = None,
         cluster_shards: int | None = None,
-        distance_backend=None,
     ) -> dict[tuple[str, int], bytes]:
         """Decode exactly one set of blocks from per-partition reads.
 
@@ -309,8 +308,6 @@ class ObjectStore:
                 set, and accepted only while ``perfbench/workloads.py``
                 still passes it.
             cluster_shards: ignored and validated like ``workers``.
-            distance_backend: the clustering pass's distance backend
-                (see :class:`BlockDecoder`).
 
         Returns:
             The decoded current contents (updates applied, trimmed to the
@@ -325,7 +322,6 @@ class ObjectStore:
             reads_by_partition,
             workers=workers,
             cluster_shards=cluster_shards,
-            distance_backend=distance_backend,
         )
         if failures:
             raise StoreError(next(iter(failures.values())))
@@ -338,7 +334,6 @@ class ObjectStore:
         *,
         workers: int | None = None,
         cluster_shards: int | None = None,
-        distance_backend=None,
     ) -> tuple[dict[tuple[str, int], bytes], dict[tuple[str, int], str]]:
         """Decode a block set, reporting per-block failures instead of raising.
 
@@ -348,8 +343,8 @@ class ObjectStore:
 
         Each partition's readout decodes inline, in
         ``blocks_by_partition`` order, under one ``decode:<partition>``
-        wall span.  ``workers``, ``cluster_shards`` and
-        ``distance_backend`` are as in :meth:`decode_blocks`.
+        wall span.  ``workers`` and ``cluster_shards`` are as in
+        :meth:`decode_blocks`.
 
         Returns:
             ``(payloads, failures)``: decoded current contents keyed by
@@ -377,7 +372,7 @@ class ObjectStore:
             with maybe_wall_span(
                 f"decode:{partition_name}", blocks=len(targets), reads=len(reads)
             ):
-                decoder = BlockDecoder(partition, distance_backend=distance_backend)
+                decoder = BlockDecoder(partition)
                 reports = decoder.decode_readout(reads, targets)
             for block in targets:
                 report = reports[block]
@@ -402,15 +397,13 @@ class ObjectStore:
         *,
         workers: int | None = None,
         cluster_shards: int | None = None,
-        distance_backend=None,
     ) -> bytes:
         """Decode an object from per-partition sequencing reads.
 
         Args:
             reads_by_partition: raw read strings per partition name (e.g.
                 the sequencing output of the plan's PCR accesses).
-            workers / cluster_shards / distance_backend: as in
-                :meth:`decode_blocks`.
+            workers / cluster_shards: as in :meth:`decode_blocks`.
 
         Returns:
             The object's bytes with all recovered updates applied.
@@ -430,7 +423,6 @@ class ObjectStore:
             reads_by_partition,
             workers=workers,
             cluster_shards=cluster_shards,
-            distance_backend=distance_backend,
         )
         pieces = [
             payloads[(extent.partition, partition_block)]

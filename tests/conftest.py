@@ -6,12 +6,16 @@ from repro.store import DnaVolume, ObjectStore, VolumeConfig
 from repro.workloads.objects import object_corpus
 
 
-@pytest.fixture(scope="module")
-def decode_workload():
+def build_decode_workload():
     """A two-partition store with digitally perfect reads (numpy-free).
 
     Each written partition contributes every strand three times — enough
     coverage for clustering and consensus without a sequencing simulator.
+    The partitions bind the codec backend ``REPRO_CODEC_BACKEND`` selects
+    when this runs.
+
+    Returns ``(store, blocks, reads)``: the store, the written blocks and
+    the reads, each keyed by partition name.
     """
     volume = DnaVolume(
         config=VolumeConfig(partition_leaf_count=16, stripe_blocks=2, stripe_width=2)
@@ -37,3 +41,9 @@ def decode_workload():
         ]
     assert len(blocks) >= 2, "the decode should span several partitions"
     return store, blocks, reads
+
+
+@pytest.fixture(scope="module")
+def decode_workload():
+    """:func:`build_decode_workload`, built once per module."""
+    return build_decode_workload()

@@ -1,8 +1,9 @@
 """The numpy consensus kernel against the scalar double-sided BMA.
 
 ``consensus_batch`` reconstructs every cluster of a readout either with the
-vectorized kernel (``_consensus_batch_numpy``) or one cluster at a time
-with :func:`double_sided_bma`, the reference.  Decode-level tests cannot
+vectorized kernel (``_consensus_batch_numpy``, the fused default) or one
+cluster at a time with :func:`double_sided_bma`, the reference that
+``REPRO_FUSED_KERNELS=0`` selects.  Decode-level tests cannot
 stand in for this diff: Reed-Solomon corrects a wrong strand, so a kernel
 that disagreed on a few strands could still decode every block.  Here the
 two paths must return the same strands on every input, the majority
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.pipeline.consensus as consensus
 from repro.pipeline.consensus import (
     _consensus_batch_numpy,
     consensus_batch,
@@ -22,6 +24,13 @@ from repro.pipeline.consensus import (
 pytest.importorskip("numpy")
 
 BASES = "ACGT"
+
+
+def _consensus_in_mode(fused, groups, length):
+    """``consensus_batch(groups, length)`` under ``REPRO_FUSED_KERNELS=fused``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_FUSED_KERNELS", fused)
+        return consensus_batch(groups, length)
 
 
 def strands(length):
@@ -78,8 +87,8 @@ def test_numpy_kernel_matches_scalar_bma(data):
     groups = data.draw(st.lists(read_groups(length), min_size=1, max_size=6))
     expected = [double_sided_bma(group, length) for group in groups]
     assert _consensus_batch_numpy(groups, length) == expected
-    assert consensus_batch(groups, length, backend="numpy") == expected
-    assert consensus_batch(groups, length, backend="python") == expected
+    assert _consensus_in_mode("1", groups, length) == expected
+    assert _consensus_in_mode("0", groups, length) == expected
 
 
 def test_vote_ties_follow_first_insertion_order():
@@ -93,6 +102,20 @@ def test_vote_ties_follow_first_insertion_order():
 def test_non_ascii_group_falls_back_to_scalar():
     groups = [["ACGT", "ACGA"], ["AΩGT", "ACGT", "ACCT"]]
     assert _consensus_batch_numpy(groups, 4) is None
-    assert consensus_batch(groups, 4, backend="numpy") == [
+    assert _consensus_in_mode("1", groups, 4) == [
         double_sided_bma(group, 4) for group in groups
     ]
+
+
+@pytest.mark.parametrize(
+    "fused, forbidden",
+    [("1", "double_sided_bma"), ("0", "_consensus_batch_numpy")],
+)
+def test_each_mode_runs_one_kernel(fused, forbidden, monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"{forbidden} called with REPRO_FUSED_KERNELS={fused}")
+
+    groups = [["ACGTACGT", "ACGTTCGT", "ACGACGT"], ["TTGCAAGC"]]
+    expected = [double_sided_bma(group, 8) for group in groups]
+    monkeypatch.setattr(consensus, forbidden, refuse)
+    assert _consensus_in_mode(fused, groups, 8) == expected

@@ -9,9 +9,9 @@ misprimed product looks like to the decoder, Section 8.1).  Every
 per-block path (``decode_block``) and the readout path
 (``decode_readout``), under both ``REPRO_FUSED_KERNELS`` modes.
 
-Nothing here needs numpy: the decoder falls back to the pure-Python
-distance and consensus backends, which produce the same clusters and
-consensi as the numpy ones.
+Nothing here needs numpy: without it the fused kernels stay pure Python
+(first-sight k-mer masks, scalar Hamming columns, ``double_sided_bma``
+per cluster) and produce the same clusters and consensi.
 """
 
 from __future__ import annotations

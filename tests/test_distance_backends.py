@@ -1,20 +1,27 @@
-"""Tests for the clustering distance backends.
+"""Fused vs reference clustering kernels.
 
-The python backend (banded early-exit Levenshtein) and the numpy backend
-(a screen of certain matches and ruled-out candidates, then the
-bit-parallel kernel over each trimmed undecided pair) must be exact
-within the bound and therefore produce *identical* clusters.  The numpy
-backend's bulk k-mer masks must give the same popcounts and intersection
-counts as the base backend's first-sight masks.
+``REPRO_FUSED_KERNELS`` chooses how :mod:`repro.pipeline.distance`
+compares reads.  The fused mode (the default) screens certain matches
+and ruled-out candidates, then runs the bit-parallel kernel over each
+trimmed undecided pair; the reference mode (``0``) runs the banded
+Levenshtein on every untrimmed pair.  Both are exact within the bound,
+so they must produce *identical* clusters, and each mode must run only
+its own kernel.  Everything here runs without numpy except the diffs of
+the two numpy helpers: the coded k-mer masks against the first-sight
+masks, and the array Hamming column of ``nearest`` against the scalar
+one.
 """
 
 import random
+import sys
 from operator import ne
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.pipeline.clustering as clustering
+import repro.sequence
 from repro.exceptions import ClusteringError
 from repro.pipeline.clustering import (
     DEFAULT_MAX_READ_DISTANCE,
@@ -22,20 +29,34 @@ from repro.pipeline.clustering import (
     route_reads,
 )
 from repro.pipeline.distance import (
-    NumpyDistanceBackend,
-    PythonDistanceBackend,
-    available_distance_backends,
-    get_distance_backend,
+    _MASK_CHUNK_BYTES,
+    _MIN_ARRAY_CANDIDATES,
+    _coded_masks,
+    _first_sight_masks,
+    _hamming_array,
+    _hamming_column,
+    first_within,
+    first_within_batch,
+    kmer_masks,
+    nearest,
 )
 
+try:
+    import numpy
+except ImportError:
+    numpy = None
 
-def _numpy_available() -> bool:
-    return "numpy" in available_distance_backends()
+requires_numpy = pytest.mark.skipif(numpy is None, reason="numpy unavailable")
+
+MODES = ["0", "1"]
+BASES = "ACGT"
 
 
-requires_numpy = pytest.mark.skipif(
-    not _numpy_available(), reason="numpy backend unavailable"
-)
+def _in_mode(fused, function, *args):
+    """``function(*args)`` under ``REPRO_FUSED_KERNELS=fused``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_FUSED_KERNELS", fused)
+        return function(*args)
 
 
 def _mutate(rng, text, edits):
@@ -56,38 +77,26 @@ def _random_read(rng, length):
     return "".join(rng.choice("ACGT") for _ in range(length))
 
 
-class TestBackendResolution:
-    def test_python_always_available(self):
-        assert "python" in available_distance_backends()
-        assert get_distance_backend("python").name == "python"
+def _substitute(text, positions):
+    chars = list(text)
+    for position in positions:
+        chars[position] = BASES[(BASES.index(chars[position]) + 1) % 4]
+    return "".join(chars)
 
-    def test_instances_are_cached(self):
-        assert get_distance_backend("python") is get_distance_backend("python")
 
-    def test_instance_passthrough(self):
-        backend = PythonDistanceBackend()
-        assert get_distance_backend(backend) is backend
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ClusteringError):
-            get_distance_backend("cuda")
-
-    @requires_numpy
-    def test_auto_prefers_numpy(self):
-        assert get_distance_backend("auto").name == "numpy"
+def _shapes(clusters):
+    return [(cluster.signature, tuple(cluster.reads)) for cluster in clusters]
 
 
 class TestFirstWithin:
-    def test_python_first_match_wins(self):
-        backend = get_distance_backend("python")
-        assert backend.first_within("ACGTACGT", ["TTTTTTTT", "ACGTACGA", "ACGTACGT"], 2) == 1
-        assert backend.first_within("ACGT", ["GGGG"], 1) is None
-        assert backend.first_within("ACGT", [], 3) is None
+    @pytest.mark.parametrize("fused", MODES)
+    def test_first_match_wins(self, fused, monkeypatch):
+        monkeypatch.setenv("REPRO_FUSED_KERNELS", fused)
+        assert first_within("ACGTACGT", ["TTTTTTTT", "ACGTACGA", "ACGTACGT"], 2) == 1
+        assert first_within("ACGT", ["GGGG"], 1) is None
+        assert first_within("ACGT", [], 3) is None
 
-    @requires_numpy
-    def test_numpy_matches_python(self):
-        python = get_distance_backend("python")
-        numpy_backend = get_distance_backend("numpy")
+    def test_fused_matches_reference(self):
         rng = random.Random(5)
         queries, candidate_lists = [], []
         for _ in range(300):
@@ -99,54 +108,64 @@ class TestFirstWithin:
             queries.append(query)
             candidate_lists.append(candidates)
         for bound in (2, 5, 12):
-            assert python.first_within_batch(
-                queries, candidate_lists, bound
-            ) == numpy_backend.first_within_batch(queries, candidate_lists, bound)
+            batch = (queries, candidate_lists, bound)
+            assert _in_mode("1", first_within_batch, *batch) == _in_mode(
+                "0", first_within_batch, *batch
+            )
+
+
+def _noisy_reads(seed, strands, copies, edits):
+    rng = random.Random(seed)
+    primer = "ATCGTGCAAGCTTGACCTGA"
+    originals = [
+        primer + _random_read(rng, 13) + _random_read(rng, 117)
+        for _ in range(strands)
+    ]
+    reads = []
+    for strand in originals:
+        for _ in range(copies):
+            reads.append(_mutate(rng, strand, rng.randrange(0, edits)))
+    rng.shuffle(reads)
+    return reads
+
+
+def _signature_corrupted_reads(seed):
+    """Noisy reads where every fifth one also carries an insertion, a
+    deletion or two substitutions inside its signature window (offset 20,
+    13 bases)."""
+    rng = random.Random(seed)
+    reads = _noisy_reads(seed, 12, 10, 4)
+    for index in range(0, len(reads), 5):
+        read = reads[index]
+        position = rng.randrange(21, 31)
+        if index % 3 == 0:
+            read = read[:position] + rng.choice(BASES) + read[position:]
+        elif index % 3 == 1:
+            read = read[:position] + read[position + 1 :]
+        else:
+            read = _substitute(read, [position, position + 1])
+        reads[index] = read
+    return reads
 
 
 class TestClusterEquivalence:
-    def _reads(self, seed, strands, copies, edits):
-        rng = random.Random(seed)
-        primer = "ATCGTGCAAGCTTGACCTGA"
-        originals = [
-            primer + _random_read(rng, 13) + _random_read(rng, 117)
-            for _ in range(strands)
-        ]
-        reads = []
-        for strand in originals:
-            for _ in range(copies):
-                reads.append(_mutate(rng, strand, rng.randrange(0, edits)))
-        rng.shuffle(reads)
-        return reads
-
-    @requires_numpy
-    def test_backends_produce_identical_clusters(self, monkeypatch):
-        """Python/numpy x fused/reference (REPRO_FUSED_KERNELS 1/0) all give
-        the python backend's reference-mode clusters."""
-        for seed, strands, copies, edits in [(1, 8, 12, 4), (2, 25, 8, 9), (3, 4, 60, 6)]:
-            reads = self._reads(seed, strands, copies, edits)
-            outcomes = {}
-            for fused in ("0", "1"):
-                monkeypatch.setenv("REPRO_FUSED_KERNELS", fused)
-                for backend in ("python", "numpy"):
-                    clusters = cluster_reads(
-                        reads,
-                        signature_start=20,
-                        signature_length=13,
-                        distance_backend=backend,
-                    )
-                    outcomes[fused, backend] = [
-                        (cluster.signature, tuple(cluster.reads)) for cluster in clusters
-                    ]
-            reference = outcomes["0", "python"]
-            agree = {key: outcome == reference for key, outcome in outcomes.items()}
-            assert agree == dict.fromkeys(outcomes, True)
-
-    @pytest.mark.parametrize("fused", ["0", "1"])
-    @pytest.mark.parametrize("backend", available_distance_backends())
-    def test_in_round_fix_up_places_an_indel_only_match(
-        self, backend, fused, monkeypatch
+    @pytest.mark.parametrize(
+        "seed, strands, copies, edits", [(1, 8, 12, 4), (2, 25, 8, 9), (3, 4, 60, 6)]
+    )
+    def test_fused_and_reference_give_identical_clusters(
+        self, seed, strands, copies, edits, monkeypatch
     ):
+        reads = _noisy_reads(seed, strands, copies, edits)
+        outcomes = {}
+        for fused in MODES:
+            monkeypatch.setenv("REPRO_FUSED_KERNELS", fused)
+            outcomes[fused] = _shapes(
+                cluster_reads(reads, signature_start=20, signature_length=13)
+            )
+        assert outcomes["1"] == outcomes["0"]
+
+    @pytest.mark.parametrize("fused", MODES)
+    def test_in_round_fix_up_places_an_indel_only_match(self, fused, monkeypatch):
         """A cluster born inside a round takes a later read of the same
         round that is two indels away but far apart by Hamming count."""
         monkeypatch.setenv("REPRO_FUSED_KERNELS", fused)
@@ -156,10 +175,8 @@ class TestClusterEquivalence:
         born = signature + _random_read(rng, 120)
         shifted = born[:20] + born[21:] + "G"
         assert sum(map(ne, born, shifted)) > DEFAULT_MAX_READ_DISTANCE
-        # A fresh instance, so the spy stays local to this test.
-        distance_backend = type(get_distance_backend(backend))()
         placements = []
-        original = distance_backend.first_within
+        original = clustering.first_within
 
         def spy(query, candidates, max_distance):
             found = original(query, candidates, max_distance)
@@ -167,12 +184,11 @@ class TestClusterEquivalence:
                 placements.append((query, candidates[found]))
             return found
 
-        monkeypatch.setattr(distance_backend, "first_within", spy)
+        monkeypatch.setattr(clustering, "first_within", spy)
         clusters = cluster_reads(
             [first, born, shifted],
             signature_start=0,
             signature_length=len(signature),
-            distance_backend=distance_backend,
         )
         # One round: ``born`` and ``shifted`` are both compared with
         # ``first`` only; ``born`` then starts a cluster, and the fix-up
@@ -180,9 +196,11 @@ class TestClusterEquivalence:
         assert [cluster.reads for cluster in clusters] == [[born, shifted], [first]]
         assert placements == [(shifted, born)]
 
-    def test_corrupted_signatures_still_route_through_index(self):
+    @pytest.mark.parametrize("fused", MODES)
+    def test_corrupted_signatures_still_route_through_index(self, fused, monkeypatch):
         """The deletion-neighborhood index must find buckets within the
         signature error budget exactly like the old linear scan."""
+        monkeypatch.setenv("REPRO_FUSED_KERNELS", fused)
         primer = "ATCGTGCAAGCTTGACCTGA"
         strand = primer + "ACGTACGTACGTA" + "GT" * 58
         corrupted = strand[:22] + ("A" if strand[22] != "A" else "C") + strand[23:]
@@ -190,17 +208,64 @@ class TestClusterEquivalence:
             [strand] * 6 + [corrupted],
             signature_start=20,
             signature_length=13,
-            distance_backend="python",
         )
         assert clusters[0].size == 7
 
 
+class TestOneKernelPerMode:
+    """Each mode runs its own edit distance and never the other one."""
+
+    @staticmethod
+    def _forbid(monkeypatch, name, fused):
+        """Make ``name`` raise in every ``repro`` module that binds it."""
+        original = getattr(repro.sequence, name)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"{name} called with REPRO_FUSED_KERNELS={fused}")
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("repro") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, forbidden)
+
+    @staticmethod
+    def _count(monkeypatch, module, name):
+        """Count calls of ``module.name`` (the mode's own kernel)."""
+        original = getattr(module, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_each_mode_runs_one_kernel(self, monkeypatch):
+        import repro.pipeline.distance as distance
+
+        reads = _signature_corrupted_reads(seed=4)
+        expected = _shapes(
+            cluster_reads(reads, signature_start=20, signature_length=13)
+        )
+        for fused, forbidden, own in (
+            ("1", "levenshtein_distance", "bounded_edit_distance"),
+            ("0", "bounded_edit_distance", "levenshtein_distance"),
+        ):
+            with monkeypatch.context() as patch:
+                patch.setenv("REPRO_FUSED_KERNELS", fused)
+                self._forbid(patch, forbidden, fused)
+                calls = self._count(patch, distance, own)
+                clusters = cluster_reads(reads, signature_start=20, signature_length=13)
+            assert _shapes(clusters) == expected
+            assert calls, f"{own} never ran with REPRO_FUSED_KERNELS={fused}"
+
+
 class TestNegativeBounds:
-    """A negative bound fails the same typed way on every backend."""
+    """A negative bound fails the same typed way in both modes."""
 
     READS = ["ACGTACGTAAAACCCCGGGGTTTT"] * 3 + ["ACGTACGTAAAACCCCGGGGTTTA"]
 
-    @pytest.mark.parametrize("backend", available_distance_backends())
+    @pytest.mark.parametrize("fused", MODES)
     @pytest.mark.parametrize(
         "bounds",
         [
@@ -209,64 +274,47 @@ class TestNegativeBounds:
             {"max_read_distance": -2, "max_signature_errors": -2},
         ],
     )
-    def test_cluster_reads_rejects_negative_bounds(self, backend, bounds):
+    def test_cluster_reads_rejects_negative_bounds(self, fused, bounds, monkeypatch):
+        monkeypatch.setenv("REPRO_FUSED_KERNELS", fused)
         with pytest.raises(ClusteringError, match="must be non-negative"):
-            cluster_reads(
-                self.READS,
-                signature_start=0,
-                signature_length=4,
-                distance_backend=backend,
-                **bounds,
-            )
+            cluster_reads(self.READS, signature_start=0, signature_length=4, **bounds)
 
-    @pytest.mark.parametrize("backend", available_distance_backends())
-    def test_phase_entry_points_reject_negative_bounds(self, backend):
+    @pytest.mark.parametrize("fused", MODES)
+    def test_phase_entry_points_reject_negative_bounds(self, fused, monkeypatch):
+        monkeypatch.setenv("REPRO_FUSED_KERNELS", fused)
         with pytest.raises(ClusteringError, match="max_signature_errors"):
             route_reads(
                 self.READS,
                 signature_start=0,
                 signature_length=4,
                 max_signature_errors=-1,
-                distance_backend=backend,
             )
 
-    @pytest.mark.parametrize("backend", available_distance_backends())
-    @pytest.mark.parametrize("method", ["first_within", "first_within_batch", "nearest"])
+    @pytest.mark.parametrize("fused", MODES)
+    @pytest.mark.parametrize("function", [first_within, first_within_batch, nearest])
     @pytest.mark.parametrize("count", [0, 1, 9])
-    def test_backend_methods_reject_negative_bounds(self, backend, method, count):
-        # Nine identical candidates reach the numpy backend's array path
-        # in ``nearest`` and would match at any bound that is not negative.
+    def test_distance_functions_reject_negative_bounds(
+        self, fused, function, count, monkeypatch
+    ):
+        # Nine identical candidates reach the array Hamming column of
+        # ``nearest`` and would match at any bound that is not negative.
+        monkeypatch.setenv("REPRO_FUSED_KERNELS", fused)
         query = "ACGTACGT"
         candidates = [query] * count
-        call = getattr(get_distance_backend(backend), method)
-        args = ([query], [candidates]) if method == "first_within_batch" else (query, candidates)
+        args = ([query], [candidates]) if function is first_within_batch else (query, candidates)
         with pytest.raises(ClusteringError, match="max_distance must be non-negative"):
-            call(*args, -1)
+            function(*args, -1)
 
     def test_zero_bound_still_clusters(self):
         clusters = cluster_reads(
-            self.READS,
-            signature_start=0,
-            signature_length=4,
-            max_read_distance=0,
-            distance_backend="python",
+            self.READS, signature_start=0, signature_length=4, max_read_distance=0
         )
         assert sorted(cluster.size for cluster in clusters) == [1, 3]
 
 
 # ----------------------------------------------------------------------
-# Differential test of the numpy backend's screen
+# Differential test of the fused screen
 # ----------------------------------------------------------------------
-
-BASES = "ACGT"
-
-
-def _substitute(text, positions):
-    chars = list(text)
-    for position in positions:
-        chars[position] = BASES[(BASES.index(chars[position]) + 1) % 4]
-    return "".join(chars)
-
 
 @st.composite
 def _candidate(draw, query, bound):
@@ -362,43 +410,98 @@ def _screen_batches(draw):
 
 
 class TestScreenMatchesReference:
-    @requires_numpy
     @settings(max_examples=300, deadline=None)
     @given(_screen_batches())
     def test_first_within_batch(self, batch):
         bound, queries, candidate_lists = batch
-        numpy_backend = get_distance_backend("numpy")
-        python = get_distance_backend("python")
-        assert numpy_backend.first_within_batch(
-            queries, candidate_lists, bound
-        ) == python.first_within_batch(queries, candidate_lists, bound)
+        args = (queries, candidate_lists, bound)
+        assert _in_mode("1", first_within_batch, *args) == _in_mode(
+            "0", first_within_batch, *args
+        )
 
-    @pytest.mark.parametrize("backend", available_distance_backends())
-    def test_earlier_indel_match_beats_a_later_certain_one(self, backend):
+    @pytest.mark.parametrize("fused", MODES)
+    def test_earlier_indel_match_beats_a_later_certain_one(self, fused, monkeypatch):
+        monkeypatch.setenv("REPRO_FUSED_KERNELS", fused)
         query = "ACGTTGCAAGCTTGACCTGAACGG"
         shifted = query[1:] + "T"  # two indels, many mismatches
         substituted = _substitute(query, [5])
         assert sum(a != b for a, b in zip(query, shifted)) > 3
-        chosen = get_distance_backend(backend).first_within_batch(
+        chosen = first_within_batch(
             [query, query, query],
             [[shifted, substituted], [query, shifted], [shifted[:-1] + "AAAA"]],
             3,
         )
         assert chosen == [0, 0, None]
 
-    @pytest.mark.parametrize("backend", available_distance_backends())
-    def test_empty_inputs(self, backend):
-        distance_backend = get_distance_backend(backend)
-        assert distance_backend.first_within_batch([], [], 2) == []
-        assert distance_backend.first_within_batch(["ACGT", ""], [[], []], 2) == [
-            None,
-            None,
-        ]
-        assert distance_backend.first_within_batch([""], [["", "A"]], 0) == [0]
+    @pytest.mark.parametrize("fused", MODES)
+    def test_empty_inputs(self, fused, monkeypatch):
+        monkeypatch.setenv("REPRO_FUSED_KERNELS", fused)
+        assert first_within_batch([], [], 2) == []
+        assert first_within_batch(["ACGT", ""], [[], []], 2) == [None, None]
+        assert first_within_batch([""], [["", "A"]], 0) == [0]
 
 
 # ----------------------------------------------------------------------
-# Differential test of the numpy backend's k-mer masks
+# Differential test of the array Hamming column of ``nearest``
+# ----------------------------------------------------------------------
+
+
+def _signature_sets(seed):
+    """(query, candidates) pairs shaped like signature routing: fixed-width
+    neighbours by substitution and shifted windows, with repeats."""
+    rng = random.Random(seed)
+    for _ in range(200):
+        query = _random_read(rng, 13)
+        candidates = []
+        for _ in range(rng.randrange(_MIN_ARRAY_CANDIDATES, 30)):
+            kind = rng.randrange(4)
+            if kind == 0:
+                candidates.append(_substitute(query, rng.sample(range(13), rng.randrange(4))))
+            elif kind == 1:
+                cut = rng.randrange(13)
+                candidates.append(query[:cut] + query[cut + 1 :] + rng.choice(BASES))
+            elif kind == 2 and candidates:
+                candidates.append(rng.choice(candidates))
+            else:
+                candidates.append(_random_read(rng, 13))
+        yield query, candidates
+
+
+class TestNearestHamming:
+    @requires_numpy
+    def test_array_column_matches_the_scalar_one(self):
+        for query, candidates in _signature_sets(seed=23):
+            assert _hamming_array(query, candidates) == _hamming_column(query, candidates)
+            for bound in (0, 1, 2, 3):
+                args = (query, candidates, bound)
+                assert _in_mode("1", nearest, *args) == _in_mode("0", nearest, *args)
+
+    @pytest.mark.parametrize(
+        "candidates",
+        [
+            ["ACGTA"] * (_MIN_ARRAY_CANDIDATES - 1),
+            ["ACGTA"] * _MIN_ARRAY_CANDIDATES + ["ACGT"],
+            ["ACGTA"] * _MIN_ARRAY_CANDIDATES + ["ACéTA"],
+        ],
+        ids=["few", "mixed-width", "non-ascii"],
+    )
+    def test_scalar_column_where_the_array_cannot_apply(self, candidates):
+        assert _hamming_array("ACGTT", candidates) is None
+        assert _in_mode("1", nearest, "ACGTT", candidates, 2) == _in_mode(
+            "0", nearest, "ACGTT", candidates, 2
+        )
+
+    def test_first_of_equally_near_candidates_wins(self):
+        query = "ACGTACGTACGTA"
+        far = "T" * len(query)
+        near = [_substitute(query, [5]), _substitute(query, [7])]
+        candidates = [far] * _MIN_ARRAY_CANDIDATES + near + [query[1:] + "C"]
+        for fused in MODES:
+            assert _in_mode(fused, nearest, query, candidates, 2) == (8, 1)
+
+
+# ----------------------------------------------------------------------
+# Differential test of the coded k-mer masks
 # ----------------------------------------------------------------------
 
 
@@ -415,16 +518,15 @@ def _mask_counts(masks):
 
 class TestKmerMasks:
     @requires_numpy
-    def test_numpy_masks_give_the_reference_counts(self):
+    def test_coded_masks_give_the_first_sight_counts(self):
         rng = random.Random(17)
-        chunk_rows = NumpyDistanceBackend._MASK_CHUNK_BYTES // 4**6
+        chunk_rows = _MASK_CHUNK_BYTES // 4**6
         same_length = [_random_read(rng, 140) for _ in range(chunk_rows + 44)]
         mixed = [_random_read(rng, rng.randrange(30, 160)) for _ in range(40)]
         texts = same_length[:10] + ["", "A", "ACGTA"] + mixed + same_length[10:]
         texts += [_mutate(rng, text, 3) for text in mixed[:10]] + ["ACGTAC", "AAAAAAAAAA"]
-        got = get_distance_backend("numpy").kmer_masks(texts, 6)
-        reference = get_distance_backend("python").kmer_masks(texts, 6)
-        assert _mask_counts(got) == _mask_counts(reference)
+        got = _coded_masks(texts, 6)
+        assert _mask_counts(got) == _mask_counts(_first_sight_masks(texts, 6))
         assert got[10:13] == [0, 0, 0]  # shorter than k
 
     @requires_numpy
@@ -433,15 +535,12 @@ class TestKmerMasks:
         st.integers(min_value=1, max_value=6),
         st.lists(st.text(alphabet=BASES, max_size=30), max_size=25),
     )
-    def test_numpy_masks_match_at_any_k(self, k, texts):
-        got = get_distance_backend("numpy").kmer_masks(texts, k)
-        reference = get_distance_backend("python").kmer_masks(texts, k)
-        assert _mask_counts(got) == _mask_counts(reference)
+    def test_coded_masks_match_at_any_k(self, k, texts):
+        got = _coded_masks(texts, k)
+        assert _mask_counts(got) == _mask_counts(_first_sight_masks(texts, k))
 
-    @requires_numpy
-    @pytest.mark.parametrize("odd", ["N", "a", "\u00e9"], ids=["N", "lowercase", "non-ascii"])
+    @pytest.mark.parametrize("odd", ["N", "a", "é"], ids=["N", "lowercase", "non-ascii"])
     def test_text_outside_acgt_takes_the_first_sight_masks(self, odd):
         texts = ["ACGTACGTAC", "ACG" + odd + "TACGTA", "TTGACCA"]
-        assert get_distance_backend("numpy").kmer_masks(
-            texts, 3
-        ) == get_distance_backend("python").kmer_masks(texts, 3)
+        assert _coded_masks(texts, 3) is None
+        assert kmer_masks(texts, 3) == _first_sight_masks(texts, 3)

@@ -11,14 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import build_decode_workload
+
 from repro.codec.backend import available_backends
 from repro.exceptions import StoreError
 from repro.observability.stages import collect_stages
-from repro.pipeline.distance import (
-    NumpyDistanceBackend,
-    PythonDistanceBackend,
-    available_distance_backends,
-)
 from repro.store import (
     DnaVolume,
     ObjectStore,
@@ -503,12 +500,6 @@ class TestCacheReadPath:
 # ----------------------------------------------------------------------
 # Inline block decoding (try_decode_blocks)
 # ----------------------------------------------------------------------
-def _distance_backend_specs() -> list[str]:
-    """Each distance backend by name, then as an instance."""
-    names = available_distance_backends()
-    return names + [f"{name}-instance" for name in names]
-
-
 class TestInlineDecode:
     def test_decodes_every_block_to_the_stored_bytes(self, decode_workload):
         store, blocks, reads = decode_workload
@@ -520,33 +511,29 @@ class TestInlineDecode:
             for block in targets
         }
 
-    def test_codec_backends_decode_identically(self, decode_workload, monkeypatch):
-        store, blocks, reads = decode_workload
+    def test_codec_backends_decode_identically(self, monkeypatch):
+        # A partition binds its codec backend when it is built, so each
+        # backend decodes a store built after its flag is set.
         outputs = {}
         for backend in available_backends():
             monkeypatch.setenv("REPRO_CODEC_BACKEND", backend)
+            store, blocks, reads = build_decode_workload()
+            assert {
+                store.volume.partition(name)._unit_codec.backend.name
+                for name in store.volume.partition_names
+            } == {backend}
             outputs[backend] = store.try_decode_blocks(blocks, reads)
         assert not outputs["python"][1]
         assert all(output == outputs["python"] for output in outputs.values())
 
-    @pytest.mark.parametrize("distance_backend", _distance_backend_specs())
     def test_fused_and_reference_kernels_decode_identically(
-        self, decode_workload, monkeypatch, distance_backend
+        self, decode_workload, monkeypatch
     ):
-        # A backend goes to the decoder by name or as an instance.
         store, blocks, reads = decode_workload
-        name, _, instance = distance_backend.partition("-")
-        backend = (
-            {"python": PythonDistanceBackend, "numpy": NumpyDistanceBackend}[name]()
-            if instance
-            else name
-        )
         outputs = {}
         for flag in ("0", "1"):
             monkeypatch.setenv("REPRO_FUSED_KERNELS", flag)
-            outputs[flag] = store.try_decode_blocks(
-                blocks, reads, distance_backend=backend
-            )
+            outputs[flag] = store.try_decode_blocks(blocks, reads)
         assert outputs["0"] == outputs["1"]
         assert not outputs["1"][1]
 
