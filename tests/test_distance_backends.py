@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.pipeline.clustering as clustering
+import repro.pipeline.distance as distance
 import repro.sequence
 from repro.exceptions import ClusteringError
 from repro.pipeline.clustering import (
@@ -241,8 +242,6 @@ class TestOneKernelPerMode:
         return calls
 
     def test_each_mode_runs_one_kernel(self, monkeypatch):
-        import repro.pipeline.distance as distance
-
         reads = _signature_corrupted_reads(seed=4)
         expected = _shapes(
             cluster_reads(reads, signature_start=20, signature_length=13)
