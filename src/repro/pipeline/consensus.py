@@ -14,9 +14,11 @@ Two implementations are provided behind one batch API,
   one cluster at a time — the oracle, and the only path under
   ``REPRO_FUSED_KERNELS=0`` or without numpy;
 * a numpy kernel that advances the pointers of **every read of every
-  cluster of a readout together**, one array step per output position, so
-  a whole readout's trace reconstruction collapses into ~2x``length``
-  vectorized rounds instead of millions of per-read Python iterations.
+  cluster of a readout together**, forward and reversed in one matrix,
+  one array step per output position.  The stitch needs only the first
+  half of each direction, so a whole readout's trace reconstruction
+  collapses into ``length - length // 2`` vectorized rounds instead of
+  millions of per-read Python iterations.
 
 Both produce byte-identical strands (``tests/test_consensus_backends.py``
 asserts it, including the majority tie-break, which follows ``Counter``
@@ -157,6 +159,13 @@ def _consensus_batch_numpy(
 ) -> list[str] | None:
     """Vectorized double-sided BMA; ``None`` defers to the scalar path.
 
+    Both directions go through one kernel run: the read matrix holds every
+    read forward (group ``g``) and then reversed (group ``G + g``, for
+    ``G`` groups).  Output position ``s`` depends only on rounds ``<= s``,
+    and the stitch keeps the first ``length // 2`` forward positions and
+    the first ``length - length // 2`` backward ones, so the run stops
+    after ``length - length // 2`` rounds.
+
     It defers without numpy, and for non-ASCII input (reads cannot pack
     into a uint8 matrix), which the DNA alphabet never hits.
     """
@@ -174,75 +183,67 @@ def _consensus_batch_numpy(
     lengths = np.array([len(read) for read in flat_reads], dtype=np.int64)
     group_of = np.repeat(np.arange(group_count, dtype=np.int64), group_sizes)
     group_start = np.concatenate(([0], np.cumsum(group_sizes)[:-1]))
-    group_end = np.cumsum(group_sizes)
 
     flat = np.frombuffer(blob, dtype=np.uint8)
-    max_len = int(lengths.max()) if total else 0
     # Two padding columns so a pointer that ran (at most) one position past
     # its read still gathers in-bounds (the value is masked out).
-    width = max_len + 2
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    column = np.arange(max_len, dtype=np.int64)
-    in_read = column[None, :] < lengths[:, None]
-    matrix = np.zeros((total, width), dtype=np.uint8)
-    reversed_matrix = np.zeros((total, width), dtype=np.uint8)
-    if max_len:
-        gather = np.minimum(starts[:, None] + column[None, :], max(len(flat) - 1, 0))
-        matrix[:, :max_len] = np.where(in_read, flat[gather], 0)
-        gather_rev = np.clip(
-            starts[:, None] + lengths[:, None] - 1 - column[None, :],
-            0,
-            max(len(flat) - 1, 0),
-        )
-        reversed_matrix[:, :max_len] = np.where(in_read, flat[gather_rev], 0)
+    width = (int(lengths.max()) if total else 0) + 2
+    in_read = np.arange(width) < lengths[:, None]
+    matrix = np.zeros((2 * total, width), dtype=np.uint8)
+    matrix[:total][in_read] = flat
+    # The reversed blob holds the reads last to first, each one reversed.
+    matrix[total:][::-1][in_read[::-1]] = flat[::-1]
 
     # Compact alphabet codes: votes are counted per (group, symbol) with
-    # one bincount, so symbols must be dense small ints.
-    alphabet = np.unique(flat) if len(flat) else np.zeros(0, dtype=np.uint8)
-    lut = np.zeros(256, dtype=np.int64)
-    lut[alphabet] = np.arange(len(alphabet), dtype=np.int64)
+    # one bincount, so symbols must be dense small ints (ASCII fits uint8).
+    alphabet = np.unique(flat)
+    lut = np.zeros(256, dtype=np.uint8)
+    lut[alphabet] = np.arange(len(alphabet))
 
-    forward = _bma_batch_numpy(
-        matrix, lengths, group_of, group_start, group_end,
-        group_count, length, alphabet, lut,
-    )
-    backward = _bma_batch_numpy(
-        reversed_matrix, lengths, group_of, group_start, group_end,
-        group_count, length, alphabet, lut,
-    )
     half = length // 2
+    steps = length - half
+    both = _bma_batch_numpy(
+        matrix,
+        np.concatenate((lengths, lengths)),
+        np.concatenate((group_of, group_of + group_count)),
+        np.concatenate((group_start, group_start + total)),
+        2 * group_count,
+        length,
+        steps,
+        alphabet,
+        lut,
+    )
     stitched = np.concatenate(
-        (forward[:, :half], backward[:, ::-1][:, half:]), axis=1
+        (both[:group_count, :half], both[group_count:, ::-1]), axis=1
     )
     return [bytes(row).decode("ascii") for row in stitched]
 
 
 def _bma_batch_numpy(
-    matrix, lengths, group_of, group_start, group_end,
-    group_count, length, alphabet, lut,
+    matrix, lengths, group_of, group_start, group_count, length, steps,
+    alphabet, lut,
 ):
-    """One-directional batch BMA over a padded read matrix.
+    """Batch BMA over a padded read matrix, for the first ``steps`` positions.
 
-    Mirrors :func:`bma_consensus` exactly, one vectorized round per output
-    position: gather the pointed-at symbol of every read, count votes per
-    (group, symbol) with a single ``bincount``, emit each group's majority
-    and advance every pointer by the same 0/1/2 rule.  The scalar
-    majority's tie-break (``Counter.most_common(1)`` returns the max-count
-    symbol *first inserted*, i.e. first voted in read order) is reproduced
-    by a per-tie scan over the group's reads; ties are rare, so the scan
-    stays off the hot path.
+    Mirrors :func:`bma_consensus` of a ``length``-base strand exactly, one
+    vectorized round per output position: gather the pointed-at symbol of
+    every read, count votes per (group, symbol) with a single
+    ``bincount``, emit each group's majority and advance every pointer by
+    the same 0/1/2 rule.  The scalar majority's tie-break
+    (``Counter.most_common(1)`` returns the max-count symbol *first
+    inserted*, i.e. first voted in read order) needs each group's reads in
+    consecutive rows starting at ``group_start``.
     """
     assert np is not None  # only _consensus_batch_numpy calls this, with numpy
     total, width = matrix.shape
-    codes = lut[matrix]
-    flat_codes = codes.ravel()
+    flat_codes = lut[matrix].ravel()
     row_base = np.arange(total, dtype=np.int64) * width
     row_index = np.arange(total, dtype=np.int64)
     symbol_count = max(1, len(alphabet))
     group_key = group_of * symbol_count
     pointers = np.zeros(total, dtype=np.int64)
-    out = np.full((group_count, length), ord("A"), dtype=np.uint8)
-    for step in range(length):
+    out = np.full((group_count, steps), ord("A"), dtype=np.uint8)
+    for step in range(steps):
         valid = pointers < lengths
         sym = np.take(flat_codes, row_base + pointers, mode="clip")
         combined = group_key + sym

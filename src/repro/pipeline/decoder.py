@@ -106,8 +106,11 @@ class DecodeReport:
         decode_attempts: unit-decode attempts across all slots (1 means the
             primary candidates decoded immediately).
         slots_recovered: version slots for which a unit was decoded.
-        used_error_correction: True if any Reed-Solomon correction, erasure
-            fill-in or candidate substitution was required.
+        used_error_correction: True if a decoded unit had a missing column
+            (filled in as an erasure), or if a unit's primary candidates
+            failed to decode and the per-slot candidate search of Section
+            8.1 ran.  Errors that Reed-Solomon corrects in place do not set
+            it.
     """
 
     block: int

@@ -8,8 +8,10 @@ approximate matching rather than exact string search.
 
 from __future__ import annotations
 
+from operator import ne
+
 from repro.exceptions import DecodingError
-from repro.sequence import levenshtein_distance
+from repro.sequence import bounded_edit_distance
 
 
 def find_primer_end(
@@ -41,7 +43,7 @@ def find_primer_end(
             if end <= start or end > len(read):
                 continue
             window = read[start:end]
-            distance = levenshtein_distance(window, primer, upper_bound=max_errors)
+            distance = bounded_edit_distance(window, primer, max_errors)
             if distance < best_distance:
                 best_distance = distance
                 best_end = end
@@ -59,16 +61,14 @@ def has_prefix(read: str, prefix: str, *, max_errors: int = 3) -> bool:
         # Cheap Hamming screen: most reads carry the prefix intact or with a
         # couple of substitutions, so a mismatch count within the budget
         # accepts immediately without any edit-distance computation.
-        mismatches = sum(1 for a, b in zip(window, prefix) if a != b)
-        if mismatches <= max_errors:
+        if sum(map(ne, window, prefix)) <= max_errors:
             return True
     # One banded edit-distance comparison over a slightly extended window
     # handles insertions/deletions anywhere in the prefix region.
     extended = read[: len(prefix) + max_errors]
     return (
-        levenshtein_distance(extended[: len(prefix)], prefix, upper_bound=max_errors)
-        <= max_errors
-        or levenshtein_distance(extended, prefix, upper_bound=max_errors) <= max_errors
+        bounded_edit_distance(extended[: len(prefix)], prefix, max_errors) <= max_errors
+        or bounded_edit_distance(extended, prefix, max_errors) <= max_errors
     )
 
 

@@ -20,15 +20,24 @@ precise block access (Sections 3.2, 7.2, 8.1):
 * **Touchdown PCR**: higher annealing temperatures in the early cycles
   suppress mispriming; the paper uses 10 touchdown cycles followed by 18
   regular cycles (Section 6.5).
+
+:meth:`PCRSimulator.amplify` requires numpy: each cycle is one array pass
+over the reaction's contribution table.  :class:`PCRConfig` and the
+simulator itself stay importable without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
+    np = None  # The configs stay importable; only PCRSimulator.amplify needs numpy.
+
 from repro.core.elongation import ElongatedPrimer
 from repro.exceptions import PCRError
-from repro.sequence import levenshtein_distance
+from repro.sequence import bounded_edit_distance
 from repro.wetlab.pool import MolecularPool
 
 
@@ -170,10 +179,8 @@ class PCRSimulator:
         limit = len(footprint)
         while shared < limit and footprint[shared] == forward[shared]:
             shared += 1
-        distance = levenshtein_distance(
-            footprint[shared:],
-            forward[shared:],
-            upper_bound=config.max_mispriming_distance,
+        distance = bounded_edit_distance(
+            footprint[shared:], forward[shared:], config.max_mispriming_distance
         )
         if distance > config.max_mispriming_distance:
             return 0.0
@@ -208,7 +215,12 @@ class PCRSimulator:
             A new :class:`MolecularPool`; input copy counts are preserved
             and amplification products are added on top (PCR does not
             consume templates).
+
+        Raises:
+            PCRError: without numpy, or without a forward primer.
         """
+        if np is None:
+            raise PCRError("PCR simulation requires numpy")
         if isinstance(forward_primers, (str, ElongatedPrimer)):
             primer_list = [forward_primers]
         else:
@@ -229,20 +241,17 @@ class PCRSimulator:
         residual_primer = residual_forward_primer if residual_efficiency > 0.0 else None
         exact_prefixes = tuple(forward_sequences)
 
-        # A strand's binding behaviour cannot change from one cycle to the
-        # next, so each species is classified once per reaction, on the
-        # first cycle it has copies.  Products created by prefix overwrite
-        # start with their primer, so they classify as exact.  Strands of
-        # one block share their footprint, so each (footprint, primer)
-        # efficiency is computed once per reaction too.
-        classes: dict[str, _StrandClass] = {}
+        # Strands of one block share their footprint, so each (footprint,
+        # primer) efficiency is computed once per reaction.
         efficiencies: dict[tuple[str, str], float] = {}
+        inert = _StrandClass(misprimes=(), self_gain=0.0)
+        exact = _StrandClass(misprimes=(), self_gain=max_gain)
 
         def classify(strand: str) -> _StrandClass:
             if not strand.endswith(reverse_primer):
-                return _StrandClass(misprimes=(), self_gain=0.0)
+                return inert
             if strand.startswith(exact_prefixes):
-                return _StrandClass(misprimes=(), self_gain=max_gain)
+                return exact
             misprimes = []
             for fwd in forward_sequences:
                 key = (strand[: len(fwd)], fwd)
@@ -267,36 +276,73 @@ class PCRSimulator:
                 misprimes=tuple(misprimes), self_gain=min(self_gain, max_gain)
             )
 
+        # A strand's binding behaviour cannot change from one cycle to the
+        # next, so the reaction is one table of (source, target, per-copy
+        # gain) contributions, listed in the order a cycle visits them:
+        # species in pool order, each with its misprimes in primer order and
+        # then its own gain.  Products missing from the input pool take the
+        # slots after it, and their own gains close the table: a product
+        # carries its primer as its prefix, so it never misprimes.
+        strands = list(result.species)
+        slot_of = {strand: slot for slot, strand in enumerate(strands)}
+        products: list[str] = []
+        rows: list[tuple[int, int, float, bool]] = []
+        for slot, strand in enumerate(strands):
+            strand_class = classify(strand)
+            for binding in strand_class.misprimes:
+                target = slot_of.get(binding.product)
+                if target is None:
+                    target = slot_of[binding.product] = len(strands) + len(products)
+                    products.append(binding.product)
+                rows.append((slot, target, binding.mispriming_efficiency, True))
+            if strand_class.self_gain > 0.0:
+                rows.append((slot, slot, strand_class.self_gain, False))
+        for slot, product in enumerate(products, len(strands)):
+            self_gain = classify(product).self_gain
+            if self_gain > 0.0:
+                rows.append((slot, slot, self_gain, False))
+        if not rows:
+            return result
+        source, target, gain_per_copy, misprimed = (
+            np.array(column) for column in zip(*rows)
+        )
+        touchdown_factor = np.where(misprimed, config.touchdown_mispriming_factor, 1.0)
+
+        copies = np.zeros(len(strands) + len(products))
+        copies[: len(strands)] = list(result.species.values())
+        in_pool = np.arange(len(copies)) < len(strands)
+        # (product slot, first contributing source slot), in pool order.
+        entries: list[tuple[int, int]] = []
         for cycle in range(config.cycles):
-            in_touchdown = cycle < config.touchdown_cycles
-            misprime_factor = (
-                config.touchdown_mispriming_factor if in_touchdown else 1.0
-            )
-            additions: dict[str, float] = {}
-            new_products: dict[str, dict] = {}
-            for strand, copies in result.species.items():
-                if copies <= 0.0:
-                    continue
-                strand_class = classes.get(strand)
-                if strand_class is None:
-                    strand_class = classes[strand] = classify(strand)
-                for binding in strand_class.misprimes:
-                    gain = copies * binding.mispriming_efficiency * misprime_factor
-                    if gain <= 0.0:
-                        continue
-                    product = binding.product
-                    additions[product] = additions.get(product, 0.0) + gain
-                    if product not in result.species and product not in new_products:
-                        source_meta = dict(result.annotations(strand))
-                        source_meta["misprimed"] = True
-                        new_products[product] = source_meta
-                if strand_class.self_gain > 0.0:
-                    additions[strand] = (
-                        additions.get(strand, 0.0) + copies * strand_class.self_gain
-                    )
-            for strand, gain in additions.items():
-                result.species[strand] = result.species.get(strand, 0.0) + gain
-            for strand, meta in new_products.items():
-                if meta:
-                    result.metadata.setdefault(strand, {}).update(meta)
+            source_copies = copies[source]
+            gains = source_copies * gain_per_copy
+            if cycle < config.touchdown_cycles:
+                gains *= touchdown_factor
+            kept = ~((source_copies <= 0.0) | (gains <= 0.0))
+            # ``np.add.at`` is unbuffered and runs in table order, so a
+            # target fed several times in one cycle sums its gains in the
+            # order the cycle visits them, from 0.0, before they join its
+            # copies: the same float sums as a per-species loop.
+            additions = np.zeros_like(copies)
+            np.add.at(additions, target[kept], gains[kept])
+            if len(entries) < len(products):
+                # A product enters the pool in the cycle of its first kept
+                # contribution, in the order of those contributions.
+                fresh = np.flatnonzero(kept & ~in_pool[target])
+                _, first = np.unique(target[fresh], return_index=True)
+                first_rows = fresh[np.sort(first)]
+                in_pool[target[first_rows]] = True
+                entries.extend(
+                    zip(target[first_rows].tolist(), source[first_rows].tolist())
+                )
+            copies += additions
+
+        values = copies.tolist()
+        result.species.update(zip(strands, values))
+        for slot, source_slot in entries:
+            product = products[slot - len(strands)]
+            result.species[product] = values[slot]
+            meta = dict(result.annotations(strands[source_slot]))
+            meta["misprimed"] = True
+            result.metadata.setdefault(product, {}).update(meta)
         return result

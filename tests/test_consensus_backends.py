@@ -10,6 +10,8 @@ two paths must return the same strands on every input, the majority
 tie-break (``Counter`` first-insertion order) included.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,6 +91,60 @@ def test_numpy_kernel_matches_scalar_bma(data):
     assert _consensus_batch_numpy(groups, length) == expected
     assert _consensus_in_mode("1", groups, length) == expected
     assert _consensus_in_mode("0", groups, length) == expected
+
+
+def _readout_shaped_groups(length, seed):
+    """Clusters shaped like one partition readout's: 240 groups of 1-12
+    noisy copies, about 60% singletons, some truncated and some over-long
+    reads, and one group whose vote ties at every differing position."""
+    rng = random.Random(seed)
+
+    def strand():
+        return "".join(rng.choice(BASES) for _ in range(length))
+
+    def noisy(text):
+        out = []
+        for base in text:
+            draw = rng.random()
+            if draw < 0.01:
+                out.append(rng.choice(BASES))
+            elif draw < 0.02:
+                out.extend((base, rng.choice(BASES)))
+            elif draw >= 0.03:
+                out.append(base)
+        read = "".join(out)
+        shape = rng.random()
+        if shape < 0.05:
+            return read[: rng.randrange(length // 2, length)]
+        if shape < 0.10:
+            return read + strand()[: rng.randrange(1, 12)]
+        return read
+
+    groups = []
+    for _ in range(240):
+        original = strand()
+        size = 1 if rng.random() < 0.6 else rng.randrange(2, 13)
+        groups.append([noisy(original) for _ in range(size)])
+    first, second = strand(), strand()
+    groups.insert(rng.randrange(len(groups)), [first, second, first, second])
+    return groups
+
+
+@pytest.mark.parametrize("length", [146, 147])
+def test_numpy_kernel_matches_scalar_bma_on_a_readout_shape(length):
+    # The real decode reconstructs 146-base strands, hundreds of clusters
+    # per call; the odd length checks that one half-length kernel run
+    # still covers the backward half's extra position.
+    groups = _readout_shaped_groups(length, seed=length)
+    sizes = [len(group) for group in groups]
+    assert len(groups) >= 200
+    assert 0.5 < sizes.count(1) / len(groups) < 0.7
+    reads = [read for group in groups for read in group]
+    assert any(len(read) < length - 10 for read in reads)
+    assert any(len(read) > length + 1 for read in reads)
+    assert _consensus_batch_numpy(groups, length) == [
+        double_sided_bma(group, length) for group in groups
+    ]
 
 
 def test_vote_ties_follow_first_insertion_order():

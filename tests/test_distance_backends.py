@@ -23,12 +23,14 @@ from hypothesis import strategies as st
 import repro.pipeline.clustering as clustering
 import repro.pipeline.distance as distance
 import repro.sequence
+from repro.core.partition import Partition, PartitionConfig
 from repro.exceptions import ClusteringError
 from repro.pipeline.clustering import (
     DEFAULT_MAX_READ_DISTANCE,
     cluster_reads,
     route_reads,
 )
+from repro.pipeline.decoder import MAX_PREFIX_ERRORS, BlockDecoder
 from repro.pipeline.distance import (
     _MASK_CHUNK_BYTES,
     _MIN_ARRAY_CANDIDATES,
@@ -41,6 +43,10 @@ from repro.pipeline.distance import (
     kmer_masks,
     nearest,
 )
+from repro.pipeline.reads import has_prefix
+from repro.primers.library import PrimerPair
+from repro.wetlab.pcr import PCRConfig, PCRSimulator
+from repro.wetlab.pool import MolecularPool
 
 try:
     import numpy
@@ -146,6 +152,33 @@ def _signature_corrupted_reads(seed):
         else:
             read = _substitute(read, [position, position + 1])
         reads[index] = read
+    return reads
+
+
+PAIR = PrimerPair("ATCGTGCAAGCTTGACCTGA", "CGTAGACTTGCAACTGGACT")
+
+
+def _written_partition():
+    partition = Partition(PartitionConfig(primers=PAIR, leaf_count=16, tree_seed=5))
+    rng = random.Random(8)
+    partition.write(bytes(rng.randrange(256) for _ in range(4 * 256)))
+    return partition
+
+
+def _readout_reads(partition, seed):
+    """Five noisy reads per strand of ``partition``; every seventh also
+    carries an indel inside its primer, which only the read filter's banded
+    check accepts, and a few random reads carry no primer at all."""
+    rng = random.Random(seed)
+    reads = []
+    for molecule in partition.all_molecules():
+        for _ in range(5):
+            read = _mutate(rng, molecule.to_strand(), rng.randrange(0, 3))
+            if len(reads) % 7 == 0:
+                read = _mutate(rng, read[:20], 1) + read[20:]
+            reads.append(read)
+    reads.extend(_random_read(rng, 140) for _ in range(10))
+    rng.shuffle(reads)
     return reads
 
 
@@ -257,6 +290,42 @@ class TestOneKernelPerMode:
                 clusters = cluster_reads(reads, signature_start=20, signature_length=13)
             assert _shapes(clusters) == expected
             assert calls, f"{own} never ran with REPRO_FUSED_KERNELS={fused}"
+
+    def test_fused_readout_decode_runs_no_levenshtein(self, monkeypatch):
+        """The read filter, clustering and consensus of a whole readout."""
+        partition = _written_partition()
+        reads = _readout_reads(partition, seed=6)
+        primer = PAIR.forward
+        # Some reads fail the filter's Hamming screen and still carry the
+        # primer, so its banded edit-distance check runs.
+        assert any(
+            sum(map(ne, read, primer)) > MAX_PREFIX_ERRORS
+            and has_prefix(read, primer, max_errors=MAX_PREFIX_ERRORS)
+            for read in reads
+        )
+        with monkeypatch.context() as patch:
+            patch.setenv("REPRO_FUSED_KERNELS", "0")
+            expected = BlockDecoder(partition).decode_readout(reads)
+        with monkeypatch.context() as patch:
+            patch.setenv("REPRO_FUSED_KERNELS", "1")
+            self._forbid(patch, "levenshtein_distance", "1")
+            reports = BlockDecoder(partition).decode_readout(reads)
+        assert reports == expected
+        assert all(report.success for report in reports.values())
+
+    @requires_numpy
+    def test_fused_amplify_runs_no_levenshtein(self, monkeypatch):
+        """Mispriming compares footprints with the primers."""
+        partition = _written_partition()
+        pool = MolecularPool.from_sequences(
+            molecule.to_strand() for molecule in partition.all_molecules()
+        )
+        primers = [partition.primer_for_block(block) for block in (0, 2)]
+        with monkeypatch.context() as patch:
+            patch.setenv("REPRO_FUSED_KERNELS", "1")
+            self._forbid(patch, "levenshtein_distance", "1")
+            amplified = PCRSimulator(PCRConfig()).amplify(pool, primers, PAIR.reverse)
+        assert any(meta.get("misprimed") for meta in amplified.metadata.values())
 
 
 class TestNegativeBounds:

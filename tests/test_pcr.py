@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.wetlab.pcr as pcr
 from repro.core.partition import Partition, PartitionConfig
 from repro.exceptions import PCRError
 from repro.primers.library import PrimerPair
@@ -77,6 +78,12 @@ class TestAmplification:
         pool = build_pool(partition)
         with pytest.raises(PCRError):
             PCRSimulator(PCRConfig()).amplify(pool, [], PAIR.reverse)
+
+    def test_requires_numpy(self, monkeypatch):
+        pool = MolecularPool.from_sequences([PAIR.forward + "ACGT" + PAIR.reverse])
+        monkeypatch.setattr(pcr, "np", None)
+        with pytest.raises(PCRError, match="requires numpy"):
+            PCRSimulator(PCRConfig()).amplify(pool, PAIR.forward, PAIR.reverse)
 
     def test_templates_are_preserved(self):
         partition = build_partition()

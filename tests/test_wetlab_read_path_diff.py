@@ -341,6 +341,26 @@ def reactions(draw):
     return pool, forward, config, residual
 
 
+#: An elongated primer and three addresses one substitution away from its
+#: own, so strands carrying them misprime onto it.
+ADDRESS = "ACGTAC"
+PRIMER = MAIN + ADDRESS
+NEAR = ("ACGTAA", "ACGTTC", "ACGAAC")
+PAYLOADS = ("GATTACAGATTACA", "CCATGGCCATGG")
+
+
+def _strand(address: str, payload: str) -> str:
+    return MAIN + address + payload + REVERSE
+
+
+def amplify_both(pool: MolecularPool, config: PCRConfig) -> MolecularPool:
+    """Amplify with the library and the reference; return the library's pool."""
+    got = PCRSimulator(config).amplify(pool, PRIMER, REVERSE, name="out")
+    want = ReferencePCRSimulator(config).amplify(pool, PRIMER, REVERSE, name="out")
+    assert_same_pool(got, want)
+    return got
+
+
 class TestAmplifyMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(reactions())
@@ -381,6 +401,62 @@ class TestAmplifyMatchesReference:
                 pool, primers, REVERSE, residual_forward_primer=MAIN
             )
             assert_same_pool(got, want)
+
+    def test_misprimed_product_already_in_the_pool(self):
+        # Both neighbours' products are the exact strand itself, so it sums
+        # a misprime from before it, its own gain and one from after it.
+        exact = _strand(ADDRESS, PAYLOADS[0])
+        pool = MolecularPool(name="pool")
+        pool.add(_strand(NEAR[0], PAYLOADS[0]), 4.0, serial=0)
+        pool.add(exact, 7.0, serial=1)
+        pool.add(_strand(NEAR[1], PAYLOADS[0]), 2.5, serial=2)
+        got = amplify_both(pool, PCRConfig(cycles=6))
+        assert list(got.species) == list(pool.species)
+        assert "misprimed" not in got.annotations(exact)
+
+    @pytest.mark.parametrize("touchdown_cycles", [3, 6])
+    def test_no_product_while_touchdown_stops_mispriming(self, touchdown_cycles):
+        # A factor of 0 zeroes every misprime gain while touching down: the
+        # product enters the pool in the first regular cycle, or never.
+        pool = MolecularPool(name="pool")
+        pool.add(_strand(ADDRESS, PAYLOADS[0]), 3.0, serial=0)
+        pool.add(_strand(NEAR[0], PAYLOADS[1]), 5.0, serial=1)
+        config = PCRConfig(
+            cycles=6,
+            touchdown_cycles=touchdown_cycles,
+            touchdown_mispriming_factor=0.0,
+        )
+        got = amplify_both(pool, config)
+        product = _strand(ADDRESS, PAYLOADS[1])
+        assert (product in got) == (touchdown_cycles < config.cycles)
+
+    def test_empty_species_fed_by_a_misprime_then_amplifies(self):
+        # The exact strand starts with no copies: the misprime fills it in
+        # the first cycle and its own gain adds to it from the second.
+        exact = _strand(ADDRESS, PAYLOADS[0])
+        pool = MolecularPool(name="pool")
+        pool.add(exact, 0.0)
+        pool.add(_strand(NEAR[0], PAYLOADS[0]), 5.0, serial=1)
+        got = amplify_both(pool, PCRConfig(cycles=4))
+        assert list(got.species) == list(pool.species)
+        assert got.copies(exact) > 5.0 * 0.95 * 0.3 * 4
+
+    def test_products_enter_in_the_order_of_their_first_gain(self):
+        # The first strand to misprime onto one product has no copies, so
+        # that product's first gain comes after another product's.
+        pool = MolecularPool(name="pool")
+        pool.add(_strand(NEAR[0], PAYLOADS[0]), 0.0, serial=0)
+        pool.add(_strand(NEAR[1], PAYLOADS[1]), 5.0, serial=1)
+        pool.add(_strand(NEAR[2], PAYLOADS[0]), 5.0, serial=2)
+        got = amplify_both(pool, PCRConfig(cycles=3))
+        assert list(got.species)[3:] == [
+            _strand(ADDRESS, PAYLOADS[1]),
+            _strand(ADDRESS, PAYLOADS[0]),
+        ]
+        assert got.annotations(_strand(ADDRESS, PAYLOADS[0])) == {
+            "serial": 2,
+            "misprimed": True,
+        }
 
 
 # ----------------------------------------------------------------------
