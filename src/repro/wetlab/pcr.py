@@ -30,15 +30,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None  # The configs stay importable; only PCRSimulator.amplify needs numpy.
-
 from repro.core.elongation import ElongatedPrimer
 from repro.exceptions import PCRError
 from repro.sequence import bounded_edit_distance
 from repro.wetlab.pool import MolecularPool
+
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
+    np = None  # The configs stay importable; only PCRSimulator.amplify needs numpy.
 
 
 @dataclass(frozen=True)
@@ -280,27 +280,24 @@ class PCRSimulator:
         # next, so the reaction is one table of (source, target, per-copy
         # gain) contributions, listed in the order a cycle visits them:
         # species in pool order, each with its misprimes in primer order and
-        # then its own gain.  Products missing from the input pool take the
-        # slots after it, and their own gains close the table: a product
+        # then its own gain.  The loop appends each product missing from
+        # the input pool to ``strands`` and reaches it after every pooled
+        # species, so the products' own gains close the table: a product
         # carries its primer as its prefix, so it never misprimes.
         strands = list(result.species)
+        pooled = len(strands)
         slot_of = {strand: slot for slot, strand in enumerate(strands)}
-        products: list[str] = []
         rows: list[tuple[int, int, float, bool]] = []
         for slot, strand in enumerate(strands):
             strand_class = classify(strand)
             for binding in strand_class.misprimes:
                 target = slot_of.get(binding.product)
                 if target is None:
-                    target = slot_of[binding.product] = len(strands) + len(products)
-                    products.append(binding.product)
+                    target = slot_of[binding.product] = len(strands)
+                    strands.append(binding.product)
                 rows.append((slot, target, binding.mispriming_efficiency, True))
             if strand_class.self_gain > 0.0:
                 rows.append((slot, slot, strand_class.self_gain, False))
-        for slot, product in enumerate(products, len(strands)):
-            self_gain = classify(product).self_gain
-            if self_gain > 0.0:
-                rows.append((slot, slot, self_gain, False))
         if not rows:
             return result
         source, target, gain_per_copy, misprimed = (
@@ -308,9 +305,9 @@ class PCRSimulator:
         )
         touchdown_factor = np.where(misprimed, config.touchdown_mispriming_factor, 1.0)
 
-        copies = np.zeros(len(strands) + len(products))
-        copies[: len(strands)] = list(result.species.values())
-        in_pool = np.arange(len(copies)) < len(strands)
+        copies = np.zeros(len(strands))
+        copies[:pooled] = list(result.species.values())
+        in_pool = np.arange(len(strands)) < pooled
         # (product slot, first contributing source slot), in pool order.
         entries: list[tuple[int, int]] = []
         for cycle in range(config.cycles):
@@ -325,7 +322,7 @@ class PCRSimulator:
             # copies: the same float sums as a per-species loop.
             additions = np.zeros_like(copies)
             np.add.at(additions, target[kept], gains[kept])
-            if len(entries) < len(products):
+            if len(entries) < len(strands) - pooled:
                 # A product enters the pool in the cycle of its first kept
                 # contribution, in the order of those contributions.
                 fresh = np.flatnonzero(kept & ~in_pool[target])
@@ -338,9 +335,9 @@ class PCRSimulator:
             copies += additions
 
         values = copies.tolist()
-        result.species.update(zip(strands, values))
+        result.species.update(zip(strands[:pooled], values))
         for slot, source_slot in entries:
-            product = products[slot - len(strands)]
+            product = strands[slot]
             result.species[product] = values[slot]
             meta = dict(result.annotations(strands[source_slot]))
             meta["misprimed"] = True
