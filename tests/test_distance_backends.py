@@ -7,9 +7,9 @@ trimmed undecided pair; the reference mode (``0``) runs the banded
 Levenshtein on every untrimmed pair.  Both are exact within the bound,
 so they must produce *identical* clusters, and each mode must run only
 its own kernel.  Everything here runs without numpy except the diffs of
-the two numpy helpers: the coded k-mer masks against the first-sight
+the two numpy helpers (the coded k-mer masks against the first-sight
 masks, and the array Hamming column of ``nearest`` against the scalar
-one.
+one) and the PCR run of ``TestOneKernelPerMode``.
 """
 
 import random
@@ -166,9 +166,9 @@ def _written_partition():
 
 
 def _readout_reads(partition, seed):
-    """Five noisy reads per strand of ``partition``; every seventh also
-    carries an indel inside its primer, which only the read filter's banded
-    check accepts, and a few random reads carry no primer at all."""
+    """Five noisy reads per strand of ``partition``; every seventh gets one
+    more edit inside its primer (an indel there passes only the read
+    filter's banded check), and a few random reads carry no primer."""
     rng = random.Random(seed)
     reads = []
     for molecule in partition.all_molecules():
