@@ -114,7 +114,8 @@ def test_sec8_clustering_backend_speedup(monkeypatch):
     """The clustering hot path on a wetlab-serving readout: the fused
     kernels must produce identical clusters at a >= 3x speedup over the
     reference ones (``REPRO_FUSED_KERNELS=0``: the banded Levenshtein on
-    every pair, the inverted k-mer index and no route memo).  It is what
+    every pair, ``kmer_set`` frozensets for the k-mer prefilter and no
+    route memo).  It is what
     makes wetlab-fidelity serving affordable at trace scale.
     """
     from repro.pipeline.clustering import cluster_reads

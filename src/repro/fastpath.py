@@ -3,8 +3,9 @@
 The decode hot path ships two byte-identical implementations of every
 expensive step: a straightforward reference (the banded Levenshtein on
 every untrimmed read pair, scalar nearest-bucket routing without a route
-memo, the inverted-index k-mer prefilter, ``double_sided_bma`` per
-cluster, per-erasure-pattern Reed-Solomon solves) and the fused/batched
+memo, the k-mer prefilter over ``kmer_set`` frozensets,
+``double_sided_bma`` per cluster, per-erasure-pattern Reed-Solomon
+solves) and the fused/batched
 fast path this engine runs by default.  ``REPRO_FUSED_KERNELS=0`` selects
 the reference implementations everywhere at once; it is the only switch
 between them.  The identity tests diff the two modes, and the decoding

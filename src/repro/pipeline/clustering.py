@@ -18,58 +18,49 @@ single clustering decision:
   (the SymSpell construction: two signatures within edit distance ``k``
   share a variant obtained by deleting at most ``k`` characters from
   each), replacing the O(#buckets) linear scan per novel signature;
-* every read's k-mer set and every representative's k-mer set are
-  computed **once** and reused across comparisons;
-* representative comparisons go through
-  :func:`repro.pipeline.distance.first_within_batch` in cross-bucket
-  batches: the fused kernels screen out certain matches and ruled-out
-  candidates and send the rest through a bit-parallel edit-distance
-  kernel, while ``REPRO_FUSED_KERNELS=0`` runs the per-pair banded
-  Levenshtein reference.
+* every read's k-mer set is computed **once** and reused across
+  comparisons;
+* a (read, representative) pair that passes the k-mer prefilter goes
+  through one pair test: the fused
+  :func:`repro.pipeline.distance.within_screened` settles certain
+  matches and ruled-out pairs by a screen and sends the rest through a
+  bit-parallel edit-distance kernel, while ``REPRO_FUSED_KERNELS=0``
+  runs the banded Levenshtein reference
+  (:func:`repro.pipeline.distance.within_reference`).
 
 Clustering runs in two phases: :func:`route_reads` routes every read to
 a signature bucket (order-dependent — the nearest-bucket search and the
 fused route memo both depend on which buckets exist *so far*), then each
-bucket agglomerates on its own.
+bucket agglomerates on its own in one sequential greedy pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.exceptions import ClusteringError
 from repro.fastpath import fused_kernels_enabled
 from repro.pipeline.distance import (
-    first_within,
-    first_within_batch,
     kmer_masks,
     nearest,
     require_non_negative,
+    within_reference,
+    within_screened,
 )
 from repro.sequence import bounded_edit_distance, kmer_set
 
-#: Bounds of the per-bucket round chunk (reads whose representative
-#: comparisons are batched into one ``first_within_batch`` call).  Only
-#: reads of the *same* bucket are order-dependent, and a cluster born
-#: inside a round is handled by the post-batch fix-up, so chunking only
-#: trades batch size against wasted comparisons — it never changes the
-#: resulting clusters.
-#: The chunk adapts per bucket: stable buckets (reads keep joining
-#: existing clusters) grow toward the maximum, buckets that keep spawning
-#: clusters shrink so new representatives enter the batched snapshot
-#: quickly instead of burning sequential fix-up comparisons.
-_CHUNK_START = 8
-_CHUNK_MIN = 4
-_CHUNK_MAX = 64
-
 _KMER_SIZE = 6
+
+#: The k-mer prefilter: a read is compared with a representative only
+#: when the Jaccard index of their distinct k-mers reaches this value.  A
+#: pair whose k-mer union is empty passes.
+_MIN_KMER_SIMILARITY = 0.35
 
 #: Defaults shared by the clustering entry points (``cluster_reads`` and
 #: ``route_reads``).
 DEFAULT_MAX_SIGNATURE_ERRORS = 2
 DEFAULT_MAX_READ_DISTANCE = 12
-DEFAULT_MIN_KMER_SIMILARITY = 0.35
 
 
 @dataclass
@@ -233,182 +224,54 @@ def _agglomerate(
     bucket_reads: dict[str, list[int]],
     *,
     max_read_distance: int,
-    min_kmer_similarity: float,
 ) -> dict[str, list[ReadCluster]]:
     """Phase 2 — greedy agglomeration around representatives.
 
-    Buckets are independent and each bucket contributes a chunk of
-    consecutive reads per round, so all (read, representative)
-    comparisons of a round go through one ``first_within_batch`` call.
-    Clusters born *inside* a round only affect later reads of the same
-    bucket's chunk; those few extra comparisons run in the fix-up below
-    (one ``first_within`` call per unplaced read), which keeps the result
-    bit-identical to a fully sequential pass.
+    Each bucket takes its reads in order.  A read joins the first
+    representative, in creation order, that passes the k-mer prefilter
+    and then the mode's pair test, or else starts a new cluster.
 
-    The k-mer prefilter has two byte-identical implementations: the
-    reference walks an inverted index (k-mer → positions of the
-    representatives containing it) per bucket; the fused path stores
-    every k-mer set as a bitmask and evaluates the same Jaccard test with
-    a word-parallel AND+popcount per representative, which is an order
-    of magnitude cheaper than set intersections.  ``kmer_masks`` builds
-    all of the call's masks at once under one bit numbering (k-mer codes
-    with numpy, order of first sight without): popcounts and intersection
-    counts do not depend on which bit stands for which k-mer, so neither
-    do the clusters.
+    The prefilter is a Jaccard test over distinct k-mers.  The fused mode
+    stores every k-mer set as a bitmask and evaluates it with an AND and a
+    popcount; the reference keeps ``kmer_set`` frozensets.  ``kmer_masks``
+    builds all of the call's masks at once under one bit numbering (k-mer
+    codes with numpy, order of first sight without): popcounts and
+    intersection counts do not depend on which bit stands for which
+    k-mer, so neither do the clusters.
     """
     fused = fused_kernels_enabled()
+    within = within_screened if fused else within_reference
+    count = int.bit_count if fused else len
     order = [index for members in bucket_reads.values() for index in members]
-    read_kmers: dict[int, frozenset[str]] = {}
-    read_masks: dict[int, int] = {}
-    if fused:
-        masks = kmer_masks([reads[index] for index in order], _KMER_SIZE)
-        read_masks = dict(zip(order, masks))
-    else:
-        read_kmers = {index: kmer_set(reads[index], _KMER_SIZE) for index in order}
+    texts = [reads[index] for index in order]
+    kmers: list[Any] = (
+        kmer_masks(texts, _KMER_SIZE)
+        if fused
+        else [kmer_set(text, _KMER_SIZE) for text in texts]
+    )
+    kmers_of = {index: (mine, count(mine)) for index, mine in zip(order, kmers)}
 
-    buckets: dict[str, list[ReadCluster]] = {key: [] for key in bucket_reads}
-    rep_kmer_sizes: dict[str, list[int]] = {key: [] for key in buckets}
-    rep_kmer_sets: dict[str, list[frozenset[str]]] = {key: [] for key in buckets}
-    rep_masks: dict[str, list[int]] = {key: [] for key in buckets}
-    rep_kmer_index: dict[str, dict[str, list[int]]] = {}
-    empty_kmer_reps: dict[str, list[int]] = {key: [] for key in buckets}
-    cursors = {key: 0 for key in buckets}
-    chunk_sizes = {key: _CHUNK_START for key in buckets}
-    pending = list(buckets)
-
-    def start_cluster(key: str, read_index: int) -> None:
-        position = len(buckets[key])
-        buckets[key].append(ReadCluster(signature=key, reads=[reads[read_index]]))
-        if fused:
-            mask = read_masks[read_index]
-            size = mask.bit_count()
-            rep_masks[key].append(mask)
-        else:
-            kmers = read_kmers[read_index]
-            size = len(kmers)
-            rep_kmer_sets[key].append(kmers)
-            index_for_key = rep_kmer_index.get(key)
-            if index_for_key is not None:
-                for kmer in kmers:
-                    index_for_key.setdefault(kmer, []).append(position)
-        rep_kmer_sizes[key].append(size)
-        if not size:
-            empty_kmer_reps[key].append(position)
-
-    def kmer_index_for(key: str) -> dict[str, list[int]]:
-        """The bucket's inverted k-mer index, built on first demand."""
-        index_for_key = rep_kmer_index.get(key)
-        if index_for_key is None:
-            index_for_key = {}
-            for position, kmers in enumerate(rep_kmer_sets[key]):
-                for kmer in kmers:
-                    index_for_key.setdefault(kmer, []).append(position)
-            rep_kmer_index[key] = index_for_key
-        return index_for_key
-
-    def passing_positions(key: str, read_index: int, lo: int, hi: int) -> list[int]:
-        """Representative positions in ``[lo, hi)`` passing the k-mer
-        prefilter, ascending — exactly the Jaccard test."""
-        if min_kmer_similarity <= 0.0:
-            return list(range(lo, hi))
-        sizes = rep_kmer_sizes[key]
-        if fused:
-            mine_mask = read_masks[read_index]
-            mine_size = mine_mask.bit_count()
-            if not mine_size:
-                # An empty k-mer set matches only other empty sets
-                # (Jaccard 1).
-                if 1.0 >= min_kmer_similarity:
-                    return [p for p in empty_kmer_reps[key] if lo <= p < hi]
-                return []
-            masks = rep_masks[key]
-            return [
-                position
-                for position in range(lo, hi)
-                if (shared := (mine_mask & masks[position]).bit_count())
-                and shared / (mine_size + sizes[position] - shared)
-                >= min_kmer_similarity
-            ]
-        mine = read_kmers[read_index]
-        if not mine:
-            if 1.0 >= min_kmer_similarity:
-                return [p for p in empty_kmer_reps[key] if lo <= p < hi]
-            return []
-        mine_size = len(mine)
-        counts: dict[int, int] = {}
-        index_for_key = kmer_index_for(key)
-        for kmer in mine:
-            for position in index_for_key.get(kmer, ()):
-                counts[position] = counts.get(position, 0) + 1
-        passing = [
-            position
-            for position, shared in counts.items()
-            if lo <= position < hi
-            and shared / (mine_size + sizes[position] - shared)
-            >= min_kmer_similarity
-        ]
-        passing.sort()
-        return passing
-
-    # Seed every bucket with its first read's cluster — that is exactly
-    # what the greedy pass would do (an empty bucket has no representative
-    # to match), and it guarantees the first batched round already has a
-    # representative to compare against instead of falling back to the
-    # sequential fix-up for a whole chunk.
+    buckets: dict[str, list[ReadCluster]] = {}
     for key, members in bucket_reads.items():
-        if members:
-            start_cluster(key, members[0])
-            cursors[key] = 1
-    pending = [key for key in pending if cursors[key] < len(bucket_reads[key])]
-
-    while pending:
-        queries: list[str] = []
-        candidate_lists: list[list[str]] = []
-        metadata: list[tuple[str, int, list[int], int]] = []
-        still_pending: list[str] = []
-        for key in pending:
-            members = bucket_reads[key]
-            cursor = cursors[key]
-            chunk = members[cursor : cursor + chunk_sizes[key]]
-            cursors[key] = cursor + len(chunk)
-            if cursors[key] < len(members):
-                still_pending.append(key)
-            clusters = buckets[key]
-            snapshot = len(clusters)
-            for read_index in chunk:
-                passing = passing_positions(key, read_index, 0, snapshot)
-                queries.append(reads[read_index])
-                candidate_lists.append(
-                    [clusters[position].representative for position in passing]
-                )
-                metadata.append((key, read_index, passing, snapshot))
-        matches = first_within_batch(queries, candidate_lists, max_read_distance)
-        grew: dict[str, bool] = {}
-        for (key, read_index, passing, snapshot), match in zip(metadata, matches):
-            clusters = buckets[key]
-            if match is not None:
-                clusters[passing[match]].reads.append(reads[read_index])
-                continue
-            # No pre-round representative matched; try clusters created by
-            # earlier reads of this same round before starting a new one.
-            late = passing_positions(key, read_index, snapshot, len(clusters))
-            found = first_within(
-                reads[read_index],
-                [clusters[position].representative for position in late],
-                max_read_distance,
-            )
-            if found is not None:
-                clusters[late[found]].reads.append(reads[read_index])
+        clusters: list[ReadCluster] = []
+        representatives: list[tuple[str, Any, int]] = []
+        for index in members:
+            read = reads[index]
+            mine, size = kmers_of[index]
+            for cluster, (other, theirs, other_size) in zip(
+                clusters, representatives
+            ):
+                shared = count(mine & theirs)
+                union = size + other_size - shared
+                if (
+                    not union or shared / union >= _MIN_KMER_SIMILARITY
+                ) and within(read, other, max_read_distance):
+                    cluster.reads.append(read)
+                    break
             else:
-                start_cluster(key, read_index)
-                grew[key] = True
-        for key in pending:  # every pending bucket took a chunk this round
-            if grew.get(key):
-                chunk_sizes[key] = max(_CHUNK_MIN, chunk_sizes[key] // 2)
-            else:
-                chunk_sizes[key] = min(_CHUNK_MAX, chunk_sizes[key] * 2)
-        pending = still_pending
-
+                clusters.append(ReadCluster(signature=key, reads=[read]))
+                representatives.append((read, mine, size))
+        buckets[key] = clusters
     return buckets
 
 
@@ -419,7 +282,6 @@ def cluster_reads(
     signature_length: int,
     max_signature_errors: int = DEFAULT_MAX_SIGNATURE_ERRORS,
     max_read_distance: int = DEFAULT_MAX_READ_DISTANCE,
-    min_kmer_similarity: float = DEFAULT_MIN_KMER_SIMILARITY,
 ) -> list[ReadCluster]:
     """Cluster reads into per-strand groups.
 
@@ -434,8 +296,6 @@ def cluster_reads(
             from every representative in their bucket start a new cluster
             (this is what separates misprimed payloads that share the
             target's address from the target's own reads).
-        min_kmer_similarity: cheap k-mer prefilter threshold applied before
-            computing edit distance against a representative.
 
     Returns:
         Clusters sorted by decreasing size (the order in which the decoder
@@ -453,12 +313,7 @@ def cluster_reads(
         signature_length=signature_length,
         max_signature_errors=max_signature_errors,
     )
-    buckets = _agglomerate(
-        reads,
-        bucket_reads,
-        max_read_distance=max_read_distance,
-        min_kmer_similarity=min_kmer_similarity,
-    )
+    buckets = _agglomerate(reads, bucket_reads, max_read_distance=max_read_distance)
     clusters = [cluster for bucket in buckets.values() for cluster in bucket]
     clusters.sort(key=lambda cluster: cluster.size, reverse=True)
     return clusters

@@ -1,23 +1,23 @@
 """Edit-distance primitives of the clustering hot path.
 
-Clustering spends almost all of its time answering one question: *which is
-the first cluster representative within edit distance* ``d`` *of this
-read?*  This module answers it (:func:`first_within_batch`,
-:func:`first_within`), finds the nearest bucket signature of a corrupted
-one (:func:`nearest`) and builds the k-mer masks of the clustering
-prefilter (:func:`kmer_masks`).  ``REPRO_FUSED_KERNELS`` picks the kernel:
+Clustering spends almost all of its time answering one question: *is
+this read within edit distance* ``d`` *of that cluster representative?*
+This module answers it with one pair test per ``REPRO_FUSED_KERNELS``
+mode, finds the nearest bucket signature of a corrupted one
+(:func:`nearest`) and builds the k-mer masks of the clustering prefilter
+(:func:`kmer_masks`):
 
-* **fused** (the default) — each query's candidates are screened first: an
+* **fused** (the default, :func:`within_screened`) — a screen first: an
   identical candidate, or an equal-length one within the bound by Hamming
   count, is a certain match, and a length gap beyond the bound rules a
-  candidate out.  Each undecided candidate in front of the first certain
-  match loses the prefix and suffix it shares with the query, then goes
-  through the bit-parallel :func:`repro.sequence.bounded_edit_distance`.
-  This is pure Python; numpy, when importable, only builds the Hamming
-  columns of :func:`nearest` and the k-mer masks in bulk array passes.
-* **reference** (``REPRO_FUSED_KERNELS=0``) — the banded
-  :func:`repro.sequence.levenshtein_distance` on every untrimmed pair,
-  one comparison at a time, stopping at the first match.
+  candidate out.  An undecided candidate loses the prefix and suffix it
+  shares with the query, then goes through the bit-parallel
+  :func:`repro.sequence.bounded_edit_distance`.  This is pure Python;
+  numpy, when importable, only builds the Hamming columns of
+  :func:`nearest` and the k-mer masks in bulk array passes.
+* **reference** (``REPRO_FUSED_KERNELS=0``, :func:`within_reference`) —
+  the banded :func:`repro.sequence.levenshtein_distance` on the untrimmed
+  pair.
 
 Both modes are exact within the bound, so they produce *identical*
 clusters; the clustering tests diff the fused mode against the
@@ -90,55 +90,25 @@ def _trim_shared(left: str, right: str) -> tuple[str, str]:
     return left[: len(left) - end], right[: len(right) - end]
 
 
-def _first_screened(
-    query: str, candidates: list[str], max_distance: int
-) -> int | None:
-    """The fused first match: screen, then trim and run the kernel."""
-    length = len(query)
-    for index, candidate in enumerate(candidates):
-        gap = len(candidate) - length
-        if gap == 0 and (
-            candidate == query or sum(map(ne, query, candidate)) <= max_distance
-        ):
-            return index
-        if abs(gap) > max_distance:
-            continue
-        left, right = _trim_shared(query, candidate)
-        if bounded_edit_distance(left, right, max_distance) <= max_distance:
-            return index
-    return None
-
-
-def _first_reference(
-    query: str, candidates: list[str], max_distance: int
-) -> int | None:
-    """The reference first match: the banded Levenshtein on each pair."""
-    for index, candidate in enumerate(candidates):
-        if _levenshtein(query, candidate, max_distance) <= max_distance:
-            return index
-    return None
-
-
-def first_within_batch(
-    queries: list[str],
-    candidate_lists: list[list[str]],
-    max_distance: int,
-) -> list[int | None]:
-    """For each (query, candidates) item, the index of the first candidate
-    within ``max_distance`` of the query, or ``None``."""
+def within_screened(query: str, candidate: str, max_distance: int) -> bool:
+    """Whether ``candidate`` is within ``max_distance`` edits of ``query``:
+    the fused pair test (screen, then trim and run the kernel)."""
     require_non_negative("max_distance", max_distance)
-    first = _first_screened if fused_kernels_enabled() else _first_reference
-    return [
-        first(query, candidates, max_distance)
-        for query, candidates in zip(queries, candidate_lists)
-    ]
+    gap = len(candidate) - len(query)
+    if gap == 0 and (
+        candidate == query or sum(map(ne, query, candidate)) <= max_distance
+    ):
+        return True
+    if abs(gap) > max_distance:
+        return False
+    left, right = _trim_shared(query, candidate)
+    return bounded_edit_distance(left, right, max_distance) <= max_distance
 
 
-def first_within(
-    query: str, candidates: list[str], max_distance: int
-) -> int | None:
-    """Index of the first candidate within ``max_distance`` of ``query``."""
-    return first_within_batch([query], [candidates], max_distance)[0]
+def within_reference(query: str, candidate: str, max_distance: int) -> bool:
+    """:func:`within_screened` by the banded Levenshtein on the whole pair."""
+    require_non_negative("max_distance", max_distance)
+    return _levenshtein(query, candidate, max_distance) <= max_distance
 
 
 def _hamming_column(query: str, candidates: list[str]) -> list[int | None]:
@@ -312,9 +282,9 @@ def kmer_masks(texts: list[str], k: int) -> list[int]:
 
 
 __all__ = [
-    "first_within",
-    "first_within_batch",
     "kmer_masks",
     "nearest",
     "require_non_negative",
+    "within_reference",
+    "within_screened",
 ]

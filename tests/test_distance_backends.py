@@ -1,10 +1,10 @@
 """Fused vs reference clustering kernels.
 
-``REPRO_FUSED_KERNELS`` chooses how :mod:`repro.pipeline.distance`
-compares reads.  The fused mode (the default) screens certain matches
-and ruled-out candidates, then runs the bit-parallel kernel over each
-trimmed undecided pair; the reference mode (``0``) runs the banded
-Levenshtein on every untrimmed pair.  Both are exact within the bound,
+``REPRO_FUSED_KERNELS`` chooses which pair test of
+:mod:`repro.pipeline.distance` clustering runs.  The fused one (the
+default) screens certain matches and ruled-out candidates, then runs the
+bit-parallel kernel over each trimmed undecided pair; the reference one
+(``0``) runs the banded Levenshtein on every untrimmed pair.  Both are exact within the bound,
 so they must produce *identical* clusters, and each mode must run only
 its own kernel.  Everything here runs without numpy except the diffs of
 the two numpy helpers (the coded k-mer masks against the first-sight
@@ -38,13 +38,14 @@ from repro.pipeline.distance import (
     _first_sight_masks,
     _hamming_array,
     _hamming_column,
-    first_within,
-    first_within_batch,
     kmer_masks,
     nearest,
+    within_reference,
+    within_screened,
 )
 from repro.pipeline.reads import has_prefix
 from repro.primers.library import PrimerPair
+from repro.sequence import kmer_set, levenshtein_distance
 from repro.wetlab.pcr import PCRConfig, PCRSimulator
 from repro.wetlab.pool import MolecularPool
 
@@ -95,30 +96,28 @@ def _shapes(clusters):
     return [(cluster.signature, tuple(cluster.reads)) for cluster in clusters]
 
 
-class TestFirstWithin:
-    @pytest.mark.parametrize("fused", MODES)
-    def test_first_match_wins(self, fused, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSED_KERNELS", fused)
-        assert first_within("ACGTACGT", ["TTTTTTTT", "ACGTACGA", "ACGTACGT"], 2) == 1
-        assert first_within("ACGT", ["GGGG"], 1) is None
-        assert first_within("ACGT", [], 3) is None
-
+class TestPairTests:
     def test_fused_matches_reference(self):
         rng = random.Random(5)
-        queries, candidate_lists = [], []
+        pairs = []
         for _ in range(300):
             query = _random_read(rng, rng.randrange(80, 170))
-            candidates = [
-                _mutate(rng, query, rng.randrange(0, 25))
+            pairs.extend(
+                (query, _mutate(rng, query, rng.randrange(0, 25)))
                 for _ in range(rng.randrange(0, 6))
-            ]
-            queries.append(query)
-            candidate_lists.append(candidates)
-        for bound in (2, 5, 12):
-            batch = (queries, candidate_lists, bound)
-            assert _in_mode("1", first_within_batch, *batch) == _in_mode(
-                "0", first_within_batch, *batch
             )
+        for bound in (2, 5, 12):
+            for query, candidate in pairs:
+                assert within_screened(query, candidate, bound) == within_reference(
+                    query, candidate, bound
+                )
+
+    @pytest.mark.parametrize("within", [within_screened, within_reference])
+    def test_empty_strings(self, within):
+        assert within("", "", 0)
+        assert not within("", "A", 0)
+        assert within("", "AC", 2)
+        assert not within("ACGT", "", 3)
 
 
 def _noisy_reads(seed, strands, copies, edits):
@@ -199,38 +198,6 @@ class TestClusterEquivalence:
         assert outcomes["1"] == outcomes["0"]
 
     @pytest.mark.parametrize("fused", MODES)
-    def test_in_round_fix_up_places_an_indel_only_match(self, fused, monkeypatch):
-        """A cluster born inside a round takes a later read of the same
-        round that is two indels away but far apart by Hamming count."""
-        monkeypatch.setenv("REPRO_FUSED_KERNELS", fused)
-        rng = random.Random(11)
-        signature = "ACGTTGCAAGCTT"
-        first = signature + _random_read(rng, 120)
-        born = signature + _random_read(rng, 120)
-        shifted = born[:20] + born[21:] + "G"
-        assert sum(map(ne, born, shifted)) > DEFAULT_MAX_READ_DISTANCE
-        placements = []
-        original = clustering.first_within
-
-        def spy(query, candidates, max_distance):
-            found = original(query, candidates, max_distance)
-            if found is not None:
-                placements.append((query, candidates[found]))
-            return found
-
-        monkeypatch.setattr(clustering, "first_within", spy)
-        clusters = cluster_reads(
-            [first, born, shifted],
-            signature_start=0,
-            signature_length=len(signature),
-        )
-        # One round: ``born`` and ``shifted`` are both compared with
-        # ``first`` only; ``born`` then starts a cluster, and the fix-up
-        # places ``shifted`` in it.
-        assert [cluster.reads for cluster in clusters] == [[born, shifted], [first]]
-        assert placements == [(shifted, born)]
-
-    @pytest.mark.parametrize("fused", MODES)
     def test_corrupted_signatures_still_route_through_index(self, fused, monkeypatch):
         """The deletion-neighborhood index must find buckets within the
         signature error budget exactly like the old linear scan."""
@@ -244,6 +211,85 @@ class TestClusterEquivalence:
             signature_length=13,
         )
         assert clusters[0].size == 7
+
+
+class TestGreedyPass:
+    """Each read joins the first representative of its bucket, in creation
+    order, that passes the k-mer prefilter and the pair test."""
+
+    SIGNATURE = "ACGTTGCAAGCTT"
+
+    def _clusters(self, reads, **bounds):
+        clusters = cluster_reads(
+            reads, signature_start=0, signature_length=len(self.SIGNATURE), **bounds
+        )
+        return [cluster.reads for cluster in clusters]
+
+    @pytest.mark.parametrize("fused", MODES)
+    def test_indel_only_match_joins_a_representative_born_in_the_bucket(
+        self, fused, monkeypatch
+    ):
+        """A later read two indels from a representative born earlier in
+        the same bucket, and far from it by Hamming count, joins it."""
+        monkeypatch.setenv("REPRO_FUSED_KERNELS", fused)
+        rng = random.Random(11)
+        first = self.SIGNATURE + _random_read(rng, 120)
+        born = self.SIGNATURE + _random_read(rng, 120)
+        shifted = born[:20] + born[21:] + "G"
+        assert sum(map(ne, born, shifted)) > DEFAULT_MAX_READ_DISTANCE
+        assert self._clusters([first, born, shifted]) == [[born, shifted], [first]]
+
+    @pytest.mark.parametrize("fused", MODES)
+    def test_earlier_indel_match_beats_a_later_certain_one(self, fused, monkeypatch):
+        monkeypatch.setenv("REPRO_FUSED_KERNELS", fused)
+        query = self.SIGNATURE + "ACGGTTACCAGTAGCATTGCA"
+        shifted = query[:15] + query[16:] + "T"  # two indels, many mismatches
+        substituted = _substitute(query, [20])  # the screen's certain match
+        assert sum(map(ne, query, shifted)) > 2
+        assert levenshtein_distance(shifted, substituted) == 3
+        clusters = self._clusters([shifted, substituted, query], max_read_distance=2)
+        assert clusters == [[shifted, query], [substituted]]
+
+    @pytest.mark.parametrize("fused", MODES)
+    def test_first_match_wins(self, fused, monkeypatch):
+        """The first passing representative, not the nearest one; a read
+        no representative passes starts a cluster."""
+        monkeypatch.setenv("REPRO_FUSED_KERNELS", fused)
+        query = self.SIGNATURE + "ACGGTTACCAGTAGCATTGCA"
+        farther = _substitute(query, [18, 24])
+        nearer = _substitute(query, [30])
+        unrelated = self.SIGNATURE + "TTTTGGGGCCCCAAAATTTTG"
+        clusters = self._clusters(
+            [farther, nearer, query, unrelated], max_read_distance=2
+        )
+        assert clusters == [[farther, query], [nearer], [unrelated]]
+
+    AT_THRESHOLD = ("ACGTACAGGGATGAAGAAA", "ACGTACCGGATGAAGAAA")
+
+    @pytest.mark.parametrize("fused", MODES)
+    @pytest.mark.parametrize(
+        "reads, sizes",
+        [(("ACGTA", "ACGTT"), [2]), (("ACGTA", "ACGTAC"), [1, 1]), (AT_THRESHOLD, [2])],
+        ids=["both-empty", "one-empty", "at-threshold"],
+    )
+    def test_kmer_prefilter_edge_rules(self, fused, reads, sizes, monkeypatch):
+        """A pair whose k-mer union is empty passes; an empty k-mer set
+        fails against a non-empty one, one edit away; a Jaccard index
+        exactly at the threshold passes."""
+        monkeypatch.setenv("REPRO_FUSED_KERNELS", fused)
+        clusters = cluster_reads(list(reads), signature_start=0, signature_length=4)
+        assert [cluster.size for cluster in clusters] == sizes
+
+    def test_kmer_edge_cases_sit_on_the_edges(self):
+        k = clustering._KMER_SIZE
+        assert kmer_set("ACGTA", k) == kmer_set("ACGTT", k) == frozenset()
+        assert len(kmer_set("ACGTAC", k)) == 1
+        assert levenshtein_distance("ACGTA", "ACGTAC") == 1
+        left, right = self.AT_THRESHOLD
+        mine, theirs = kmer_set(left, k), kmer_set(right, k)
+        assert (len(mine & theirs), len(mine | theirs)) == (7, 20)
+        assert len(mine & theirs) / len(mine | theirs) == 0.35
+        assert levenshtein_distance(left, right) == 2
 
 
 class TestOneKernelPerMode:
@@ -359,19 +405,24 @@ class TestNegativeBounds:
             )
 
     @pytest.mark.parametrize("fused", MODES)
-    @pytest.mark.parametrize("function", [first_within, first_within_batch, nearest])
     @pytest.mark.parametrize("count", [0, 1, 9])
-    def test_distance_functions_reject_negative_bounds(
-        self, fused, function, count, monkeypatch
-    ):
+    def test_nearest_rejects_negative_bounds(self, fused, count, monkeypatch):
         # Nine identical candidates reach the array Hamming column of
         # ``nearest`` and would match at any bound that is not negative.
         monkeypatch.setenv("REPRO_FUSED_KERNELS", fused)
         query = "ACGTACGT"
-        candidates = [query] * count
-        args = ([query], [candidates]) if function is first_within_batch else (query, candidates)
         with pytest.raises(ClusteringError, match="max_distance must be non-negative"):
-            function(*args, -1)
+            nearest(query, [query] * count, -1)
+
+    @pytest.mark.parametrize("within", [within_screened, within_reference])
+    @pytest.mark.parametrize(
+        "candidate", ["ACGTACGT", "ACGTACGTACGT", "CGTACGTA"], ids=["same", "gap", "shifted"]
+    )
+    def test_pair_tests_reject_negative_bounds(self, within, candidate):
+        # Each candidate takes another branch of the screen: a certain
+        # match, a length gap, and the kernel.
+        with pytest.raises(ClusteringError, match="max_distance must be non-negative"):
+            within("ACGTACGT", candidate, -1)
 
     def test_zero_bound_still_clusters(self):
         clusters = cluster_reads(
@@ -480,33 +531,13 @@ def _screen_batches(draw):
 class TestScreenMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(_screen_batches())
-    def test_first_within_batch(self, batch):
+    def test_pair_tests_agree(self, batch):
         bound, queries, candidate_lists = batch
-        args = (queries, candidate_lists, bound)
-        assert _in_mode("1", first_within_batch, *args) == _in_mode(
-            "0", first_within_batch, *args
-        )
-
-    @pytest.mark.parametrize("fused", MODES)
-    def test_earlier_indel_match_beats_a_later_certain_one(self, fused, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSED_KERNELS", fused)
-        query = "ACGTTGCAAGCTTGACCTGAACGG"
-        shifted = query[1:] + "T"  # two indels, many mismatches
-        substituted = _substitute(query, [5])
-        assert sum(a != b for a, b in zip(query, shifted)) > 3
-        chosen = first_within_batch(
-            [query, query, query],
-            [[shifted, substituted], [query, shifted], [shifted[:-1] + "AAAA"]],
-            3,
-        )
-        assert chosen == [0, 0, None]
-
-    @pytest.mark.parametrize("fused", MODES)
-    def test_empty_inputs(self, fused, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSED_KERNELS", fused)
-        assert first_within_batch([], [], 2) == []
-        assert first_within_batch(["ACGT", ""], [[], []], 2) == [None, None]
-        assert first_within_batch([""], [["", "A"]], 0) == [0]
+        for query, candidates in zip(queries, candidate_lists):
+            for candidate in candidates:
+                assert within_screened(query, candidate, bound) == within_reference(
+                    query, candidate, bound
+                )
 
 
 # ----------------------------------------------------------------------
