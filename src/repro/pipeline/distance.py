@@ -106,7 +106,7 @@ def within_screened(query: str, candidate: str, max_distance: int) -> bool:
 
 
 def within_reference(query: str, candidate: str, max_distance: int) -> bool:
-    """:func:`within_screened` by the banded Levenshtein on the whole pair."""
+    """The reference pair test: the banded Levenshtein on the whole pair."""
     require_non_negative("max_distance", max_distance)
     return _levenshtein(query, candidate, max_distance) <= max_distance
 
