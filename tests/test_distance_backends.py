@@ -4,12 +4,13 @@
 :mod:`repro.pipeline.distance` clustering runs.  The fused one (the
 default) screens certain matches and ruled-out candidates, then runs the
 bit-parallel kernel over each trimmed undecided pair; the reference one
-(``0``) runs the banded Levenshtein on every untrimmed pair.  Both are exact within the bound,
-so they must produce *identical* clusters, and each mode must run only
-its own kernel.  Everything here runs without numpy except the diffs of
-the two numpy helpers (the coded k-mer masks against the first-sight
-masks, and the array Hamming column of ``nearest`` against the scalar
-one) and the PCR run of ``TestOneKernelPerMode``.
+(``0``) runs the banded Levenshtein on every untrimmed pair.  Both are
+exact within the bound, so they must produce *identical* clusters, and
+each mode must run only its own kernel.  Everything here runs without
+numpy except the diffs of the two numpy helpers (the coded k-mer masks
+against the first-sight masks, and the array Hamming column of
+``nearest`` against the scalar one) and the PCR run of
+``TestOneKernelPerMode``.
 """
 
 import random
