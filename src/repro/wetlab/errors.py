@@ -11,6 +11,7 @@ reported for Illumina sequencing of synthesized oligo pools.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 try:
     import numpy as np
@@ -70,55 +71,74 @@ class ErrorModel:
     def corrupt(self, sequence: str, rng: np.random.Generator) -> str:
         """Return a noisy copy of ``sequence`` under this error model.
 
-        Before base ``i`` a random base is inserted where
-        ``insertion_draws[i]`` falls under the insertion rate; base ``i``
-        is dropped where ``deletion_draws[i]`` falls under the deletion
-        rate, and otherwise replaced by a different random base where
-        ``substitution_draws[i]`` falls under the substitution rate.
-        ``insertion_draws[n]`` appends a base after the last one.  Random
-        bases are consumed in position order.
+        A read of length ``n`` draws, in this order, ``n`` substitution
+        doubles, ``n + 1`` insertion doubles, ``n`` deletion doubles and
+        ``2n + 2`` random bases; a draw under its rate marks an event, and
+        :func:`apply_events` applies the events.  A noiseless model draws
+        nothing.
         """
         if self.total_error_rate == 0.0:
             return sequence
-        alphabet = DNA_ALPHABET
         n = len(sequence)
-        # Draw all random numbers in bulk for speed.
-        substitution_draws = rng.random(n)
-        insertion_draws = rng.random(n + 1)
-        deletion_draws = rng.random(n)
+        # Four generator calls per read.  ``Sequencer`` draws the same
+        # numbers for many reads at once from raw PCG64 words.
+        substituted = rng.random(n) < self.substitution_rate
+        inserted = rng.random(n + 1) < self.insertion_rate
+        deleted = rng.random(n) < self.deletion_rate
         random_bases = rng.integers(0, 4, size=2 * n + 2)
-        inserted = insertion_draws < self.insertion_rate
-        deleted = deletion_draws < self.deletion_rate
-        substituted = substitution_draws < self.substitution_rate
-        # Errors are rare, so only the event positions are visited; the
-        # untouched runs between them are copied whole.
         events = (inserted[:n] | deleted | substituted).nonzero()[0].tolist()
-        pieces: list[str] = []
-        random_cursor = 0
-        start = 0
-        for i in events:
-            pieces.append(sequence[start:i])
-            start = i + 1
-            if inserted[i]:
-                pieces.append(alphabet[random_bases[random_cursor]])
-                random_cursor += 1
-            if deleted[i]:
-                continue
-            base = sequence[i]
-            if substituted[i]:
-                replacement = alphabet[random_bases[random_cursor]]
-                random_cursor += 1
-                if replacement == base:
-                    replacement = alphabet[(alphabet.index(base) + 1) % 4]
-                base = replacement
-            pieces.append(base)
-        pieces.append(sequence[start:])
-        if inserted[n]:
-            pieces.append(alphabet[random_bases[random_cursor]])
-        return "".join(pieces)
+        return apply_events(
+            sequence, events, inserted, deleted, substituted, iter(random_bases)
+        )
 
     def corrupt_many(
         self, sequences: list[str], rng: np.random.Generator
     ) -> list[str]:
         """Corrupt a batch of sequences."""
         return [self.corrupt(sequence, rng) for sequence in sequences]
+
+
+def apply_events(
+    sequence: str,
+    events: list[int],
+    inserted: Sequence[bool],
+    deleted: Sequence[bool],
+    substituted: Sequence[bool],
+    bases: Iterator[int],
+) -> str:
+    """Apply one read's error events to ``sequence``.
+
+    Before base ``i`` a random base is inserted where ``inserted[i]``;
+    base ``i`` is dropped where ``deleted[i]``, and otherwise replaced by
+    a different random base where ``substituted[i]``: a replacement equal
+    to the base becomes the next base of the alphabet.  ``inserted[n]``
+    appends a base after the last one.  Random bases are base codes 0-3
+    taken from ``bases`` in position order, an insertion's before a
+    substitution's at the same position.
+
+    Args:
+        events: the positions ``i < n`` with any flag set, ascending.
+            Errors are rare, so only these are visited; the untouched runs
+            between them are copied whole.
+    """
+    alphabet = DNA_ALPHABET
+    pieces: list[str] = []
+    start = 0
+    for i in events:
+        pieces.append(sequence[start:i])
+        start = i + 1
+        if inserted[i]:
+            pieces.append(alphabet[next(bases)])
+        if deleted[i]:
+            continue
+        base = sequence[i]
+        if substituted[i]:
+            replacement = alphabet[next(bases)]
+            if replacement == base:
+                replacement = alphabet[(alphabet.index(base) + 1) % 4]
+            base = replacement
+        pieces.append(base)
+    pieces.append(sequence[start:])
+    if inserted[len(sequence)]:
+        pieces.append(alphabet[next(bases)])
+    return "".join(pieces)

@@ -1,8 +1,12 @@
 """Sequencing simulation: read sampling, cost and latency models.
 
 Sequencing reads are sampled from the (amplified) pool proportionally to
-species copy counts and passed through the IDS error channel.  Two run
-models capture the latency behaviour discussed in Section 7.4:
+species copy counts and passed through the IDS error channel.
+:class:`Sequencer` draws that channel for many reads at once, in bounded
+chunks of raw PCG64 words, and gets exactly the reads (and the generator
+state) of one :meth:`~repro.wetlab.errors.ErrorModel.corrupt` call per
+read.  Two run models capture the latency behaviour discussed in
+Section 7.4:
 
 * :class:`IlluminaRunModel` — next-generation sequencing by synthesis:
   every run takes a fixed wall-clock time and yields a fixed number of
@@ -15,7 +19,9 @@ models capture the latency behaviour discussed in Section 7.4:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 try:
     import numpy as np
@@ -23,8 +29,24 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     np = None  # The run models below stay importable; only Sequencer needs numpy.
 
 from repro.exceptions import SequencingError
-from repro.wetlab.errors import ErrorModel
+from repro.wetlab.errors import ErrorModel, apply_events
 from repro.wetlab.pool import MolecularPool
+
+
+#: Raw words one ``random_raw`` call of the error channel draws at most
+#: (1 MiB), which bounds its memory; a read longer than that is drawn alone.
+_CHUNK_WORDS = 1 << 17
+
+
+def _word_threshold(rate: float) -> int:
+    """The least raw word whose ``Generator.random`` double is not under ``rate``.
+
+    The double is ``(w >> 11) * 2**-53``, which is under ``rate`` exactly
+    when ``w >> 11 < ceil(rate * 2**53)``, that is when
+    ``w < ceil(rate * 2**53) << 11``; both products are exact.  A rate
+    under 1 keeps the threshold under ``2**64``.
+    """
+    return math.ceil(rate * 2**53) << 11
 
 
 @dataclass(frozen=True)
@@ -68,6 +90,31 @@ class SequencingResult:
 class Sequencer:
     """Samples reads from a pool at a requested depth.
 
+    Each call samples per-species read counts with one multinomial draw,
+    passes every read through the error model, and shuffles the reads.
+    The reads equal those of ``error_model.corrupt(strand, rng)`` called
+    once per read in species order, and the generator ends in the same
+    state, but the error channel is drawn in chunks of raw words:
+
+    * The generator is the sequencer's own ``default_rng``, a PCG64
+      generator, whose ``random`` maps a raw word ``w`` to
+      ``(w >> 11) * 2**-53`` and whose ``integers(0, 4)`` takes the 32-bit
+      halves of words (low half first) and returns ``half >> 30``.  So a
+      read of length ``n`` uses exactly ``4n + 2`` words: ``n`` for
+      substitutions, ``n + 1`` for insertions, ``n`` for deletions and
+      ``n + 1`` for its ``2n + 2`` random bases.
+    * Consecutive reads of one length are drawn together, at most
+      ``_CHUNK_WORDS`` words per ``bit_generator.random_raw`` call.  Whole
+      word matrices are compared with the three rates' integer
+      thresholds, and only the reads with an error event are walked, by
+      the same :func:`~repro.wetlab.errors.apply_events` as ``corrupt``.
+    * The carried half: PCG64 buffers the unused high half of a word, and
+      the list shuffle draws 32-bit values, so a call often starts with a
+      buffered half.  Then each read's first random base is that half, its
+      other bases are shifted by one half, and its last word's high half
+      is carried to the next read.  The buffer is left as the per-read
+      draws leave it.
+
     Args:
         error_model: the IDS channel applied to every read.
         seed: RNG seed for sampling and errors.
@@ -92,20 +139,108 @@ class Sequencer:
             raise SequencingError("pool has zero total copies")
         probabilities = copies / total
         counts = self._rng.multinomial(read_count, probabilities)
+        drawn = [
+            (strand, count) for strand, count in zip(species, counts.tolist()) if count
+        ]
+        noisy = iter(self._corrupt(drawn))
         reads: list[SequencingRead] = []
-        for strand, count in zip(species, counts):
-            if count == 0:
-                continue
+        for strand, count in drawn:
             annotations = pool.annotations(strand)
-            for _ in range(int(count)):
-                noisy = self.error_model.corrupt(strand, self._rng)
+            for _ in range(count):
                 reads.append(
                     SequencingRead(
-                        sequence=noisy, source=strand, annotations=dict(annotations)
+                        sequence=next(noisy), source=strand, annotations=dict(annotations)
                     )
                 )
         self._rng.shuffle(reads)  # type: ignore[arg-type]
         return SequencingResult(reads=list(reads))
+
+    def _corrupt(self, drawn: list[tuple[str, int]]) -> list[str]:
+        """Noisy copies of ``count`` reads of each ``(strand, count)``, in order."""
+        model = self.error_model
+        if model.total_error_rate == 0.0:
+            return [strand for strand, count in drawn for _ in range(count)]
+        thresholds = [
+            _word_threshold(rate)
+            for rate in (
+                model.substitution_rate,
+                model.insertion_rate,
+                model.deletion_rate,
+            )
+        ]
+        bit_generator = self._rng.bit_generator
+        state = bit_generator.state
+        carried = state["has_uint32"]
+        half = state["uinteger"]
+        noisy: list[str] = []
+        for n, group in groupby(drawn, key=lambda item: len(item[0])):
+            strands = [strand for strand, count in group for _ in range(count)]
+            width = 4 * n + 2
+            chunk_reads = max(1, _CHUNK_WORDS // width)
+            for first in range(0, len(strands), chunk_reads):
+                chunk = strands[first : first + chunk_reads]
+                words = bit_generator.random_raw(len(chunk) * width)
+                noisy.extend(
+                    self._corrupt_chunk(
+                        chunk, words.reshape(len(chunk), width), thresholds, carried, half
+                    )
+                )
+                half = int(words[-1]) >> 32
+        # ``random_raw`` leaves the buffer flag as it found it; the buffered
+        # half is the last read's, as after per-read draws.
+        state = bit_generator.state
+        state["uinteger"] = half
+        bit_generator.state = state
+        return noisy
+
+    @staticmethod
+    def _corrupt_chunk(
+        chunk: list[str],
+        words: np.ndarray,
+        thresholds: list[int],
+        carried: int,
+        half: int,
+    ) -> list[str]:
+        """Apply one chunk's words to its reads, all of length ``n``.
+
+        Row ``r`` of ``words`` is read ``r``'s ``4n + 2`` words; ``half``
+        is the high half carried in when ``carried`` is 1.
+        """
+        n = len(chunk[0])
+        substitution, insertion, deletion = thresholds
+        substituted = words[:, :n] < substitution
+        inserted = words[:, n : 2 * n + 1] < insertion
+        deleted = words[:, 2 * n + 1 : 3 * n + 1] < deletion
+        events: dict[int, list[int]] = {}
+        for index in np.flatnonzero(inserted[:, :n] | deleted | substituted).tolist():
+            row, position = divmod(index, n)
+            events.setdefault(row, []).append(position)
+        for row in inserted[:, n].nonzero()[0].tolist():
+            events.setdefault(row, [])
+        noisy = list(chunk)
+        if not events:
+            return noisy
+        # Base codes of the event reads' halves in draw order, after column
+        # 0: the half each read would be carried in.
+        event_rows = sorted(events)
+        base_words = words[event_rows, 3 * n + 1 :]
+        codes = np.empty((len(event_rows), 2 * n + 3), dtype=np.uint8)
+        codes[:, 1::2] = (base_words >> 30) & 3
+        codes[:, 2::2] = base_words >> 62
+        if carried:
+            codes[:, 0] = words[[row - 1 for row in event_rows], -1] >> 62
+            if event_rows[0] == 0:
+                codes[0, 0] = half >> 30
+        for index, row in enumerate(event_rows):
+            noisy[row] = apply_events(
+                chunk[row],
+                events[row],
+                inserted[row],
+                deleted[row],
+                substituted[row],
+                iter(codes[index, 1 - carried :]),
+            )
+        return noisy
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,21 @@
 
 ``PCRSimulator.amplify`` classifies each strand once per reaction and
 compares a misprimed footprint only past the bases it shares with the
-primer; ``ErrorModel.corrupt`` visits only the error events of a read.
-Both must reproduce the per-cycle and per-base implementations they
+primer; ``ErrorModel.corrupt`` visits only the error events of a read;
+``Sequencer.sequence`` draws the error channel of many reads at once from
+raw PCG64 words.  All three must reproduce the implementations they
 replaced bit for bit, so those are kept below verbatim as reference
-models (``ReferencePCRSimulator`` and ``reference_corrupt``) and diffed
-against the library on generated inputs:
+models (``ReferencePCRSimulator``, ``reference_corrupt`` and
+``ReferenceSequencer``, which calls ``reference_corrupt`` once per read)
+and diffed against the library on generated inputs:
 
 * amplified pools: the same species in the same order with exactly equal
   copy counts, and the same metadata;
 * corrupted reads: the same strings, and the same random generator state
-  afterwards, so the next read's draws match too.
+  afterwards, so the next read's draws match too;
+* sequencing runs: the same reads, sources and annotations in the same
+  order, over consecutive calls on one sequencer, and the generator at
+  the same position afterwards (state, buffered 32-bit half, next draws).
 
 A pinned CRC32 of the sequencing reads of one seeded readout catches any
 drift that reaches the reads: a moved amplification float changes the
@@ -29,13 +34,16 @@ from hypothesis import strategies as st
 from repro.constants import DNA_ALPHABET
 from repro.core.elongation import ElongatedPrimer
 from repro.core.partition import Partition, PartitionConfig
+from repro.exceptions import SequencingError
 from repro.primers.library import PrimerPair
 from repro.sequence import levenshtein_distance
 from repro.store import DnaVolume, ObjectStore, VolumeConfig
 from repro.wetlab.errors import ErrorModel
 from repro.wetlab.pcr import PCRConfig, PCRSimulator
 from repro.wetlab.pool import MolecularPool
+from repro.wetlab import sequencing
 from repro.wetlab.readout import WetlabReadout
+from repro.wetlab.sequencing import Sequencer, SequencingRead, SequencingResult
 from repro.wetlab.synthesis import SynthesisVendor, synthesize
 from repro.workloads.objects import object_corpus
 
@@ -240,6 +248,47 @@ def reference_corrupt(self, sequence: str, rng: np.random.Generator) -> str:
     if insertion_draws[n] < self.insertion_rate:
         bases.append(alphabet[random_bases[random_cursor]])
     return "".join(bases)
+
+
+class ReferenceSequencer:
+    """Samples reads from a pool at a requested depth.
+
+    Args:
+        error_model: the IDS channel applied to every read.
+        seed: RNG seed for sampling and errors.
+    """
+
+    def __init__(self, error_model: ErrorModel | None = None, *, seed: int = 0) -> None:
+        self.error_model = error_model or ErrorModel()
+        self._rng = np.random.default_rng(seed)
+
+    def sequence(self, pool: MolecularPool, read_count: int) -> SequencingResult:
+        """Sample ``read_count`` reads proportionally to pool copy counts."""
+        if read_count <= 0:
+            raise SequencingError("read_count must be positive")
+        if not len(pool):
+            raise SequencingError("cannot sequence an empty pool")
+        species = list(pool.species)
+        copies = np.array([pool.species[s] for s in species], dtype=float)
+        total = copies.sum()
+        if total <= 0:
+            raise SequencingError("pool has zero total copies")
+        probabilities = copies / total
+        counts = self._rng.multinomial(read_count, probabilities)
+        reads: list[SequencingRead] = []
+        for strand, count in zip(species, counts):
+            if count == 0:
+                continue
+            annotations = pool.annotations(strand)
+            for _ in range(int(count)):
+                noisy = reference_corrupt(self.error_model, strand, self._rng)
+                reads.append(
+                    SequencingRead(
+                        sequence=noisy, source=strand, annotations=dict(annotations)
+                    )
+                )
+        self._rng.shuffle(reads)  # type: ignore[arg-type]
+        return SequencingResult(reads=list(reads))
 
 
 # ----------------------------------------------------------------------
@@ -504,6 +553,172 @@ class TestCorruptMatchesReference:
             for length in (0, 1, 2, 140, 140, 200)
         ]
         assert_same_reads(model, strands * 40, seed=2023)
+
+
+# ----------------------------------------------------------------------
+# Sequencer
+# ----------------------------------------------------------------------
+
+
+def make_pool(species, seed=5):
+    """A pool of random strands: ``species`` is ``(length, copies)`` pairs."""
+    rng = np.random.default_rng(seed)
+    pool = MolecularPool(name="pool")
+    for serial, (length, copies) in enumerate(species):
+        strand = "".join(DNA_ALPHABET[base] for base in rng.integers(0, 4, size=length))
+        pool.add(strand, copies, serial=serial)
+    return pool
+
+
+#: Lengths 1, 20, 146 and 147, runs of one length across species, and
+#: species without copies between and inside those runs.
+MIXED_POOL = make_pool(
+    [
+        (146, 5.0),
+        (146, 0.0),
+        (146, 3.0),
+        (1, 2.0),
+        (147, 0.0),
+        (20, 3.0),
+        (147, 4.0),
+        (147, 2.5),
+        (146, 6.0),
+        (1, 1.0),
+        (20, 0.0),
+    ]
+)
+
+
+def read_triples(result):
+    return [(read.sequence, read.source, read.annotations) for read in result.reads]
+
+
+def next_draws(rng):
+    """A double and three 32-bit integers drawn by a copy of ``rng``."""
+    copy = np.random.Generator(np.random.PCG64())
+    copy.bit_generator.state = rng.bit_generator.state
+    return copy.random(), copy.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
+
+
+def assert_same_position(rng, reference_rng):
+    """Both generators continue identically from here."""
+    got = rng.bit_generator.state
+    want = reference_rng.bit_generator.state
+    assert got["state"] == want["state"]
+    assert got["has_uint32"] == want["has_uint32"]
+    if want["has_uint32"]:
+        assert got["uinteger"] == want["uinteger"]
+    assert next_draws(rng) == next_draws(reference_rng)
+
+
+def assert_same_runs(model, pool, read_counts, seed, *, half_first=False):
+    """Diff consecutive calls on one sequencer with the reference's.
+
+    With ``half_first`` both generators first draw one 32-bit value, so
+    the first call begins with a buffered half.  Returns whether each call
+    began with one.
+    """
+    sequencer = Sequencer(model, seed=seed)
+    reference = ReferenceSequencer(model, seed=seed)
+    if half_first:
+        for rng in (sequencer._rng, reference._rng):
+            rng.integers(0, 2**32, dtype=np.uint32)
+    began_with_half = []
+    for read_count in read_counts:
+        began_with_half.append(sequencer._rng.bit_generator.state["has_uint32"] == 1)
+        got = sequencer.sequence(pool, read_count)
+        want = reference.sequence(pool, read_count)
+        assert read_triples(got) == read_triples(want)
+        assert_same_position(sequencer._rng, reference._rng)
+    return began_with_half
+
+
+def chunk_reads(length):
+    """Reads of one length drawn per ``random_raw`` call."""
+    return max(1, sequencing._CHUNK_WORDS // (4 * length + 2))
+
+
+class TestSequencerMatchesReference:
+    def test_repeated_calls_carry_the_buffered_half(self):
+        # The list shuffle draws 32-bit values, so a later call can start
+        # with a buffered half, which shifts every read's random bases.
+        repeat_calls = []
+        for seed in range(8):
+            began_with_half = assert_same_runs(
+                ErrorModel(substitution_rate=0.05, insertion_rate=0.02, deletion_rate=0.02),
+                MIXED_POOL,
+                (120, 37, 64),
+                seed,
+            )
+            assert not began_with_half[0]
+            repeat_calls.extend(began_with_half[1:])
+        assert True in repeat_calls and False in repeat_calls
+
+    @pytest.mark.parametrize("model", ERROR_MODELS, ids=repr)
+    @pytest.mark.parametrize("half_first", [False, True])
+    def test_every_error_model(self, model, half_first):
+        began_with_half = assert_same_runs(
+            model, MIXED_POOL, (90, 41, 75), seed=3, half_first=half_first
+        )
+        assert began_with_half[0] == half_first
+
+    @pytest.mark.parametrize("chunk_words", [None, 1, 600, 2000])
+    def test_read_counts_across_chunk_boundaries(self, monkeypatch, chunk_words):
+        # ``None`` keeps the module's chunk size; the others put boundaries
+        # inside and between species of every length, one read per chunk
+        # included.
+        if chunk_words is not None:
+            monkeypatch.setattr(sequencing, "_CHUNK_WORDS", chunk_words)
+        size = chunk_reads(146)
+        read_count = 2 * size + 17
+        assert size == 1 or read_count % size
+        pool = make_pool([(146, 8.0), (147, 1.0), (146, 0.0), (20, 1.0), (146, 1.0)])
+        assert_same_runs(
+            ErrorModel.nanopore(),
+            pool,
+            (read_count, read_count // 3, 5),
+            seed=9,
+            half_first=True,
+        )
+        assert_same_runs(ErrorModel(), MIXED_POOL, (read_count, 3, read_count), seed=10)
+
+    @pytest.mark.parametrize(
+        "rate",
+        sorted(
+            {
+                rate
+                for model in ERROR_MODELS
+                for rate in (
+                    model.substitution_rate,
+                    model.insertion_rate,
+                    model.deletion_rate,
+                )
+            }
+            | {2.0**-53, 1 / 3, 0.5, 1 - 2.0**-53}
+        ),
+    )
+    def test_word_threshold_matches_the_double_formula(self, rate):
+        # ``Generator.random`` maps a raw word w to (w >> 11) * 2**-53.
+        threshold = sequencing._word_threshold(rate)
+        assert threshold < 2**64
+        if threshold:
+            assert ((threshold - 1) >> 11) * 2.0**-53 < rate
+        assert not (threshold >> 11) * 2.0**-53 < rate
+
+    def test_pcg64_draws_map_raw_words(self):
+        # The precondition of the bulk path: doubles are a word's top 53
+        # bits, and integers(0, 4) takes 32-bit halves, low half first.
+        rng = np.random.default_rng(77)
+        raw = np.random.default_rng(77).bit_generator
+        doubles = rng.random(5)
+        words = raw.random_raw(5)
+        assert doubles.tolist() == ((words >> 11) * 2.0**-53).tolist()
+        codes = rng.integers(0, 4, size=7)
+        words = raw.random_raw(4).tolist()
+        halves = [half for word in words for half in (word & 0xFFFFFFFF, word >> 32)]
+        assert codes.tolist() == [half >> 30 for half in halves[:7]]
+        assert rng.bit_generator.state["has_uint32"] == 1
+        assert rng.bit_generator.state["uinteger"] == halves[7]
 
 
 # ----------------------------------------------------------------------
