@@ -7,7 +7,9 @@ with a wrong payload in larger clusters than the true strand (what a
 misprimed product looks like to the decoder, Section 8.1).  Every
 :class:`DecodeReport` field is pinned, the payload as a CRC32, for the
 per-block path (``decode_block``) and the readout path
-(``decode_readout``), under both ``REPRO_FUSED_KERNELS`` modes.
+(``decode_readout``), under both ``REPRO_FUSED_KERNELS`` modes.  A second,
+clean build pins a block whose original cannot decode although its update
+slot has candidates.
 
 Nothing here needs numpy: without it the fused kernels stay pure Python
 (first-sight k-mer masks, scalar Hamming columns, ``double_sided_bma``
@@ -203,3 +205,55 @@ class TestUnwrittenBlock:
         assert (report.success, report.data) == (False, None)
         readout = decoder.decode_readout(reads, [self.BLOCK])[self.BLOCK]
         assert (readout.success, readout.data) == (False, None)
+
+
+def _build_orphaned_update():
+    """Three clean blocks; block 1 carries an update whose original cannot
+    decode.  Five of its slot-0 columns and three of its slot-1 columns have
+    forged primaries, so the slot-1 unit fails on its primaries too and
+    would need the candidate search if anything searched it."""
+    partition = Partition(PartitionConfig(primers=PAIR, leaf_count=64, tree_seed=17))
+    rng = random.Random(4242)
+    partition.write(bytes(rng.randrange(256) for _ in range(3 * 256)))
+    partition.update_block(TestOrphanedUpdate.BLOCK, UpdatePatch(5, 10, 5, b"[orphan]"))
+    reads: list[str] = []
+    for molecule in partition.all_molecules():
+        address = partition.parse_unit_index(molecule.unit_index)
+        reads.extend([molecule.to_strand()] * rng.randint(4, 8))
+        if address.block == TestOrphanedUpdate.BLOCK and molecule.intra_index in (
+            TestOrphanedUpdate.FORGED[address.slot]
+        ):
+            payload = bytes(rng.randrange(256) for _ in molecule.payload)
+            reads.extend([replace(molecule, payload=payload).to_strand()] * 12)
+    rng.shuffle(reads)
+    return partition, reads
+
+
+@pytest.mark.usefixtures("kernels")
+class TestOrphanedUpdate:
+    """An update slot whose original cannot decode is never searched: its
+    block's report counts slot-0 attempts only and recovers no slot."""
+
+    BLOCK = 1
+    #: Forged columns per slot of ``BLOCK``.
+    FORGED = {0: (0, 2, 5, 8, 12), 1: (1, 6, 9)}
+    #: Recorded on the batched solve plus per-slot search decoder.
+    PINS = {
+        0: (0, 3707761348, True, 475, 475, 70, 70, 15, 0, 1, (0,), False),
+        1: (1, None, False, 475, 475, 70, 70, 30, 10, 36, (), True),
+        2: (2, 1665553674, True, 475, 475, 70, 70, 15, 0, 1, (0,), False),
+    }
+
+    @pytest.fixture(scope="class")
+    def orphaned_setup(self):
+        return _build_orphaned_update()
+
+    def test_decode_block(self, orphaned_setup):
+        partition, reads = orphaned_setup
+        report = BlockDecoder(partition).decode_block(reads, self.BLOCK)
+        assert _fingerprint(report) == self.PINS[self.BLOCK]
+
+    def test_decode_readout(self, orphaned_setup):
+        partition, reads = orphaned_setup
+        reports = BlockDecoder(partition).decode_readout(reads)
+        assert {block: _fingerprint(r) for block, r in reports.items()} == self.PINS
