@@ -12,14 +12,18 @@ Two implementations exist:
 
 * :mod:`repro.codec.backend.python_backend` — the reference backend,
   delegating row by row to :class:`repro.codec.reed_solomon.ReedSolomonCode`.
-  Always available; used when numpy is not installed.
+  Always available; used when numpy is not installed, and selected with
+  ``REPRO_CODEC_BACKEND=python`` as the oracle of the numpy one.
 * :mod:`repro.codec.backend.numpy_backend` — table-based vectorized GF(2^m)
   arithmetic; whole-matrix encode via a parity generator matrix, batched
   syndrome computation, and a shared-position erasure solver.
 
-Both backends are required to produce **byte-identical** codewords and
-decodes; the property tests in ``tests/test_codec_backends.py`` enforce
-this across field sizes, unit geometries and errata patterns.
+A batch of units decodes unit by unit: :meth:`CodecBackend.decode_units`
+gives ``None`` for a unit Reed-Solomon cannot correct and still decodes
+the others.  Both backends are required to produce **byte-identical**
+codewords, decodes and verdicts; the property tests in
+``tests/test_codec_backends.py`` enforce this across field sizes, unit
+geometries and errata patterns.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
+
+from repro.exceptions import ReedSolomonError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.codec.reed_solomon import ReedSolomonCode
@@ -160,15 +166,18 @@ class CodecBackend(ABC):
         *,
         rows: int,
         symbol_bits: int,
-    ) -> list[bytes]:
+    ) -> list[bytes | None]:
         """Decode recovered column payloads back into gross unit data.
 
         Each input maps column index to that column's payload bytes;
         missing columns are treated as erasures shared by every row of the
         unit.  Returns, per unit, the concatenated data-column bytes
-        (including padding; the caller truncates to the user length).
+        (including padding; the caller truncates to the user length), or
+        ``None`` when Reed-Solomon cannot correct the unit: more erasures
+        than parity symbols, or a row the scalar decoder rejects.  The
+        other units of the batch decode regardless.
         """
-        results: list[bytes] = []
+        results: list[bytes | None] = []
         for columns in units_columns:
             erasures = [c for c in range(code.n) if c not in columns]
             matrix = [
@@ -181,7 +190,11 @@ class CodecBackend(ABC):
                 [matrix[column][row] for column in range(code.n)]
                 for row in range(rows)
             ]
-            corrected = self.decode_rows(code, codeword_rows, erasures)
+            try:
+                corrected = self.decode_rows(code, codeword_rows, erasures)
+            except ReedSolomonError:
+                results.append(None)
+                continue
             flattened: list[int] = []
             for column in range(code.k):
                 flattened.extend(corrected[row][column] for row in range(rows))

@@ -19,6 +19,11 @@ performs three whole-matrix operations:
   nonzero (true errors at unknown locations) fall back to the scalar
   Berlekamp-Massey decoder, row by row.
 
+:meth:`NumpyBackend.decode_units` runs a whole batch of units through
+these steps at once, with one syndrome product for all of them, and
+reports a unit it cannot correct as ``None``.  The pure-Python backend
+(``REPRO_CODEC_BACKEND=python``) is its reference.
+
 GF matrix products are computed with broadcast log-addition and an XOR
 reduction; inputs are chunked so temporaries stay small.
 """
@@ -32,7 +37,6 @@ import numpy as np
 
 from repro.codec.backend.base import CodecBackend, SymbolMatrix
 from repro.exceptions import DecodingError, ReedSolomonError
-from repro.fastpath import fused_kernels_enabled
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.codec.galois import GaloisField
@@ -338,93 +342,40 @@ class NumpyBackend(CodecBackend):
         *,
         rows: int,
         symbol_bits: int,
-    ) -> list[bytes]:
+    ) -> list[bytes | None]:
+        """All units of a batch through **one** syndrome matmul.
+
+        Every unit is unpacked into one codeword matrix, every row's
+        syndromes come from a single GF matrix product, and only the dirty
+        rows are touched: each erasure pattern's linear solve runs over
+        just its dirty rows, one shared residual-syndrome pass re-checks
+        everything repaired, and only rows still failing fall back to the
+        scalar Berlekamp-Massey reference.  A unit with more erasures than
+        parity symbols, or with a row the scalar decoder rejects, gives
+        ``None``; its remaining rows are skipped.
+        """
         if not units_columns:
             return []
         tables = self._tables_for_code(code)
         payload_bytes = rows * symbol_bits // 8
-        if fused_kernels_enabled():
-            return self._decode_units_fused(
-                code, tables, units_columns,
-                rows=rows, symbol_bits=symbol_bits, payload_bytes=payload_bytes,
-            )
-        # Reference path: group units sharing an erasure pattern so each
-        # group is one matrix decode.
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for index, columns in enumerate(units_columns):
-            erasures = tuple(c for c in range(code.n) if c not in columns)
-            groups.setdefault(erasures, []).append(index)
-
-        results: list[bytes | None] = [None] * len(units_columns)
-        zero_payload = bytes(payload_bytes)
-        for erasures, indexes in groups.items():
-            raw = np.frombuffer(
-                b"".join(
-                    units_columns[i].get(c, zero_payload)
-                    for i in indexes
-                    for c in range(code.n)
-                ),
-                dtype=np.uint8,
-            ).reshape(len(indexes), code.n, payload_bytes)
-            codewords = (
-                self._unpack_bytes(raw, symbol_bits)
-                .transpose(0, 2, 1)
-                .reshape(len(indexes) * rows, code.n)
-            )
-            corrected = self._decode_matrix(code, tables, codewords, erasures)
-            data_columns = (
-                corrected.reshape(len(indexes), rows, code.n)[:, :, : code.k]
-                .transpose(0, 2, 1)
-                .reshape(len(indexes), code.k * rows)
-            )
-            packed = self._pack_symbols(data_columns, symbol_bits)
-            for position, unit_index in enumerate(indexes):
-                results[unit_index] = bytes(packed[position])
-        # Every input index belongs to exactly one group, so the result
-        # list must be fully populated — a hole would misalign the zip in
-        # EncodingUnit.decode_batch, so fail loudly instead.
-        assert all(result is not None for result in results)
-        return results
-
-    def _decode_units_fused(
-        self,
-        code: "ReedSolomonCode",
-        tables: _CodeTables,
-        units_columns: Sequence[dict[int, bytes]],
-        *,
-        rows: int,
-        symbol_bits: int,
-        payload_bytes: int,
-    ) -> list[bytes]:
-        """All units of a batch through **one** syndrome matmul.
-
-        Unlike the reference path (one matrix decode per erasure pattern,
-        each with its own syndrome passes), this unpacks every unit into
-        one codeword matrix, computes every row's syndromes in a single GF
-        matrix product, then touches only the dirty rows: each erasure
-        pattern's linear solve runs over just its dirty rows, one shared
-        residual-syndrome pass re-checks everything repaired, and only
-        rows still failing fall back to the scalar Berlekamp-Massey
-        reference.  Byte-identical to the reference path by construction
-        (same solves, same fallback, same raise semantics).
-        """
-        np_ = np
         unit_count = len(units_columns)
         erasure_of_unit = [
             tuple(c for c in range(code.n) if c not in columns)
             for columns in units_columns
         ]
-        for erasures in erasure_of_unit:
-            if len(erasures) > code.parity_symbols:
-                raise ReedSolomonError("too many erasures to correct")
+        failed = {
+            unit
+            for unit, erasures in enumerate(erasure_of_unit)
+            if len(erasures) > code.parity_symbols
+        }
         zero_payload = bytes(payload_bytes)
-        raw = np_.frombuffer(
+        raw = np.frombuffer(
             b"".join(
                 columns.get(c, zero_payload)
                 for columns in units_columns
                 for c in range(code.n)
             ),
-            dtype=np_.uint8,
+            dtype=np.uint8,
         ).reshape(unit_count, code.n, payload_bytes)
         codewords = (
             self._unpack_bytes(raw, symbol_bits)
@@ -433,20 +384,21 @@ class NumpyBackend(CodecBackend):
         )
         working = codewords.copy()
         syndromes = self._syndrome_matrix(tables, working)
-        dirty = np_.flatnonzero(syndromes.any(axis=1))
+        dirty = np.flatnonzero(syndromes.any(axis=1))
         if dirty.size:
             # Erased columns already hold zeros (missing molecules were
             # filled with a zero payload), so the solve applies directly.
             by_pattern: dict[tuple[int, ...], list[int]] = {}
             for row_index in dirty.tolist():
-                by_pattern.setdefault(
-                    erasure_of_unit[row_index // rows], []
-                ).append(row_index)
+                if row_index // rows not in failed:
+                    by_pattern.setdefault(
+                        erasure_of_unit[row_index // rows], []
+                    ).append(row_index)
             still_dirty = set(by_pattern.pop((), []))
             repaired: list[int] = []
             for erasures, row_list in by_pattern.items():
                 solver = tables.erasure_solver(code, erasures)
-                row_array = np_.asarray(row_list, dtype=np_.int64)
+                row_array = np.asarray(row_list, dtype=np.int64)
                 magnitudes = self._gf_matmul(
                     tables.field,
                     syndromes[row_array][:, : len(erasures)],
@@ -457,21 +409,30 @@ class NumpyBackend(CodecBackend):
                 working[row_array] = block
                 repaired.extend(row_list)
             if repaired:
-                row_array = np_.asarray(sorted(repaired), dtype=np_.int64)
+                row_array = np.asarray(sorted(repaired), dtype=np.int64)
                 residual = self._syndrome_matrix(tables, working[row_array])
                 still_dirty.update(row_array[residual.any(axis=1)].tolist())
             for row_index in sorted(still_dirty):
-                working[row_index] = code.decode(
-                    [int(value) for value in codewords[row_index]],
-                    erasure_positions=erasure_of_unit[row_index // rows],
-                )
+                unit = row_index // rows
+                if unit in failed:
+                    continue
+                try:
+                    working[row_index] = code.decode(
+                        [int(value) for value in codewords[row_index]],
+                        erasure_positions=erasure_of_unit[unit],
+                    )
+                except ReedSolomonError:
+                    failed.add(unit)
         data_columns = (
             working.reshape(unit_count, rows, code.n)[:, :, : code.k]
             .transpose(0, 2, 1)
             .reshape(unit_count, code.k * rows)
         )
         packed = self._pack_symbols(data_columns, symbol_bits)
-        return [bytes(packed[position]) for position in range(unit_count)]
+        return [
+            None if unit in failed else bytes(packed[unit])
+            for unit in range(unit_count)
+        ]
 
     # ------------------------------------------------------------------
     # Symbol packing

@@ -32,7 +32,7 @@ from repro.constants import (
     DEFAULT_RS_SYMBOL_BITS,
     DEFAULT_UNIT_DATA_BYTES,
 )
-from repro.exceptions import DecodingError, EncodingError
+from repro.exceptions import DecodingError, EncodingError, ReedSolomonError
 
 
 @dataclass(frozen=True)
@@ -179,28 +179,45 @@ class EncodingUnit:
                 is out of range.
             ReedSolomonError: if too many columns are missing or corrupted.
         """
-        return self.decode_batch([payloads])[0]
+        problem = self._malformation(payloads)
+        if problem is not None:
+            raise DecodingError(problem)
+        decoded = self.decode_batch([payloads])[0]
+        if decoded is None:
+            raise ReedSolomonError("too many columns missing or corrupted to decode")
+        return decoded
 
-    def decode_batch(self, units: list[dict[int, bytes]]) -> list[bytes]:
+    def decode_batch(self, units: list[dict[int, bytes]]) -> list[bytes | None]:
         """Decode many units in one backend pass.
 
-        Units sharing an erasure pattern (the same missing columns) are
-        corrected together; see :meth:`CodecBackend.decode_units`.
+        Gives ``None`` for every unit :meth:`decode` would reject and
+        decodes the others regardless; see
+        :meth:`CodecBackend.decode_units`.
         """
-        total = self.layout.total_molecules
-        for payloads in units:
-            for column, payload in payloads.items():
-                if not 0 <= column < total:
-                    raise DecodingError(f"column index {column} out of range")
-                if len(payload) != self.layout.payload_bytes:
-                    raise DecodingError(
-                        f"payload for column {column} has {len(payload)} bytes, "
-                        f"expected {self.layout.payload_bytes}"
-                    )
+        wellformed = [
+            index for index, payloads in enumerate(units)
+            if self._malformation(payloads) is None
+        ]
         gross = self.backend.decode_units(
             self._code,
-            units,
+            [units[index] for index in wellformed],
             rows=self.layout.symbols_per_molecule,
             symbol_bits=self.layout.symbol_bits,
         )
-        return [unit[: self.layout.user_data_bytes] for unit in gross]
+        results: list[bytes | None] = [None] * len(units)
+        for index, unit in zip(wellformed, gross):
+            if unit is not None:
+                results[index] = unit[: self.layout.user_data_bytes]
+        return results
+
+    def _malformation(self, payloads: dict[int, bytes]) -> str | None:
+        """Why ``payloads`` is not a column map of this layout (None if it is)."""
+        for column, payload in payloads.items():
+            if not 0 <= column < self.layout.total_molecules:
+                return f"column index {column} out of range"
+            if len(payload) != self.layout.payload_bytes:
+                return (
+                    f"payload for column {column} has {len(payload)} bytes, "
+                    f"expected {self.layout.payload_bytes}"
+                )
+        return None

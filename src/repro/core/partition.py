@@ -441,19 +441,26 @@ class Partition:
 
         Returns:
             The de-randomized user bytes of the unit.
+
+        Raises:
+            DecodingError: if a column index or payload size is malformed.
+            ReedSolomonError: if too many columns are missing or corrupted.
         """
-        return self.decode_units_batch([payloads_by_column])[0]
+        return self.randomizer.derandomize(self._unit_codec.decode(payloads_by_column))
 
     def decode_units_batch(
         self, units: list[dict[int, bytes]]
-    ) -> list[bytes]:
+    ) -> list[bytes | None]:
         """Decode many encoding units in one backend pass.
 
-        The units are corrected together (grouped by erasure pattern by the
-        codec backend) and then de-randomized individually.
+        The units are corrected together by the codec backend and then
+        de-randomized individually.  A unit :meth:`decode_unit` would
+        reject gives ``None``; the others decode regardless.
         """
-        randomized = self._unit_codec.decode_batch(units)
-        return [self.randomizer.derandomize(unit) for unit in randomized]
+        return [
+            None if unit is None else self.randomizer.derandomize(unit)
+            for unit in self._unit_codec.decode_batch(units)
+        ]
 
     def decode_block_from_units(
         self,

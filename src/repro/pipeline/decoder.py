@@ -15,28 +15,27 @@ pass, which differs only in the prefix the reads are filtered by:
    address — the first (largest-cluster) candidate is preferred, but
    further candidates are kept because a misprimed strand can present
    itself with the target's address;
-4. decode every recovered encoding unit in one batched Reed-Solomon pass
-   (missing columns are erasures); a unit the batch cannot correct is
-   retried with alternate candidates and by demoting the weakest-evidence
-   columns to erasures (the bounded version of the recursive candidate
-   search described in Section 8.1);
+4. search each recovered encoding unit's column maps (missing columns are
+   erasures) until Reed-Solomon corrects one: the primary candidates,
+   then alternate candidates, then the weakest-evidence columns demoted
+   to erasures (the bounded version of the recursive candidate search
+   described in Section 8.1).  The search runs in rounds, each one
+   batched Reed-Solomon pass over the next map of every unit still
+   undecoded; a block's update slots join once its original decoded;
 5. de-randomize, parse update patches, and apply them in slot order.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 from repro.codec.molecule import Molecule
 from repro.core.partition import Partition
 from repro.core.updates import UpdatePatch, apply_patch_chain
-from repro.exceptions import (
-    DecodingError,
-    PartitionError,
-    ReedSolomonError,
-    UpdateError,
-)
+from repro.exceptions import DecodingError, PartitionError, UpdateError
 from repro.pipeline.clustering import cluster_reads
 from repro.pipeline.consensus import consensus_batch
 from repro.pipeline.reads import reads_with_prefix
@@ -60,29 +59,32 @@ class _Candidate:
     cluster_size: int
 
 
-def _try_decode_units_batch(
-    partition: Partition, units: dict, keys: list | None = None
-) -> dict:
-    """Batch-decode keyed unit column maps, bisecting around failures.
+def _column_maps(
+    slot_candidates: dict[int, list[_Candidate]], data_columns: int
+) -> Iterator[dict[int, bytes]]:
+    """A unit's column maps in the order the candidate search tries them.
 
-    All units go through one :meth:`Partition.decode_units_batch` call;
-    if any unit is uncorrectable the batch is split in half so healthy
-    units still decode in bulk and only failures drop out (they are
-    retried later by the per-slot candidate search).
+    The primary candidates first; then alternates swapped in one column
+    at a time, weakest primary cluster first; then the weakest columns
+    demoted to erasures, alone, then in pairs among the six weakest.  A
+    map never keeps fewer than ``data_columns`` columns, so a unit with
+    fewer has no map at all.
     """
-    keys = list(units) if keys is None else keys
-    if not keys:
-        return {}
-    try:
-        decoded = partition.decode_units_batch([units[k] for k in keys])
-        return dict(zip(keys, decoded))
-    except (ReedSolomonError, DecodingError):
-        if len(keys) == 1:
-            return {}
-        middle = len(keys) // 2
-        results = _try_decode_units_batch(partition, units, keys[:middle])
-        results.update(_try_decode_units_batch(partition, units, keys[middle:]))
-        return results
+    if len(slot_candidates) < data_columns:
+        return
+    primary = {column: bucket[0].payload for column, bucket in slot_candidates.items()}
+    yield primary
+    weakest_first = sorted(
+        slot_candidates, key=lambda column: slot_candidates[column][0].cluster_size
+    )
+    for column in weakest_first:
+        for alternate in slot_candidates[column][1:]:
+            yield {**primary, column: alternate.payload}
+    demotions = [(column,) for column in weakest_first]
+    demotions += combinations(weakest_first[:6], 2)
+    for erased in demotions:
+        if len(primary) - len(erased) >= data_columns:
+            yield {c: p for c, p in primary.items() if c not in erased}
 
 
 @dataclass
@@ -103,14 +105,14 @@ class DecodeReport:
         duplicate_strands_discarded: reconstructed strands kept only as
             secondary candidates because their address was already covered
             (mispriming, Section 8.1).
-        decode_attempts: unit-decode attempts across all slots (1 means the
-            primary candidates decoded immediately).
+        decode_attempts: column maps tried for the original unit, plus
+            those tried for the update slots once the original decoded (1
+            means the primary candidates decoded immediately).
         slots_recovered: version slots for which a unit was decoded.
         used_error_correction: True if a decoded unit had a missing column
             (filled in as an erasure), or if a unit's primary candidates
-            failed to decode and the per-slot candidate search of Section
-            8.1 ran.  Errors that Reed-Solomon corrects in place do not set
-            it.
+            failed to decode and the candidate search of Section 8.1 went
+            on.  Errors that Reed-Solomon corrects in place do not set it.
     """
 
     block: int
@@ -181,8 +183,8 @@ class BlockDecoder:
 
         The reads are filtered by the partition's main forward primer and
         clustered once; each reconstructed strand is attributed to its
-        parsed block address, and every recovered encoding unit — all
-        blocks, all update slots — goes through one batched Reed-Solomon
+        parsed block address, and each round of the candidate search
+        decodes the units of every block in one batched Reed-Solomon
         pass.
 
         Args:
@@ -261,16 +263,9 @@ class BlockDecoder:
             ):
                 bucket.append(_Candidate(molecule.payload, cluster.size))
 
-        data_columns = partition.config.unit_layout.data_molecules
-        primaries = {
-            (block, slot): {column: bucket[0].payload for column, bucket in columns.items()}
-            for block, slots in candidates.items()
-            for slot, columns in slots.items()
-            if len(columns) >= data_columns
-        }
         reports: dict[int, DecodeReport] = {}
         with stage("syndrome_solve"):
-            decoded = _try_decode_units_batch(partition, primaries)
+            decoded, attempts = self._search(candidates)
             for block in targets:
                 report = DecodeReport(
                     block=block,
@@ -285,43 +280,96 @@ class BlockDecoder:
                     report.strands_recovered = sum(
                         len(columns) for columns in slots.values()
                     )
-                    self._finish_block(block, slots, decoded, report)
+                    self._finish_block(block, slots, decoded, attempts, report)
                 reports[block] = report
         return reports
+
+    def _search(
+        self, candidates: dict[int, dict[int, dict[int, list[_Candidate]]]]
+    ) -> tuple[dict[tuple[int, int], bytes], Counter]:
+        """Run the candidate search of every unit in ``candidates``.
+
+        Round ``r`` decodes, in one :meth:`Partition.decode_units_batch`
+        call, the ``r``-th column map (:func:`_column_maps`) of every unit
+        not yet decoded.  A unit stops at its first map that decodes, after
+        at most :data:`MAX_DECODE_ATTEMPTS_PER_SLOT` maps; one with fewer
+        columns than data molecules is never tried.  Originals (slot 0)
+        start in round 0, and a block's update slots join the round after
+        its original decoded, so no update slot of an undecodable block is
+        ever tried.
+
+        Returns:
+            The decoded unit bytes and the number of column maps tried,
+            both keyed by (block, slot).
+        """
+        data_columns = self.partition.config.unit_layout.data_molecules
+
+        def search(block: int, slot: int) -> Iterator[dict[int, bytes]]:
+            return islice(
+                _column_maps(candidates[block][slot], data_columns),
+                MAX_DECODE_ATTEMPTS_PER_SLOT,
+            )
+
+        pending = {
+            (block, 0): search(block, 0)
+            for block, slots in candidates.items()
+            if 0 in slots
+        }
+        decoded: dict[tuple[int, int], bytes] = {}
+        attempts: Counter = Counter()
+        while pending:
+            batch = {}
+            for key, maps in pending.items():
+                column_map = next(maps, None)
+                if column_map is not None:
+                    batch[key] = column_map
+            if not batch:
+                break
+            results = self.partition.decode_units_batch(list(batch.values()))
+            waiting, pending = pending, {}
+            for key, data in zip(batch, results):
+                attempts[key] += 1
+                if data is None:
+                    pending[key] = waiting[key]
+                    continue
+                decoded[key] = data
+                block, slot = key
+                if slot == 0:
+                    pending.update(
+                        {(block, s): search(block, s) for s in candidates[block] if s}
+                    )
+        return decoded, attempts
 
     def _finish_block(
         self,
         block: int,
         slots: dict[int, dict[int, list[_Candidate]]],
         decoded: dict[tuple[int, int], bytes],
+        attempts: Counter,
         report: DecodeReport,
     ) -> None:
         """Assemble a block from its decoded units, applying recovered patches.
 
-        ``decoded`` holds the units the batched solve corrected, keyed by
-        (block, slot); slots missing from it go through the per-slot
-        candidate search of Section 8.1.
+        ``decoded`` and ``attempts`` come from :meth:`_search`.
         """
+        for slot, columns in slots.items():
+            tried = attempts[block, slot]
+            report.decode_attempts += tried
+            if tried and (
+                tried > 1
+                or (block, slot) not in decoded
+                or len(columns) < self.partition.molecules_per_block
+            ):
+                report.used_error_correction = True
 
-        def decoded_slot(slot: int) -> bytes | None:
-            data = decoded.get((block, slot))
-            if data is not None:
-                report.decode_attempts += 1
-                if len(slots[slot]) < self.partition.molecules_per_block:
-                    report.used_error_correction = True
-                return data
-            return self._decode_slot(slots[slot], report)
-
-        original = decoded_slot(0) if 0 in slots else None
+        original = decoded.get((block, 0))
         if original is None:
             return
         report.slots_recovered = [0]
 
         patches: list[UpdatePatch] = []
         for slot in sorted(slots):
-            if slot == 0:
-                continue
-            raw = decoded_slot(slot)
+            raw = decoded.get((block, slot)) if slot else None
             if raw is None:
                 continue
             try:
@@ -335,71 +383,3 @@ class BlockDecoder:
         except (UpdateError, PartitionError):
             report.data = original
         report.success = True
-
-    def _decode_slot(
-        self,
-        slot_candidates: dict[int, list[_Candidate]],
-        report: DecodeReport,
-    ) -> bytes | None:
-        """Decode one encoding unit from its per-column candidate lists."""
-        data_columns = self.partition.config.unit_layout.data_molecules
-        if len(slot_candidates) < data_columns:
-            return None
-        attempts = 0
-
-        def attempt(columns: dict[int, bytes]) -> bytes | None:
-            nonlocal attempts
-            if attempts >= MAX_DECODE_ATTEMPTS_PER_SLOT:
-                return None
-            attempts += 1
-            report.decode_attempts += 1
-            try:
-                return self.partition.decode_unit(columns)
-            except (ReedSolomonError, DecodingError):
-                return None
-
-        primary = {
-            column: candidates[0].payload
-            for column, candidates in slot_candidates.items()
-        }
-        decoded = attempt(primary)
-        if decoded is not None:
-            if len(primary) < self.partition.molecules_per_block:
-                report.used_error_correction = True
-            return decoded
-        report.used_error_correction = True
-
-        # Swap in alternate candidates, one column at a time, starting with
-        # the columns whose primary evidence (cluster size) is weakest.
-        weakest_first = sorted(
-            slot_candidates, key=lambda column: slot_candidates[column][0].cluster_size
-        )
-        for column in weakest_first:
-            for alternate in slot_candidates[column][1:]:
-                swapped = dict(primary)
-                swapped[column] = alternate.payload
-                decoded = attempt(swapped)
-                if decoded is not None:
-                    return decoded
-
-        # Demote the weakest columns to erasures (alone, then in pairs).
-        erasable = [
-            column
-            for column in weakest_first
-            if len(primary) - 1 >= data_columns
-        ]
-        for column in erasable:
-            reduced = {c: p for c, p in primary.items() if c != column}
-            if len(reduced) < data_columns:
-                continue
-            decoded = attempt(reduced)
-            if decoded is not None:
-                return decoded
-        for pair in combinations(erasable[:6], 2):
-            reduced = {c: p for c, p in primary.items() if c not in pair}
-            if len(reduced) < data_columns:
-                continue
-            decoded = attempt(reduced)
-            if decoded is not None:
-                return decoded
-        return None

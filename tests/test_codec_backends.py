@@ -2,9 +2,10 @@
 
 Every available backend must produce byte-identical codewords, syndromes
 and decodes — across field sizes (GF(16) and GF(256)), unit geometries,
-and randomized erasure/error patterns.  The pure-Python backend is the
-reference; when numpy is installed the vectorized backend is held to its
-output bit for bit.
+and randomized erasure/error patterns — and the same per-unit verdicts
+when a batch mixes units Reed-Solomon can and cannot correct.  The
+pure-Python backend is the reference; when numpy is installed the
+vectorized backend is held to its output bit for bit.
 
 This file must not import numpy at module scope: it is part of the
 no-numpy CI job, where only the fallback backend exists.
@@ -17,7 +18,7 @@ import pytest
 from repro.codec.backend import available_backends, get_backend
 from repro.codec.matrix_unit import EncodingUnit, UnitLayout
 from repro.codec.reed_solomon import ReedSolomonCode, reed_solomon_code
-from repro.exceptions import EncodingError, ReedSolomonError
+from repro.exceptions import DecodingError, EncodingError, ReedSolomonError
 
 #: (n, k, symbol_bits) of the Reed-Solomon codes under test.
 RS_PARAMETERS = [
@@ -183,6 +184,57 @@ def test_unit_decode_with_corrupted_column_matches_across_backends():
     for name in available_backends():
         codec = EncodingUnit(layout=layout, backend=name)
         assert codec.decode(received) == unit
+
+
+def test_unit_decode_batch_gives_none_exactly_where_decode_raises():
+    """One batch mixing decodable and undecodable units, failures first, in
+    the middle and last: each backend answers ``None`` for exactly the units
+    ``decode()`` rejects, decodes the others as ``decode()`` and the python
+    backend do, and gives every unit the verdict it gets alone."""
+    layout = UnitLayout()
+    rng = random.Random(2718)
+    python = EncodingUnit(layout=layout, backend="python")
+    datas = [
+        bytes(rng.randrange(256) for _ in range(layout.user_data_bytes))
+        for _ in range(7)
+    ]
+    encoded = [dict(enumerate(columns)) for columns in python.encode_batch(datas)]
+
+    def received(index, *, corrupted=(), missing=(), extra=None):
+        columns = dict(encoded[index])
+        for column in corrupted:
+            columns[column] = bytes(b ^ rng.randrange(1, 256) for b in columns[column])
+        for column in missing:
+            del columns[column]
+        columns.update(extra or {})
+        return columns
+
+    cases = [
+        # Three errors per row and an erasure: beyond RS(15, 11).
+        (received(0, corrupted=(2, 7, 11), missing=(4,)), ReedSolomonError),
+        (received(1), None),
+        (received(2, missing=(0, 5, 12, 14)), None),
+        (received(3, missing=(0, 1, 2, 3, 4)), ReedSolomonError),
+        (received(4, extra={15: encoded[4][0]}), DecodingError),
+        (received(5, corrupted=(3,), missing=(7,)), None),
+        (received(6, extra={9: encoded[6][9][:-1]}), DecodingError),
+    ]
+    units = [columns for columns, _ in cases]
+    reference = python.decode_batch(units)
+    for name in available_backends():
+        codec = EncodingUnit(layout=layout, backend=name)
+        decoded = codec.decode_batch(units)
+        assert [unit is None for unit in decoded] == [
+            error is not None for _, error in cases
+        ]
+        assert decoded == reference
+        assert decoded == [codec.decode_batch([columns])[0] for columns in units]
+        for unit, data, (columns, error) in zip(decoded, datas, cases):
+            if error is None:
+                assert unit == codec.decode(columns) == data
+            else:
+                with pytest.raises(error):
+                    codec.decode(columns)
 
 
 def test_explicit_numpy_request_without_numpy_raises():
