@@ -231,7 +231,9 @@ class BlockDecoder:
         # carry their primer), parking a perfectly well-formed phantom
         # patch in a slot the target never wrote — bound slots to the
         # logged count so such artifacts can never apply.  Strands of
-        # unwritten targets are ignored like those of other blocks.
+        # unwritten targets are ignored like those of other blocks, and so
+        # are strands whose intra index names no column of a unit (two
+        # bases encode 0-15; a unit has fewer columns).
         slot_limits = {
             block: partition.update_count(block)
             for block in targets
@@ -246,7 +248,11 @@ class BlockDecoder:
             except DecodingError:
                 continue
             address = partition.parse_unit_index(molecule.unit_index)
-            if address is None or address.block not in slot_limits:
+            if (
+                address is None
+                or address.block not in slot_limits
+                or molecule.intra_index >= partition.molecules_per_block
+            ):
                 continue
             if address.slot > slot_limits[address.block]:
                 duplicates[address.block] += 1

@@ -257,3 +257,47 @@ class TestOrphanedUpdate:
         partition, reads = orphaned_setup
         reports = BlockDecoder(partition).decode_readout(reads)
         assert {block: _fingerprint(r) for block, r in reports.items()} == self.PINS
+
+
+class TestOutOfRangeColumn:
+    """Two intra-index bases encode 0-15, but a unit has 15 columns: a
+    strand whose intra index reads 15 is skipped like an unparseable
+    address, so it cannot spoil the unit's column maps."""
+
+    BLOCK = 0
+
+    @pytest.fixture(scope="class")
+    def phantom_setup(self):
+        partition = Partition(PartitionConfig(primers=PAIR, leaf_count=64, tree_seed=17))
+        rng = random.Random(15)
+        partition.write(bytes(rng.randrange(256) for _ in range(2 * 256)))
+        reads: list[str] = []
+        for molecule in partition.all_molecules():
+            reads.extend([molecule.to_strand()] * 5)
+            address = partition.parse_unit_index(molecule.unit_index)
+            if address.block == self.BLOCK and molecule.intra_index == 3:
+                # A payload of its own keeps it out of column 3's cluster;
+                # it is the block's largest cluster, so a search that kept
+                # it would demote it last.
+                phantom = replace(
+                    molecule,
+                    intra_index=partition.molecules_per_block,
+                    payload=bytes(rng.randrange(256) for _ in molecule.payload),
+                )
+                reads.extend([phantom.to_strand()] * 12)
+        rng.shuffle(reads)
+        return partition, reads
+
+    @pytest.mark.usefixtures("kernels")
+    def test_phantom_strand_costs_no_attempt(self, phantom_setup):
+        partition, reads = phantom_setup
+        decoder = BlockDecoder(partition)
+        reports = [
+            decoder.decode_block(reads, self.BLOCK),
+            decoder.decode_readout(reads)[self.BLOCK],
+        ]
+        for report in reports:
+            assert report.data == partition.read_block_reference(self.BLOCK)
+            assert report.decode_attempts == 1
+            assert report.strands_recovered == partition.molecules_per_block
+            assert not report.used_error_correction
