@@ -13,8 +13,8 @@ mode, finds the nearest bucket signature of a corrupted one
   candidate out.  An undecided candidate loses the prefix and suffix it
   shares with the query, then goes through the bit-parallel
   :func:`repro.sequence.bounded_edit_distance`.  This is pure Python;
-  numpy, when importable, only builds the Hamming columns of
-  :func:`nearest` and the k-mer masks in bulk array passes.
+  numpy, when importable, only builds the k-mer masks in bulk array
+  passes.
 * **reference** (``REPRO_FUSED_KERNELS=0``, :func:`within_reference`) —
   the banded :func:`repro.sequence.levenshtein_distance` on the untrimmed
   pair.
@@ -38,11 +38,6 @@ try:
     import numpy as np
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     np = None  # The fused kernels stay pure Python; numpy only batches.
-
-#: :func:`nearest` scans fewer candidates than this with the scalar
-#: search, whose per-call cost is below the array setup's; both are exact,
-#: so the cutoff is purely a performance knob.
-_MIN_ARRAY_CANDIDATES = 8
 
 #: Rows per chunk of the coded k-mer masks hold about this many bytes of
 #: one-byte k-mer flags.
@@ -121,29 +116,6 @@ def _hamming_column(query: str, candidates: list[str]) -> list[int | None]:
     ]
 
 
-def _hamming_array(query: str, candidates: list[str]) -> list[int] | None:
-    """:func:`_hamming_column` from one numpy pass over a uint8 matrix.
-
-    ``None`` without numpy, for fewer than :data:`_MIN_ARRAY_CANDIDATES`
-    candidates, or when a candidate is not as wide as the query or a text
-    strays outside ASCII.  Signatures are fixed-width slices, so the
-    routing's larger candidate sets take this path.
-    """
-    width = len(query)
-    blob = "".join(candidates)
-    if (
-        np is None
-        or len(candidates) < _MIN_ARRAY_CANDIDATES
-        or any(len(candidate) != width for candidate in candidates)
-        or not (blob + query).isascii()
-    ):
-        return None
-    matrix = np.frombuffer(blob.encode("ascii"), dtype=np.uint8)
-    matrix = matrix.reshape(len(candidates), width)
-    query_row = np.frombuffer(query.encode("ascii"), dtype=np.uint8)
-    return (matrix != query_row).sum(axis=1).tolist()
-
-
 def _nearest_scan(
     query: str,
     candidates: list[str],
@@ -189,15 +161,9 @@ def nearest(
     ``None`` when no candidate is within the bound.
     """
     require_non_negative("max_distance", max_distance)
-    if not fused_kernels_enabled():
-        hamming = _hamming_column(query, candidates)
-        return _nearest_scan(query, candidates, max_distance, hamming, _levenshtein)
-    hamming = _hamming_array(query, candidates)
-    if hamming is None:
-        hamming = _hamming_column(query, candidates)
-    return _nearest_scan(
-        query, candidates, max_distance, hamming, bounded_edit_distance
-    )
+    edit_distance = bounded_edit_distance if fused_kernels_enabled() else _levenshtein
+    hamming = _hamming_column(query, candidates)
+    return _nearest_scan(query, candidates, max_distance, hamming, edit_distance)
 
 
 def _first_sight_masks(texts: list[str], k: int) -> list[int]:

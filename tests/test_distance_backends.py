@@ -7,10 +7,8 @@ bit-parallel kernel over each trimmed undecided pair; the reference one
 (``0``) runs the banded Levenshtein on every untrimmed pair.  Both are
 exact within the bound, so they must produce *identical* clusters, and
 each mode must run only its own kernel.  Everything here runs without
-numpy except the diffs of the two numpy helpers (the coded k-mer masks
-against the first-sight masks, and the array Hamming column of
-``nearest`` against the scalar one) and the PCR run of
-``TestOneKernelPerMode``.
+numpy except the diff of the numpy helper (the coded k-mer masks against
+the first-sight masks) and the PCR run of ``TestOneKernelPerMode``.
 """
 
 import random
@@ -34,11 +32,8 @@ from repro.pipeline.clustering import (
 from repro.pipeline.decoder import MAX_PREFIX_ERRORS, BlockDecoder
 from repro.pipeline.distance import (
     _MASK_CHUNK_BYTES,
-    _MIN_ARRAY_CANDIDATES,
     _coded_masks,
     _first_sight_masks,
-    _hamming_array,
-    _hamming_column,
     kmer_masks,
     nearest,
     within_reference,
@@ -408,8 +403,8 @@ class TestNegativeBounds:
     @pytest.mark.parametrize("fused", MODES)
     @pytest.mark.parametrize("count", [0, 1, 9])
     def test_nearest_rejects_negative_bounds(self, fused, count, monkeypatch):
-        # Nine identical candidates reach the array Hamming column of
-        # ``nearest`` and would match at any bound that is not negative.
+        # Nine identical candidates would match at any bound that is not
+        # negative.
         monkeypatch.setenv("REPRO_FUSED_KERNELS", fused)
         query = "ACGTACGT"
         with pytest.raises(ClusteringError, match="max_distance must be non-negative"):
@@ -542,7 +537,7 @@ class TestScreenMatchesReference:
 
 
 # ----------------------------------------------------------------------
-# Differential test of the array Hamming column of ``nearest``
+# Differential test of ``nearest``
 # ----------------------------------------------------------------------
 
 
@@ -553,7 +548,7 @@ def _signature_sets(seed):
     for _ in range(200):
         query = _random_read(rng, 13)
         candidates = []
-        for _ in range(rng.randrange(_MIN_ARRAY_CANDIDATES, 30)):
+        for _ in range(rng.randrange(8, 30)):
             kind = rng.randrange(4)
             if kind == 0:
                 candidates.append(_substitute(query, rng.sample(range(13), rng.randrange(4))))
@@ -568,10 +563,8 @@ def _signature_sets(seed):
 
 
 class TestNearestHamming:
-    @requires_numpy
-    def test_array_column_matches_the_scalar_one(self):
+    def test_fused_nearest_matches_the_reference(self):
         for query, candidates in _signature_sets(seed=23):
-            assert _hamming_array(query, candidates) == _hamming_column(query, candidates)
             for bound in (0, 1, 2, 3):
                 args = (query, candidates, bound)
                 assert _in_mode("1", nearest, *args) == _in_mode("0", nearest, *args)
@@ -579,14 +572,13 @@ class TestNearestHamming:
     @pytest.mark.parametrize(
         "candidates",
         [
-            ["ACGTA"] * (_MIN_ARRAY_CANDIDATES - 1),
-            ["ACGTA"] * _MIN_ARRAY_CANDIDATES + ["ACGT"],
-            ["ACGTA"] * _MIN_ARRAY_CANDIDATES + ["ACéTA"],
+            ["ACGTA"] * 7,
+            ["ACGTA"] * 8 + ["ACGT"],
+            ["ACGTA"] * 8 + ["ACéTA"],
         ],
         ids=["few", "mixed-width", "non-ascii"],
     )
-    def test_scalar_column_where_the_array_cannot_apply(self, candidates):
-        assert _hamming_array("ACGTT", candidates) is None
+    def test_edge_candidate_lists(self, candidates):
         assert _in_mode("1", nearest, "ACGTT", candidates, 2) == _in_mode(
             "0", nearest, "ACGTT", candidates, 2
         )
@@ -595,7 +587,7 @@ class TestNearestHamming:
         query = "ACGTACGTACGTA"
         far = "T" * len(query)
         near = [_substitute(query, [5]), _substitute(query, [7])]
-        candidates = [far] * _MIN_ARRAY_CANDIDATES + near + [query[1:] + "C"]
+        candidates = [far] * 8 + near + [query[1:] + "C"]
         for fused in MODES:
             assert _in_mode(fused, nearest, query, candidates, 2) == (8, 1)
 
