@@ -3,7 +3,10 @@
 import pytest
 
 from repro.exceptions import ServiceError
-from repro.service import DecodedBlockCache
+from repro.service import DecodedBlockCache, ServiceConfig, ServicePipeline
+from repro.store import DnaVolume, ObjectStore, VolumeConfig
+from repro.workloads import multi_tenant_trace
+from repro.workloads.objects import object_corpus
 
 
 def filled(capacity=100, entries=()):
@@ -201,3 +204,58 @@ class TestTinyLfuAdmission:
             cache.put("p", block, b"s" * 50)
         assert cache.stats.admission_denials == 0
         assert cache.stats.evictions == 18
+
+
+class TestTinyLfuThroughThePipeline:
+    """``ServiceConfig(cache_admission="tinylfu")`` end to end: a hot set
+    shared by six tenants plus one tenant scanning whole objects, served
+    under ``batched+cache`` with a 16-block cache."""
+
+    OBJECTS = 40
+
+    def build_store(self):
+        store = ObjectStore(
+            DnaVolume(
+                config=VolumeConfig(
+                    partition_leaf_count=64, stripe_blocks=2, stripe_width=2
+                )
+            )
+        )
+        block_size = store.volume.block_size
+        corpus = object_corpus(
+            {f"obj-{i:02d}": block_size * (1 + i % 4) for i in range(self.OBJECTS)},
+            seed=11,
+        )
+        for name, data in corpus.items():
+            store.put(name, data)
+        return store, {name: len(data) for name, data in corpus.items()}
+
+    def test_scan_resistance_keeps_the_bytes_and_raises_the_hit_rate(self):
+        _, catalog = self.build_store()
+        hot = multi_tenant_trace(
+            catalog, tenants=6, requests=1500, duration_hours=50.0, seed=5,
+            object_exponent=1.3,
+        )
+        scan = multi_tenant_trace(
+            catalog, tenants=1, requests=300, duration_hours=50.0, seed=6,
+            object_exponent=0.01, whole_object_fraction=1.0,
+            aggressor_fraction=1.0, aggressor_tenant="scanner",
+        )
+        trace = sorted(hot + scan, key=lambda event: event.time_hours)
+        reports = {}
+        for admission in ("always", "tinylfu"):
+            store, _ = self.build_store()
+            config = ServiceConfig(
+                cache_capacity_bytes=store.volume.block_size * 16,
+                cache_admission=admission,
+            )
+            reports[admission] = ServicePipeline(store, config=config).run(
+                trace, "batched+cache"
+            )
+        store, _ = self.build_store()
+        uncached = ServicePipeline(store).run(trace, "batched")
+        always, tinylfu = reports["always"], reports["tinylfu"]
+        assert always.checksum == tinylfu.checksum == uncached.checksum
+        assert always.cache.admission_denials == 0
+        assert tinylfu.cache.admission_denials > 0
+        assert tinylfu.cache.hit_rate > always.cache.hit_rate
