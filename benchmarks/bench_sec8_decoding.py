@@ -176,10 +176,11 @@ def test_sec8_clustering_backend_speedup(monkeypatch):
 
 
 def test_sec8_fused_decode_speedup(monkeypatch):
-    """End-to-end readout decode, inline: the fused GF(2^m), clustering
-    and consensus kernels must be byte-identical to — and >= 2x faster
+    """End-to-end readout decode, inline: the fused clustering and
+    consensus kernels must be byte-identical to — and >= 2x faster
     than — their reference implementations (``REPRO_FUSED_KERNELS=0``,
-    the seed-equivalent pipeline).
+    the seed-equivalent pipeline).  Both modes share the batched
+    Reed-Solomon codec.
 
     Emits a per-stage wall-clock breakdown (cluster / consensus /
     syndrome+solve / orchestration) of both modes into

@@ -34,8 +34,8 @@ PAIR = PrimerPair("ATCGTGCAAGCTTGACCTGA", "CGTAGACTTGCAACTGGACT")
 #: Block carrying one update patch (slot 1).
 UPDATED = 2
 #: Block whose primary candidates for three slot-0 columns are forged:
-#: the batched solve fails and the per-slot candidate search must swap
-#: a true strand back in.
+#: the primary column map fails and the candidate search must swap a
+#: true strand back in.
 SEARCHED = 3
 #: Block with five forged slot-0 columns: the candidate search runs and
 #: still fails.
