@@ -81,7 +81,6 @@ class CodecBackend(ABC):
         all zero.
         """
 
-    @abstractmethod
     def decode_rows(
         self,
         code: "ReedSolomonCode",
@@ -92,7 +91,9 @@ class CodecBackend(ABC):
 
         The shared-erasure signature matches the dominant wetlab failure
         mode: a molecule that never made it through sequencing erases the
-        same column of *every* row of its encoding unit.
+        same column of *every* row of its encoding unit.  Every backend
+        runs the scalar decoder row by row here, so this is the reference
+        the vectorized :meth:`decode_units` is held to.
 
         Args:
             code: the RS(n, k) code the rows were encoded with.
@@ -108,6 +109,10 @@ class CodecBackend(ABC):
             ReedSolomonError: if any row's errata exceed the code's
                 correction capability.
         """
+        return [
+            code.decode(row, erasure_positions=erasure_positions)
+            for row in codeword_rows
+        ]
 
     # ------------------------------------------------------------------
     # Symbol packing

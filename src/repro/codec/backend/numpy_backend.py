@@ -21,8 +21,9 @@ performs three whole-matrix operations:
 
 :meth:`NumpyBackend.decode_units` runs a whole batch of units through
 these steps at once, with one syndrome product for all of them, and
-reports a unit it cannot correct as ``None``.  The pure-Python backend
-(``REPRO_CODEC_BACKEND=python``) is its reference.
+reports a unit it cannot correct as ``None``.  Its reference is the
+pure-Python backend (``REPRO_CODEC_BACKEND=python``), and both backends
+share the base class's scalar row decode (:meth:`CodecBackend.decode_rows`).
 
 GF matrix products are computed with broadcast log-addition and an XOR
 reduction; inputs are chunked so temporaries stay small.
@@ -230,65 +231,6 @@ class NumpyBackend(CodecBackend):
 
     def _syndrome_matrix(self, tables: _CodeTables, codewords: np.ndarray) -> np.ndarray:
         return self._gf_matmul(tables.field, codewords, tables.syndrome_matrix)
-
-    def decode_rows(
-        self,
-        code: "ReedSolomonCode",
-        codeword_rows: Sequence[Sequence[int]],
-        erasure_positions: Sequence[int] = (),
-    ) -> SymbolMatrix:
-        tables = self._tables_for_code(code)
-        codewords = self._as_matrix(codeword_rows, code.n, "codeword")
-        if codewords.shape[0] == 0:
-            return []
-        self._validate_range(codewords, tables.field.max_value, code.symbol_bits)
-        erasures = tuple(sorted(set(int(p) for p in erasure_positions)))
-        return self._decode_matrix(code, tables, codewords, erasures).tolist()
-
-    def _decode_matrix(
-        self,
-        code: "ReedSolomonCode",
-        tables: _CodeTables,
-        codewords: np.ndarray,
-        erasures: tuple[int, ...],
-    ) -> np.ndarray:
-        """Correct a codeword matrix sharing one erasure pattern."""
-        for position in erasures:
-            if not 0 <= position < code.n:
-                raise ReedSolomonError(f"erasure position {position} out of range")
-        if len(erasures) > code.parity_symbols:
-            raise ReedSolomonError("too many erasures to correct")
-
-        working = codewords.copy()
-        if erasures:
-            working[:, list(erasures)] = 0
-        syndromes = self._syndrome_matrix(tables, working)
-        dirty = syndromes.any(axis=1)
-        if not dirty.any():
-            return working
-
-        if erasures:
-            # Linear fill-in of the erased columns for every dirty row.
-            solver = tables.erasure_solver(code, erasures)
-            magnitudes = self._gf_matmul(
-                tables.field, syndromes[dirty][:, : len(erasures)], solver
-            )
-            repaired = working[dirty]
-            repaired[:, list(erasures)] ^= magnitudes
-            working[dirty] = repaired
-            residual = self._syndrome_matrix(tables, working[dirty])
-            still_dirty = np.flatnonzero(dirty)[residual.any(axis=1)]
-        else:
-            still_dirty = np.flatnonzero(dirty)
-
-        # Rows with true errors (unknown locations) take the scalar path;
-        # it is the reference implementation, so equivalence is preserved.
-        for row_index in still_dirty:
-            working[row_index] = code.decode(
-                [int(value) for value in codewords[row_index]],
-                erasure_positions=erasures,
-            )
-        return working
 
     # ------------------------------------------------------------------
     # Whole-unit operations, fully vectorized

@@ -35,17 +35,6 @@ class PythonBackend(CodecBackend):
         # the backend contract is the bare syndrome vector.
         return [code._syndromes(row)[1:] for row in codeword_rows]
 
-    def decode_rows(
-        self,
-        code: "ReedSolomonCode",
-        codeword_rows: Sequence[Sequence[int]],
-        erasure_positions: Sequence[int] = (),
-    ) -> SymbolMatrix:
-        return [
-            code.decode(row, erasure_positions=erasure_positions)
-            for row in codeword_rows
-        ]
-
     def bytes_to_symbols(self, data: bytes, symbol_bits: int) -> list[int]:
         symbols_per_byte = 8 // symbol_bits
         mask = (1 << symbol_bits) - 1
