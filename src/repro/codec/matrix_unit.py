@@ -179,9 +179,6 @@ class EncodingUnit:
                 is out of range.
             ReedSolomonError: if too many columns are missing or corrupted.
         """
-        problem = self._malformation(payloads)
-        if problem is not None:
-            raise DecodingError(problem)
         decoded = self.decode_batch([payloads])[0]
         if decoded is None:
             raise ReedSolomonError("too many columns missing or corrupted to decode")
@@ -190,34 +187,30 @@ class EncodingUnit:
     def decode_batch(self, units: list[dict[int, bytes]]) -> list[bytes | None]:
         """Decode many units in one backend pass.
 
-        Gives ``None`` for every unit :meth:`decode` would reject and
-        decodes the others regardless; see
-        :meth:`CodecBackend.decode_units`.
+        Gives ``None`` for a unit Reed-Solomon cannot correct and decodes
+        the others regardless; see :meth:`CodecBackend.decode_units`.
+
+        Raises:
+            DecodingError: if any unit has a payload of the wrong size or a
+                column index out of range.
         """
-        wellformed = [
-            index for index, payloads in enumerate(units)
-            if self._malformation(payloads) is None
-        ]
+        total = self.layout.total_molecules
+        for payloads in units:
+            for column, payload in payloads.items():
+                if not 0 <= column < total:
+                    raise DecodingError(f"column index {column} out of range")
+                if len(payload) != self.layout.payload_bytes:
+                    raise DecodingError(
+                        f"payload for column {column} has {len(payload)} bytes, "
+                        f"expected {self.layout.payload_bytes}"
+                    )
         gross = self.backend.decode_units(
             self._code,
-            [units[index] for index in wellformed],
+            units,
             rows=self.layout.symbols_per_molecule,
             symbol_bits=self.layout.symbol_bits,
         )
-        results: list[bytes | None] = [None] * len(units)
-        for index, unit in zip(wellformed, gross):
-            if unit is not None:
-                results[index] = unit[: self.layout.user_data_bytes]
-        return results
-
-    def _malformation(self, payloads: dict[int, bytes]) -> str | None:
-        """Why ``payloads`` is not a column map of this layout (None if it is)."""
-        for column, payload in payloads.items():
-            if not 0 <= column < self.layout.total_molecules:
-                return f"column index {column} out of range"
-            if len(payload) != self.layout.payload_bytes:
-                return (
-                    f"payload for column {column} has {len(payload)} bytes, "
-                    f"expected {self.layout.payload_bytes}"
-                )
-        return None
+        return [
+            None if unit is None else unit[: self.layout.user_data_bytes]
+            for unit in gross
+        ]

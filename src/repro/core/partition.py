@@ -454,8 +454,9 @@ class Partition:
         """Decode many encoding units in one backend pass.
 
         The units are corrected together by the codec backend and then
-        de-randomized individually.  A unit :meth:`decode_unit` would
-        reject gives ``None``; the others decode regardless.
+        de-randomized individually.  A unit Reed-Solomon cannot correct
+        gives ``None``; the others decode regardless.  A malformed column
+        map raises :class:`DecodingError`, as in :meth:`decode_unit`.
         """
         return [
             None if unit is None else self.randomizer.derandomize(unit)

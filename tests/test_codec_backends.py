@@ -190,13 +190,14 @@ def test_unit_decode_batch_gives_none_exactly_where_decode_raises():
     """One batch mixing decodable and undecodable units, failures first, in
     the middle and last: each backend answers ``None`` for exactly the units
     ``decode()`` rejects, decodes the others as ``decode()`` and the python
-    backend do, and gives every unit the verdict it gets alone."""
+    backend do, and gives every unit the verdict it gets alone.  A malformed
+    column map fails the whole batch call with ``DecodingError``."""
     layout = UnitLayout()
     rng = random.Random(2718)
     python = EncodingUnit(layout=layout, backend="python")
     datas = [
         bytes(rng.randrange(256) for _ in range(layout.user_data_bytes))
-        for _ in range(7)
+        for _ in range(8)
     ]
     encoded = [dict(enumerate(columns)) for columns in python.encode_batch(datas)]
 
@@ -215,9 +216,13 @@ def test_unit_decode_batch_gives_none_exactly_where_decode_raises():
         (received(1), None),
         (received(2, missing=(0, 5, 12, 14)), None),
         (received(3, missing=(0, 1, 2, 3, 4)), ReedSolomonError),
-        (received(4, extra={15: encoded[4][0]}), DecodingError),
-        (received(5, corrupted=(3,), missing=(7,)), None),
-        (received(6, extra={9: encoded[6][9][:-1]}), DecodingError),
+        (received(4, corrupted=(3,), missing=(7,)), None),
+        # Three errors per row: beyond RS(15, 11).
+        (received(5, corrupted=(1, 6, 13)), ReedSolomonError),
+    ]
+    malformed = [
+        received(6, extra={15: encoded[6][0]}),
+        received(7, extra={9: encoded[7][9][:-1]}),
     ]
     units = [columns for columns, _ in cases]
     reference = python.decode_batch(units)
@@ -235,6 +240,11 @@ def test_unit_decode_batch_gives_none_exactly_where_decode_raises():
             else:
                 with pytest.raises(error):
                     codec.decode(columns)
+        for columns in malformed:
+            with pytest.raises(DecodingError):
+                codec.decode_batch([units[1], columns, units[0]])
+            with pytest.raises(DecodingError):
+                codec.decode(columns)
 
 
 def test_explicit_numpy_request_without_numpy_raises():
