@@ -28,7 +28,6 @@ reference.  Every function that takes a bound raises
 from __future__ import annotations
 
 from operator import ne
-from typing import Callable
 
 from repro.exceptions import ClusteringError
 from repro.fastpath import fused_kernels_enabled
@@ -106,51 +105,6 @@ def within_reference(query: str, candidate: str, max_distance: int) -> bool:
     return _levenshtein(query, candidate, max_distance) <= max_distance
 
 
-def _hamming_column(query: str, candidates: list[str]) -> list[int | None]:
-    """Each candidate's Hamming distance to ``query`` (``None`` for a
-    candidate of another length)."""
-    width = len(query)
-    return [
-        sum(map(ne, query, candidate)) if len(candidate) == width else None
-        for candidate in candidates
-    ]
-
-
-def _nearest_scan(
-    query: str,
-    candidates: list[str],
-    max_distance: int,
-    hamming: list[int | None],
-    edit_distance: Callable[[str, str, int], int],
-) -> tuple[int, int] | None:
-    """Nearest-candidate search with bound tightening.
-
-    For equal-length strings the edit distance is 0 or 1 exactly when the
-    Hamming distance is (an edit script without substitutions changes the
-    length or costs >= 2), and ``edit <= hamming`` always, so a Hamming
-    distance of 2 pins the edit distance to exactly 2 and one of 3 or more
-    rules a candidate out below a bound of 2.  Only the other candidates
-    pay ``edit_distance``, each with an ever-shrinking bound: a candidate
-    must beat the best distance so far, so the first of equally-near ones
-    wins.
-    """
-    best: tuple[int, int] | None = None
-    allowed = max_distance
-    for index, mismatches in enumerate(hamming):
-        if mismatches is not None and mismatches <= 2:
-            distance = mismatches
-        elif mismatches is not None and allowed < 2:
-            continue
-        else:
-            distance = edit_distance(query, candidates[index], allowed)
-        if distance <= allowed:
-            best = (index, distance)
-            if distance == 0:
-                break
-            allowed = distance - 1
-    return best
-
-
 def nearest(
     query: str, candidates: list[str], max_distance: int
 ) -> tuple[int, int] | None:
@@ -159,11 +113,36 @@ def nearest(
     The first index wins ties — the contract corrupted-signature routing
     relies on (earliest-created bucket among equally-near ones).  Returns
     ``None`` when no candidate is within the bound.
+
+    For equal-length strings the edit distance is 0 or 1 exactly when the
+    Hamming distance is (an edit script without substitutions changes the
+    length or costs >= 2), and ``edit <= hamming`` always, so a Hamming
+    distance of 2 pins the edit distance to exactly 2 and one of 3 or more
+    rules a candidate out below a bound of 2.  Only the other candidates
+    pay the edit distance of the ``REPRO_FUSED_KERNELS`` mode, each with an
+    ever-shrinking bound: a candidate must beat the best distance so far,
+    so the first of equally-near ones wins.
     """
     require_non_negative("max_distance", max_distance)
     edit_distance = bounded_edit_distance if fused_kernels_enabled() else _levenshtein
-    hamming = _hamming_column(query, candidates)
-    return _nearest_scan(query, candidates, max_distance, hamming, edit_distance)
+    best: tuple[int, int] | None = None
+    allowed = max_distance
+    for index, candidate in enumerate(candidates):
+        mismatches = (
+            sum(map(ne, query, candidate)) if len(candidate) == len(query) else None
+        )
+        if mismatches is not None and mismatches <= 2:
+            distance = mismatches
+        elif mismatches is not None and allowed < 2:
+            continue
+        else:
+            distance = edit_distance(query, candidate, allowed)
+        if distance <= allowed:
+            best = (index, distance)
+            if distance == 0:
+                break
+            allowed = distance - 1
+    return best
 
 
 def _first_sight_masks(texts: list[str], k: int) -> list[int]:
