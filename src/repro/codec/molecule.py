@@ -33,7 +33,7 @@ from repro.constants import (
     DEFAULT_UPDATE_SLOT_BASES,
     SYNC_BASE,
 )
-from repro.exceptions import DecodingError, EncodingError
+from repro.exceptions import DecodingError, EncodingError, SequenceError
 from repro.sequence import validate_sequence
 
 
@@ -225,12 +225,18 @@ class Molecule:
 
         This is intended for reconstructed (consensus) strands; noisy reads
         go through the clustering / trace-reconstruction pipeline first.
+        The decoder skips a strand this method rejects.
 
         Raises:
-            DecodingError: if the strand length does not match the layout.
+            DecodingError: if the strand holds a base outside ACGT (e.g. an
+                ``N`` no-call that a single-read consensus kept) or its
+                length does not match the layout.
         """
         layout = layout or MoleculeLayout()
-        validate_sequence(strand)
+        try:
+            validate_sequence(strand)
+        except SequenceError as error:
+            raise DecodingError(str(error)) from error
         if len(strand) != layout.strand_length:
             raise DecodingError(
                 f"strand length {len(strand)} != layout length {layout.strand_length}"

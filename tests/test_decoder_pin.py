@@ -190,6 +190,45 @@ class TestPinnedDecodeReports:
         }
 
 
+@pytest.mark.usefixtures("kernels")
+class TestNoCallRead:
+    """A read carrying ``N`` no-calls that clusters alone gives a consensus
+    strand with a base outside ACGT; the decoder skips that strand like
+    any unparseable one instead of failing the whole decode."""
+
+    BLOCK = 0
+    #: No-calls in a row, more than a read may differ from its cluster.
+    NO_CALLS = 30
+
+    def no_call_read(self, partition):
+        layout = partition.config.molecule_layout
+        start = layout.strand_length - layout.primer_length - layout.payload_bases
+        for molecule in partition.all_molecules():
+            if partition.parse_unit_index(molecule.unit_index).block == self.BLOCK:
+                strand = molecule.to_strand()
+                return strand[:start] + "N" * self.NO_CALLS + strand[start + self.NO_CALLS :]
+        raise AssertionError("block not written")
+
+    def test_decodes_the_same_blocks_with_the_same_data(self, pinned_setup):
+        partition, reads = pinned_setup
+        noisy_reads = [*reads, self.no_call_read(partition)]
+        decoder = BlockDecoder(partition)
+        clean = [
+            decoder.decode_block(reads, self.BLOCK),
+            *decoder.decode_readout(reads).values(),
+        ]
+        noisy = [
+            decoder.decode_block(noisy_reads, self.BLOCK),
+            *decoder.decode_readout(noisy_reads).values(),
+        ]
+        assert [(r.block, r.success, r.data) for r in noisy] == [
+            (r.block, r.success, r.data) for r in clean
+        ]
+        assert clean[0].success
+        # The no-call read formed a cluster of its own.
+        assert [r.clusters_total for r in noisy] == [r.clusters_total + 1 for r in clean]
+
+
 class TestUnwrittenBlock:
     #: In range, never written, and its elongated primer matches reads of
     #: the written blocks within the prefix filter's error budget.

@@ -87,6 +87,13 @@ class TestMolecule:
         with pytest.raises(DecodingError):
             Molecule.from_strand("ACGT" * 10)
 
+    @pytest.mark.parametrize("position", [0, 33, 60, 149])
+    def test_base_outside_acgt_is_a_decoding_error(self, position):
+        strand = list(make_molecule().to_strand())
+        strand[position] = "N"
+        with pytest.raises(DecodingError, match="invalid characters"):
+            Molecule.from_strand("".join(strand))
+
     def test_custom_layout_roundtrip(self):
         layout = MoleculeLayout(
             primer_length=10,
