@@ -225,7 +225,10 @@ class Molecule:
 
         This is intended for reconstructed (consensus) strands; noisy reads
         go through the clustering / trace-reconstruction pipeline first.
-        The decoder skips a strand this method rejects.
+        The decoder parses its consensus strands here only on the
+        reference path (``REPRO_FUSED_KERNELS=0`` or no numpy); the fused
+        path reads the same fields from the consensus matrix in array
+        passes, and both skip a strand this method rejects.
 
         Raises:
             DecodingError: if the strand holds a base outside ACGT (e.g. an

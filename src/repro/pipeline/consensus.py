@@ -14,15 +14,20 @@ Two implementations are provided behind one batch API,
   one cluster at a time — the oracle, and the only path under
   ``REPRO_FUSED_KERNELS=0`` or without numpy;
 * a numpy kernel that advances the pointers of **every read of every
-  cluster of a readout together**, forward and reversed in one matrix,
-  one array step per output position.  The stitch needs only the first
-  half of each direction, so a whole readout's trace reconstruction
+  multi-read cluster of a readout together**, forward and reversed in one
+  matrix, one array step per output position.  The stitch needs only the
+  first half of each direction, so a whole readout's trace reconstruction
   collapses into ``length - length // 2`` vectorized rounds instead of
-  millions of per-read Python iterations.
+  millions of per-read Python iterations.  A single-read cluster skips
+  the rounds: its double-sided BMA is the read's first ``length // 2``
+  bases, padded with ``A`` on the right, then its last
+  ``length - length // 2`` bases, padded with ``A`` on the left.
 
 Both produce byte-identical strands (``tests/test_consensus_backends.py``
 asserts it, including the majority tie-break, which follows ``Counter``
-first-insertion order).
+first-insertion order).  :func:`consensus_matrix` hands the fused
+kernel's strands over as the uint8 matrix it builds, so the decoder can
+parse them in array passes instead of one string at a time.
 """
 
 from __future__ import annotations
@@ -132,8 +137,9 @@ def consensus_batch(read_groups: Sequence[list[str]], length: int) -> list[str]:
     """:func:`double_sided_bma` of many clusters in one call.
 
     The fused kernels (the default) run the numpy batch kernel when numpy
-    is importable; ``REPRO_FUSED_KERNELS=0`` runs :func:`double_sided_bma`
-    per cluster.  Both return byte-identical strands.
+    is importable (see :func:`consensus_matrix`); ``REPRO_FUSED_KERNELS=0``
+    runs :func:`double_sided_bma` per cluster.  Both return byte-identical
+    strands.
 
     Args:
         read_groups: one list of noisy reads per cluster (each non-empty).
@@ -142,26 +148,59 @@ def consensus_batch(read_groups: Sequence[list[str]], length: int) -> list[str]:
     Returns:
         The reconstructed strand of each group, in order.
     """
-    if not read_groups:
-        return []
+    matrix = consensus_matrix(read_groups, length)
+    if matrix is None:
+        return [double_sided_bma(group, length) for group in read_groups]
+    return [bytes(row).decode("ascii") for row in matrix]
+
+
+def consensus_matrix(
+    read_groups: Sequence[list[str]], length: int
+) -> np.ndarray | None:
+    """The fused kernel's strands of many clusters as one uint8 matrix.
+
+    Row ``g`` holds the ASCII codes of ``double_sided_bma(read_groups[g],
+    length)``.  A single-read group's row is filled directly; the groups
+    of two or more reads go through one numpy batch BMA run.
+
+    Returns:
+        A ``(len(read_groups), length)`` uint8 array, or ``None`` where
+        the reference runs instead: under ``REPRO_FUSED_KERNELS=0``,
+        without numpy, or for reads that are not ASCII.
+
+    Raises:
+        ReconstructionError: if a group holds no read.
+    """
     for group in read_groups:
         if not group:
             raise ReconstructionError("cannot build a consensus from zero reads")
-    if fused_kernels_enabled():
-        strands = _consensus_batch_numpy(read_groups, length)
-        if strands is not None:
-            return strands
-    return [double_sided_bma(group, length) for group in read_groups]
+    if not fused_kernels_enabled():
+        return None
+    return _consensus_batch_numpy(read_groups, length)
+
+
+def _singleton_strand(read: str, length: int) -> str:
+    """``double_sided_bma([read], length)`` without the BMA rounds.
+
+    One read wins every vote it casts, so each direction copies the read
+    and pads it with ``A`` where the read runs out: the forward half is
+    the read's head, the backward half its tail.
+    """
+    half = length // 2
+    tail = read[half - length :] if length > half else ""
+    return read[:half].ljust(half, "A") + tail.rjust(length - half, "A")
 
 
 def _consensus_batch_numpy(
     read_groups: Sequence[list[str]], length: int
-) -> list[str] | None:
-    """Vectorized double-sided BMA; ``None`` defers to the scalar path.
+) -> np.ndarray | None:
+    """Vectorized double-sided BMA as a uint8 matrix; ``None`` defers to
+    the scalar path.
 
-    Both directions go through one kernel run: the read matrix holds every
-    read forward (group ``g``) and then reversed (group ``G + g``, for
-    ``G`` groups).  Output position ``s`` depends only on rounds ``<= s``,
+    Single-read groups take :func:`_singleton_strand`.  The other groups
+    go through one kernel run: the read matrix holds each of their reads
+    forward (group ``g``) and then reversed (group ``G + g``, for ``G``
+    such groups).  Output position ``s`` depends only on rounds ``<= s``,
     and the stitch keeps the first ``length // 2`` forward positions and
     the first ``length - length // 2`` backward ones, so the run stops
     after ``length - length // 2`` rounds.
@@ -171,12 +210,36 @@ def _consensus_batch_numpy(
     """
     if np is None:
         return None
-    flat_reads = [read for group in read_groups for read in group]
+    singles = [group[0] for group in read_groups if len(group) == 1]
+    multi_groups = [group for group in read_groups if len(group) > 1]
+    flat_reads = [read for group in multi_groups for read in group]
     try:
+        single_blob = "".join(
+            _singleton_strand(read, length) for read in singles
+        ).encode("ascii")
         blob = "".join(flat_reads).encode("ascii")
     except UnicodeEncodeError:
         return None
 
+    is_single = np.array([len(group) == 1 for group in read_groups], dtype=bool)
+    out = np.empty((len(read_groups), length), dtype=np.uint8)
+    out[is_single] = np.frombuffer(single_blob, dtype=np.uint8).reshape(
+        len(singles), length
+    )
+    if multi_groups:
+        out[~is_single] = _multi_read_strands(multi_groups, flat_reads, blob, length)
+    return out
+
+
+def _multi_read_strands(
+    read_groups: list[list[str]], flat_reads: list[str], blob: bytes, length: int
+) -> np.ndarray:
+    """Double-sided BMA of groups of two or more reads, as a uint8 matrix.
+
+    ``flat_reads`` lists the groups' reads in order and ``blob`` is their
+    ASCII concatenation.
+    """
+    assert np is not None  # only _consensus_batch_numpy calls this, with numpy
     group_sizes = np.array([len(group) for group in read_groups], dtype=np.int64)
     group_count = len(read_groups)
     total = len(flat_reads)
@@ -187,7 +250,7 @@ def _consensus_batch_numpy(
     flat = np.frombuffer(blob, dtype=np.uint8)
     # Two padding columns so a pointer that ran (at most) one position past
     # its read still gathers in-bounds (the value is masked out).
-    width = (int(lengths.max()) if total else 0) + 2
+    width = int(lengths.max()) + 2
     in_read = np.arange(width) < lengths[:, None]
     matrix = np.zeros((2 * total, width), dtype=np.uint8)
     matrix[:total][in_read] = flat
@@ -196,7 +259,7 @@ def _consensus_batch_numpy(
 
     # Compact alphabet codes: votes are counted per (group, symbol) with
     # one bincount, so symbols must be dense small ints (ASCII fits uint8).
-    alphabet = np.unique(flat)
+    alphabet = np.flatnonzero(np.bincount(flat, minlength=256))
     lut = np.zeros(256, dtype=np.uint8)
     lut[alphabet] = np.arange(len(alphabet))
 
@@ -213,10 +276,9 @@ def _consensus_batch_numpy(
         alphabet,
         lut,
     )
-    stitched = np.concatenate(
+    return np.concatenate(
         (both[:group_count, :half], both[group_count:, ::-1]), axis=1
     )
-    return [bytes(row).decode("ascii") for row in stitched]
 
 
 def _bma_batch_numpy(
@@ -234,7 +296,7 @@ def _bma_batch_numpy(
     inserted*, i.e. first voted in read order) needs each group's reads in
     consecutive rows starting at ``group_start``.
     """
-    assert np is not None  # only _consensus_batch_numpy calls this, with numpy
+    assert np is not None  # only _multi_read_strands calls this, with numpy
     total, width = matrix.shape
     flat_codes = lut[matrix].ravel()
     row_base = np.arange(total, dtype=np.int64) * width

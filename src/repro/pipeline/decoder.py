@@ -14,7 +14,14 @@ pass, which differs only in the prefix the reads are filtered by:
 3. attribute each consensus strand to its parsed (block, slot, column)
    address — the first (largest-cluster) candidate is preferred, but
    further candidates are kept because a misprimed strand can present
-   itself with the target's address;
+   itself with the target's address.  A strand with a base outside ACGT
+   (a single read's ``N`` no-call survives its consensus) is skipped.
+   The fused kernels read every strand's validity, intra index and
+   payload in array passes over the consensus matrix
+   (:func:`repro.pipeline.consensus.consensus_matrix`); the reference
+   (``REPRO_FUSED_KERNELS=0``, or no numpy) parses one
+   :meth:`Molecule.from_strand` per strand.  Either way each distinct
+   unit index is parsed once per call;
 4. search each recovered encoding unit's column maps (missing columns are
    erasures) until Reed-Solomon corrects one: the primary candidates,
    then alternate candidates, then the weakest-evidence columns demoted
@@ -32,14 +39,21 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 
-from repro.codec.molecule import Molecule
+from repro.codec.molecule import Molecule, MoleculeLayout
+from repro.constants import BASE_TO_BITS
+from repro.core.addressing import BlockAddress
 from repro.core.partition import Partition
 from repro.core.updates import UpdatePatch, apply_patch_chain
 from repro.exceptions import DecodingError, PartitionError, UpdateError
 from repro.pipeline.clustering import cluster_reads
-from repro.pipeline.consensus import consensus_batch
+from repro.pipeline.consensus import consensus_batch, consensus_matrix
 from repro.pipeline.reads import reads_with_prefix
 from repro.observability.stages import stage
+
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
+    np = None  # consensus_matrix is None then, and strands parse one by one.
 
 #: Largest edit distance of a read's prefix from the filtering primer.
 MAX_PREFIX_ERRORS = 3
@@ -57,6 +71,67 @@ class _Candidate:
 
     payload: bytes
     cluster_size: int
+
+
+#: A parsed consensus strand: its cluster's position in the cluster list,
+#: its unit index, its intra-unit index and its payload.
+_StrandFields = tuple[int, str, int, bytes]
+
+
+def _strand_fields(strands: list[str], layout: MoleculeLayout) -> list[_StrandFields]:
+    """The fields of every strand that :meth:`Molecule.from_strand` parses.
+
+    The reference for :func:`_matrix_fields`: one frozen molecule per
+    strand.  A strand that does not parse (a base outside ACGT) is left
+    out.
+    """
+    fields = []
+    for position, strand in enumerate(strands):
+        try:
+            molecule = Molecule.from_strand(strand, layout)
+        except DecodingError:
+            continue
+        fields.append(
+            (position, molecule.unit_index, molecule.intra_index, molecule.payload)
+        )
+    return fields
+
+
+def _matrix_fields(matrix, layout: MoleculeLayout) -> list[_StrandFields]:
+    """:func:`_strand_fields` of the rows of a uint8 consensus matrix.
+
+    Each row holds the ASCII codes of one ``layout.strand_length``-base
+    strand.  Array passes over the whole matrix find the rows whose bases
+    are all ACGT and read their intra indexes and payloads from the bases'
+    two-bit values, as :meth:`Molecule.from_strand` reads them; only the
+    unit indexes become strings.
+    """
+    assert np is not None  # consensus_matrix gives no matrix without numpy
+    bits = np.full(256, 4, dtype=np.uint8)
+    bits[[ord(base) for base in BASE_TO_BITS]] = list(BASE_TO_BITS.values())
+    values = bits[matrix]
+    rows = np.flatnonzero((values < 4).all(axis=1))
+    values = values[rows]
+    count = len(rows)
+    index_start = layout.primer_length + layout.sync_bases
+    intra_start = index_start + layout.unit_index_bases + layout.update_slot_bases
+    payload_start = intra_start + layout.intra_index_bases
+
+    width = intra_start - index_start
+    text = matrix[rows, index_start:intra_start].tobytes().decode("ascii")
+    unit_indexes = [text[i * width : (i + 1) * width] for i in range(count)]
+    intra_indexes = np.zeros(count, dtype=np.int64)
+    for column in range(intra_start, payload_start):
+        intra_indexes = intra_indexes * 4 + values[:, column]
+    size = layout.payload_bytes
+    quads = values[:, payload_start : payload_start + layout.payload_bases]
+    quads = quads.reshape(count, size, 4)
+    blob = (
+        (quads[:, :, 0] << 6) | (quads[:, :, 1] << 4) | (quads[:, :, 2] << 2)
+        | quads[:, :, 3]
+    ).tobytes()
+    payloads = [blob[i * size : (i + 1) * size] for i in range(count)]
+    return list(zip(rows.tolist(), unit_indexes, intra_indexes.tolist(), payloads))
 
 
 def _column_maps(
@@ -220,54 +295,17 @@ class BlockDecoder:
                 max_read_distance=MAX_READ_DISTANCE,
             )
         with stage("consensus"):
-            strands = consensus_batch(
-                [cluster.reads for cluster in clusters], layout.strand_length
-            )
-
-        # Version slots are digital metadata: the partition knows exactly
-        # how many patches each block has logged.  A narrow precise access
-        # can misprime onto a *neighbouring* block's patch strand and
-        # overwrite its address prefix with the target's (PCR products
-        # carry their primer), parking a perfectly well-formed phantom
-        # patch in a slot the target never wrote — bound slots to the
-        # logged count so such artifacts can never apply.  Strands of
-        # unwritten targets are ignored like those of other blocks, and so
-        # are strands whose intra index names no column of a unit (two
-        # bases encode 0-15; a unit has fewer columns).
-        slot_limits = {
-            block: partition.update_count(block)
-            for block in targets
-            if partition.has_block(block)
-        }
-        duplicates = dict.fromkeys(targets, 0)
-        # block -> slot -> column -> candidates, in order of first sight.
-        candidates: dict[int, dict[int, dict[int, list[_Candidate]]]] = {}
-        for cluster, strand in zip(clusters, strands):
-            try:
-                molecule = Molecule.from_strand(strand, layout)
-            except DecodingError:
-                continue
-            address = partition.parse_unit_index(molecule.unit_index)
-            if (
-                address is None
-                or address.block not in slot_limits
-                or molecule.intra_index >= partition.molecules_per_block
-            ):
-                continue
-            if address.slot > slot_limits[address.block]:
-                duplicates[address.block] += 1
-                continue
-            bucket = (
-                candidates.setdefault(address.block, {})
-                .setdefault(address.slot, {})
-                .setdefault(molecule.intra_index, [])
-            )
-            if bucket:
-                duplicates[address.block] += 1
-            if len(bucket) < MAX_CANDIDATES_PER_ADDRESS and all(
-                molecule.payload != existing.payload for existing in bucket
-            ):
-                bucket.append(_Candidate(molecule.payload, cluster.size))
+            groups = [cluster.reads for cluster in clusters]
+            matrix = consensus_matrix(groups, layout.strand_length)
+            if matrix is None:
+                strands = consensus_batch(groups, layout.strand_length)
+        if matrix is None:
+            fields = _strand_fields(strands, layout)
+        else:
+            fields = _matrix_fields(matrix, layout)
+        candidates, duplicates = self._attribute(
+            [cluster.size for cluster in clusters], fields, targets
+        )
 
         reports: dict[int, DecodeReport] = {}
         with stage("syndrome_solve"):
@@ -289,6 +327,68 @@ class BlockDecoder:
                     self._finish_block(block, slots, decoded, attempts, report)
                 reports[block] = report
         return reports
+
+    def _attribute(
+        self, sizes: list[int], fields: list[_StrandFields], targets: list[int]
+    ) -> tuple[dict[int, dict[int, dict[int, list[_Candidate]]]], dict[int, int]]:
+        """Bucket parsed consensus strands by their (block, slot, column) address.
+
+        Args:
+            sizes: the size of each cluster, in cluster order.
+            fields: the parsed strands, in cluster order
+                (:func:`_strand_fields` or :func:`_matrix_fields`).
+            targets: the blocks being decoded.
+
+        Returns:
+            block -> slot -> column -> candidates, in order of first sight,
+            and the number of duplicate strands of each target.
+        """
+        partition = self.partition
+        columns = partition.molecules_per_block
+        # Version slots are digital metadata: the partition knows exactly
+        # how many patches each block has logged.  A narrow precise access
+        # can misprime onto a *neighbouring* block's patch strand and
+        # overwrite its address prefix with the target's (PCR products
+        # carry their primer), parking a perfectly well-formed phantom
+        # patch in a slot the target never wrote — bound slots to the
+        # logged count so such artifacts can never apply.  Strands of
+        # unwritten targets are ignored like those of other blocks, and so
+        # are strands whose intra index names no column of a unit (two
+        # bases encode 0-15; a unit has fewer columns).
+        slot_limits = {
+            block: partition.update_count(block)
+            for block in targets
+            if partition.has_block(block)
+        }
+        duplicates = dict.fromkeys(targets, 0)
+        candidates: dict[int, dict[int, dict[int, list[_Candidate]]]] = {}
+        # Each distinct unit index is parsed once per call.
+        addresses: dict[str, BlockAddress | None] = {}
+        for position, unit_index, intra_index, payload in fields:
+            if unit_index not in addresses:
+                addresses[unit_index] = partition.parse_unit_index(unit_index)
+            address = addresses[unit_index]
+            if (
+                address is None
+                or address.block not in slot_limits
+                or intra_index >= columns
+            ):
+                continue
+            if address.slot > slot_limits[address.block]:
+                duplicates[address.block] += 1
+                continue
+            bucket = (
+                candidates.setdefault(address.block, {})
+                .setdefault(address.slot, {})
+                .setdefault(intra_index, [])
+            )
+            if bucket:
+                duplicates[address.block] += 1
+            if len(bucket) < MAX_CANDIDATES_PER_ADDRESS and all(
+                payload != existing.payload for existing in bucket
+            ):
+                bucket.append(_Candidate(payload, sizes[position]))
+        return candidates, duplicates
 
     def _search(
         self, candidates: dict[int, dict[int, dict[int, list[_Candidate]]]]

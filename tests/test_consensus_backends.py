@@ -1,15 +1,17 @@
 """The numpy consensus kernel against the scalar double-sided BMA.
 
 ``consensus_batch`` reconstructs every cluster of a readout either with the
-vectorized kernel (``_consensus_batch_numpy``, the fused default) or one
-cluster at a time with :func:`double_sided_bma`, the reference that
-``REPRO_FUSED_KERNELS=0`` selects.  Decode-level tests cannot
-stand in for this diff: Reed-Solomon corrects a wrong strand, so a kernel
-that disagreed on a few strands could still decode every block.  Here the
-two paths must return the same strands on every input, the majority
-tie-break (``Counter`` first-insertion order) included.
+vectorized kernel (``_consensus_batch_numpy``, the fused default, which
+fills single-read clusters' rows directly and runs the batch BMA over the
+rest) or one cluster at a time with :func:`double_sided_bma`, the
+reference that ``REPRO_FUSED_KERNELS=0`` selects.  Decode-level tests
+cannot stand in for this diff: Reed-Solomon corrects a wrong strand, so a
+kernel that disagreed on a few strands could still decode every block.
+Here the two paths must return the same strands on every input, the
+majority tie-break (``Counter`` first-insertion order) included.
 """
 
+import itertools
 import random
 
 import pytest
@@ -17,15 +19,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.pipeline.consensus as consensus
+from repro.exceptions import ReconstructionError
 from repro.pipeline.consensus import (
     _consensus_batch_numpy,
     consensus_batch,
+    consensus_matrix,
     double_sided_bma,
 )
 
 pytest.importorskip("numpy")
 
 BASES = "ACGT"
+
+
+def _numpy_strands(groups, length):
+    """The numpy kernel's matrix rows as strings (``None`` if it defers)."""
+    matrix = _consensus_batch_numpy(groups, length)
+    if matrix is None:
+        return None
+    assert matrix.shape == (len(groups), length)
+    return [bytes(row).decode("ascii") for row in matrix]
 
 
 def _consensus_in_mode(fused, groups, length):
@@ -88,7 +101,7 @@ def test_numpy_kernel_matches_scalar_bma(data):
     length = data.draw(st.integers(0, 40), label="length")
     groups = data.draw(st.lists(read_groups(length), min_size=1, max_size=6))
     expected = [double_sided_bma(group, length) for group in groups]
-    assert _consensus_batch_numpy(groups, length) == expected
+    assert _numpy_strands(groups, length) == expected
     assert _consensus_in_mode("1", groups, length) == expected
     assert _consensus_in_mode("0", groups, length) == expected
 
@@ -142,7 +155,7 @@ def test_numpy_kernel_matches_scalar_bma_on_a_readout_shape(length):
     reads = [read for group in groups for read in group]
     assert any(len(read) < length - 10 for read in reads)
     assert any(len(read) > length + 1 for read in reads)
-    assert _consensus_batch_numpy(groups, length) == [
+    assert _numpy_strands(groups, length) == [
         double_sided_bma(group, length) for group in groups
     ]
 
@@ -152,7 +165,7 @@ def test_vote_ties_follow_first_insertion_order():
     groups = [["ACGT", "TGCA"], ["TGCA", "ACGT"]]
     expected = [double_sided_bma(group, 4) for group in groups]
     assert [strand[0] for strand in expected] == ["A", "T"]
-    assert _consensus_batch_numpy(groups, 4) == expected
+    assert _numpy_strands(groups, 4) == expected
 
 
 def test_non_ascii_group_falls_back_to_scalar():
@@ -161,6 +174,73 @@ def test_non_ascii_group_falls_back_to_scalar():
     assert _consensus_in_mode("1", groups, 4) == [
         double_sided_bma(group, 4) for group in groups
     ]
+
+
+@pytest.mark.parametrize("length", [9, 10, 146, 147])
+def test_singleton_rows_match_double_sided_bma(length):
+    # A single read's double-sided BMA is its head then its tail, padded
+    # with A where it runs out: reads of every length from empty to twice
+    # the strand, so both halves see short, exact and over-long reads.
+    rng = random.Random(length)
+    reads = [
+        "".join(rng.choice(BASES) for _ in range(size)) for size in range(2 * length + 1)
+    ]
+    groups = [[read] for read in reads]
+    expected = [double_sided_bma(group, length) for group in groups]
+    assert expected[0] == "A" * length
+    assert _numpy_strands(groups, length) == expected
+    assert _consensus_in_mode("1", groups, length) == expected
+
+
+@pytest.mark.parametrize("length", [0, 1, 2])
+def test_singleton_rows_of_tiny_strands(length):
+    groups = [[read] for read in ("", "C", "GT", "TGCA")]
+    expected = [double_sided_bma(group, length) for group in groups]
+    assert _numpy_strands(groups, length) == expected
+
+
+@pytest.mark.parametrize("length", [11, 12])
+def test_mixed_batches_in_every_order(length):
+    # Singletons (short, exact, over-long) beside multi-read groups (noisy
+    # copies, a vote that ties at every differing position): every order
+    # of the six, so the rows go back to their groups wherever they sit.
+    rng = random.Random(length)
+
+    def strand(size=length):
+        return "".join(rng.choice(BASES) for _ in range(size))
+
+    original, first, second = strand(), strand(), strand()
+    pool = [
+        [strand(length // 3)],
+        [strand()],
+        [strand(2 * length)],
+        [original, original[:5] + original[6:], original[:7] + "A" + original[7:]],
+        [first, second, first, second],
+        [strand(length - 2), strand(length + 3)],
+    ]
+    for order in itertools.permutations(pool):
+        groups = list(order)
+        expected = [double_sided_bma(group, length) for group in groups]
+        assert _numpy_strands(groups, length) == expected
+    assert _numpy_strands([group for group in pool if len(group) > 1], length) == [
+        double_sided_bma(group, length) for group in pool if len(group) > 1
+    ]
+
+
+def test_consensus_matrix_defers_to_the_reference_and_rejects_empty_groups():
+    groups = [["ACGTACGT", "ACGTTCGT"], ["TTGCAAGC"]]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_FUSED_KERNELS", "0")
+        assert consensus_matrix(groups, 8) is None
+        with pytest.raises(ReconstructionError):
+            consensus_matrix([["ACGT"], []], 8)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_FUSED_KERNELS", "1")
+        matrix = consensus_matrix(groups, 8)
+        assert (matrix.dtype, matrix.shape) == ("uint8", (2, 8))
+        assert consensus_matrix([], 8).shape == (0, 8)
+        with pytest.raises(ReconstructionError):
+            consensus_matrix([["ACGT"], []], 8)
 
 
 @pytest.mark.parametrize(
