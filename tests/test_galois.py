@@ -169,7 +169,7 @@ class TestTableCache:
         assert GaloisField(4)._exp is not GaloisField(8)._exp
 
     def test_python_and_numpy_backends_read_one_table_source(self):
-        numpy = pytest.importorskip("numpy")
+        numpy = pytest.importorskip("numpy", exc_type=ImportError)
         from repro.codec.backend.numpy_backend import _FieldTables
         from repro.codec.reed_solomon import ReedSolomonCode
 

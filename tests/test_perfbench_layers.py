@@ -56,7 +56,7 @@ def test_run_imports_resolve(helper):
 
 
 def test_readout_runs_pcr_and_sequencing_once_per_unit():
-    pytest.importorskip("numpy")
+    pytest.importorskip("numpy", exc_type=ImportError)
     store = ObjectStore(
         DnaVolume(
             config=VolumeConfig(partition_leaf_count=16, stripe_blocks=2, stripe_width=2)
