@@ -97,7 +97,7 @@ def _strand_fields(strands: list[str], layout: MoleculeLayout) -> list[_StrandFi
     return fields
 
 
-def _matrix_fields(matrix, layout: MoleculeLayout) -> list[_StrandFields]:
+def _matrix_fields(matrix: np.ndarray, layout: MoleculeLayout) -> list[_StrandFields]:
     """:func:`_strand_fields` of the rows of a uint8 consensus matrix.
 
     Each row holds the ASCII codes of one ``layout.strand_length``-base

@@ -10,7 +10,7 @@ from repro.codec.molecule import Molecule
 from repro.core.addressing import BlockAddress
 from repro.core.partition import Partition, PartitionConfig
 from repro.core.updates import UpdatePatch
-from repro.exceptions import DecodingError, SequenceError
+from repro.exceptions import DecodingError
 from repro.pipeline.decoder import (
     MAX_CANDIDATES_PER_ADDRESS,
     BlockDecoder,
@@ -125,7 +125,7 @@ def _reference_attribution(partition, sizes, strands, targets):
     for size, strand in zip(sizes, strands):
         try:
             molecule = Molecule.from_strand(strand, layout)
-        except (DecodingError, SequenceError):
+        except DecodingError:
             continue
         address = partition.parse_unit_index(molecule.unit_index)
         if (
