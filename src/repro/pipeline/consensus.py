@@ -212,12 +212,11 @@ def _consensus_batch_numpy(
         return None
     singles = [group[0] for group in read_groups if len(group) == 1]
     multi_groups = [group for group in read_groups if len(group) > 1]
-    flat_reads = [read for group in multi_groups for read in group]
     try:
         single_blob = "".join(
             _singleton_strand(read, length) for read in singles
         ).encode("ascii")
-        blob = "".join(flat_reads).encode("ascii")
+        blob = "".join(read for group in multi_groups for read in group).encode("ascii")
     except UnicodeEncodeError:
         return None
 
@@ -227,23 +226,24 @@ def _consensus_batch_numpy(
         len(singles), length
     )
     if multi_groups:
-        out[~is_single] = _multi_read_strands(multi_groups, flat_reads, blob, length)
+        out[~is_single] = _multi_read_strands(multi_groups, blob, length)
     return out
 
 
 def _multi_read_strands(
-    read_groups: list[list[str]], flat_reads: list[str], blob: bytes, length: int
+    read_groups: list[list[str]], blob: bytes, length: int
 ) -> np.ndarray:
     """Double-sided BMA of groups of two or more reads, as a uint8 matrix.
 
-    ``flat_reads`` lists the groups' reads in order and ``blob`` is their
-    ASCII concatenation.
+    ``blob`` is the ASCII concatenation of the groups' reads, in order.
     """
     assert np is not None  # only _consensus_batch_numpy calls this, with numpy
     group_sizes = np.array([len(group) for group in read_groups], dtype=np.int64)
     group_count = len(read_groups)
-    total = len(flat_reads)
-    lengths = np.array([len(read) for read in flat_reads], dtype=np.int64)
+    lengths = np.array(
+        [len(read) for group in read_groups for read in group], dtype=np.int64
+    )
+    total = len(lengths)
     group_of = np.repeat(np.arange(group_count, dtype=np.int64), group_sizes)
     group_start = np.concatenate(([0], np.cumsum(group_sizes)[:-1]))
 
