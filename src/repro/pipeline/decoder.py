@@ -333,6 +333,9 @@ class BlockDecoder:
     ) -> tuple[dict[int, dict[int, dict[int, list[_Candidate]]]], dict[int, int]]:
         """Bucket parsed consensus strands by their (block, slot, column) address.
 
+        Each distinct unit index is parsed once per call, in a dict that
+        does not outlive it.
+
         Args:
             sizes: the size of each cluster, in cluster order.
             fields: the parsed strands, in cluster order
@@ -362,7 +365,6 @@ class BlockDecoder:
         }
         duplicates = dict.fromkeys(targets, 0)
         candidates: dict[int, dict[int, dict[int, list[_Candidate]]]] = {}
-        # Each distinct unit index is parsed once per call.
         addresses: dict[str, BlockAddress | None] = {}
         for position, unit_index, intra_index, payload in fields:
             if unit_index not in addresses:
