@@ -137,9 +137,12 @@ def consensus_batch(read_groups: Sequence[list[str]], length: int) -> list[str]:
     """:func:`double_sided_bma` of many clusters in one call.
 
     The fused kernels (the default) run the numpy batch kernel when numpy
-    is importable (see :func:`consensus_matrix`); ``REPRO_FUSED_KERNELS=0``
-    runs :func:`double_sided_bma` per cluster.  Both return byte-identical
-    strands.
+    is importable (see :func:`consensus_matrix`): a single-read cluster's
+    strand is its read's first ``length // 2`` bases and last
+    ``length - length // 2`` bases, padded with ``A``, filled without the
+    kernel rounds, and the other clusters share one batch BMA run.
+    ``REPRO_FUSED_KERNELS=0`` runs :func:`double_sided_bma` per cluster.
+    Both return byte-identical strands.
 
     Args:
         read_groups: one list of noisy reads per cluster (each non-empty).
