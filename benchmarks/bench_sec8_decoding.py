@@ -179,8 +179,8 @@ def test_sec8_fused_decode_speedup(monkeypatch):
     """End-to-end readout decode, inline: the fused clustering and
     consensus kernels must be byte-identical to — and >= 2x faster
     than — their reference implementations (``REPRO_FUSED_KERNELS=0``,
-    the seed-equivalent pipeline).  Both modes share the batched
-    Reed-Solomon codec.
+    the seed-equivalent pipeline, which also runs the scalar
+    Reed-Solomon codec).
 
     Emits a per-stage wall-clock breakdown (cluster / consensus /
     syndrome+solve / orchestration) of both modes into

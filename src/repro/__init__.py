@@ -26,7 +26,6 @@ round trip, and ``benchmarks/`` for the scripts that regenerate every
 figure and headline number of the paper's evaluation.
 """
 
-from repro.codec.backend import CodecBackend, available_backends, get_backend
 from repro.codec.matrix_unit import EncodingUnit, UnitLayout
 from repro.codec.molecule import Molecule, MoleculeLayout
 from repro.codec.reed_solomon import ReedSolomonCode
@@ -94,9 +93,6 @@ __all__ = [
     "ServicePipeline",
     "ServiceRequest",
     "SynthesisOrder",
-    "CodecBackend",
-    "available_backends",
-    "get_backend",
     "BatchReadPlan",
     "DnaVolume",
     "Extent",

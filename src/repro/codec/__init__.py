@@ -11,9 +11,10 @@ paper builds on (Organick et al., reproduced here from scratch):
 * :mod:`repro.codec.constrained` — constrained-coding predicates (GC window,
   homopolymer cap) used for primers and sparse indexes.
 * :mod:`repro.codec.galois` — GF(2^m) arithmetic tables.
-* :mod:`repro.codec.backend` — batched codec backends: a numpy-vectorized
-  engine (whole-matrix encode, batched syndromes, shared-erasure solve)
-  with a pure-Python fallback behind one :class:`CodecBackend` interface.
+* :mod:`repro.codec.backend` — the batched codec: ``encode_units`` and
+  ``decode_units`` run whole units on numpy kernels (whole-matrix encode,
+  batched syndromes, shared-erasure solve), or on the scalar
+  Reed-Solomon code under ``REPRO_FUSED_KERNELS=0`` or without numpy.
 * :mod:`repro.codec.reed_solomon` — Reed-Solomon encoder/decoder with
   support for both errors and erasures.
 * :mod:`repro.codec.matrix_unit` — the encoding-unit matrix layout of
@@ -22,7 +23,6 @@ paper builds on (Organick et al., reproduced here from scratch):
   (primers + sync base + index + payload).
 """
 
-from repro.codec.backend import CodecBackend, available_backends, get_backend
 from repro.codec.binary_codec import bytes_to_dna, dna_to_bytes
 from repro.codec.constrained import (
     is_gc_balanced,
@@ -36,9 +36,6 @@ from repro.codec.randomizer import Randomizer
 from repro.codec.reed_solomon import ReedSolomonCode, reed_solomon_code
 
 __all__ = [
-    "CodecBackend",
-    "available_backends",
-    "get_backend",
     "reed_solomon_code",
     "bytes_to_dna",
     "dna_to_bytes",

@@ -12,17 +12,18 @@ A missing molecule (never recovered from sequencing) erases one column,
 i.e. one known-location symbol in every row, which the Reed-Solomon code
 corrects as an erasure.
 
-All row arithmetic is delegated to a :class:`repro.codec.backend.CodecBackend`;
-the batch entry points (:meth:`EncodingUnit.encode_batch`,
-:meth:`EncodingUnit.decode_batch`) let a partition push every unit of a
-write or read through the backend in one array pass.
+All row arithmetic runs in :mod:`repro.codec.backend`; the batch entry
+points (:meth:`EncodingUnit.encode_batch`, :meth:`EncodingUnit.decode_batch`)
+let a partition push every unit of a write or read through one codec call,
+on the numpy kernels by default and on the scalar Reed-Solomon code under
+``REPRO_FUSED_KERNELS=0``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.codec.backend import CodecBackend, get_backend
+from repro.codec.backend import decode_units, encode_units
 from repro.codec.randomizer import Randomizer
 from repro.codec.reed_solomon import reed_solomon_code
 from repro.constants import (
@@ -99,17 +100,13 @@ class EncodingUnit:
 
     The unit owns a shared :class:`ReedSolomonCode` sized by its layout and
     a :class:`Randomizer` used to generate deterministic padding (seeded so
-    that encode/decode round-trips are reproducible).  Row arithmetic runs
-    on a :class:`CodecBackend`; pass ``backend="python"`` (or set
-    ``REPRO_CODEC_BACKEND``) to pin an implementation.
+    that encode/decode round-trips are reproducible).
     """
 
     layout: UnitLayout = field(default_factory=UnitLayout)
     padding_seed: int = 0x5EED
-    backend: CodecBackend | str | None = None
 
     def __post_init__(self) -> None:
-        self.backend = get_backend(self.backend)
         self._code = reed_solomon_code(
             self.layout.codeword_length,
             self.layout.data_molecules,
@@ -136,7 +133,7 @@ class EncodingUnit:
         return self.encode_batch([user_data])[0]
 
     def encode_batch(self, units: list[bytes]) -> list[list[bytes]]:
-        """Encode many units' user data in one backend pass.
+        """Encode many units' user data in one codec call.
 
         Returns one payload list (as in :meth:`encode`) per input unit.
         """
@@ -147,7 +144,7 @@ class EncodingUnit:
                     f"{self.layout.user_data_bytes}"
                 )
         padded = [self._pad(user_data) for user_data in units]
-        return self.backend.encode_units(
+        return encode_units(
             self._code,
             padded,
             rows=self.layout.symbols_per_molecule,
@@ -185,10 +182,10 @@ class EncodingUnit:
         return decoded
 
     def decode_batch(self, units: list[dict[int, bytes]]) -> list[bytes | None]:
-        """Decode many units in one backend pass.
+        """Decode many units in one codec call.
 
         Gives ``None`` for a unit Reed-Solomon cannot correct and decodes
-        the others regardless; see :meth:`CodecBackend.decode_units`.
+        the others regardless; see :func:`repro.codec.backend.decode_units`.
 
         Raises:
             DecodingError: if any unit has a payload of the wrong size or a
@@ -204,7 +201,7 @@ class EncodingUnit:
                         f"payload for column {column} has {len(payload)} bytes, "
                         f"expected {self.layout.payload_bytes}"
                     )
-        gross = self.backend.decode_units(
+        gross = decode_units(
             self._code,
             units,
             rows=self.layout.symbols_per_molecule,

@@ -53,20 +53,13 @@ class EnvFlag:
 
 _FLAGS: tuple[EnvFlag, ...] = (
     EnvFlag(
-        name="REPRO_CODEC_BACKEND",
-        default="auto",
-        accepted="auto | numpy | python",
-        owner="repro.codec.backend",
-        description="Which batched GF(2^m)/Reed-Solomon codec backend to use "
-        "(auto prefers numpy when importable).",
-    ),
-    EnvFlag(
         name="REPRO_FUSED_KERNELS",
         default="1",
         accepted="boolean (0/false/no/off select the reference oracles)",
         owner="repro.fastpath",
-        description="One switch between the fused/batched decode kernels "
-        "(default) and their byte-identical reference implementations.",
+        description="One switch between the fused/batched kernels (clustering, "
+        "consensus, Reed-Solomon codec; the default) and their byte-identical "
+        "reference implementations.",
     ),
     EnvFlag(
         name="REPRO_QOS_SCALE_REQUESTS",

@@ -11,8 +11,6 @@ def build_decode_workload():
 
     Each written partition contributes every strand three times — enough
     coverage for clustering and consensus without a sequencing simulator.
-    The partitions bind the codec backend ``REPRO_CODEC_BACKEND`` selects
-    when this runs.
 
     Returns ``(store, blocks, reads)``: the store, the written blocks and
     the reads, each keyed by partition name.

@@ -1,24 +1,28 @@
-"""Property-style equivalence tests for the batched codec backends.
+"""Property-style equivalence tests for the two paths of the batched codec.
 
-Every available backend must produce byte-identical codewords, syndromes
-and decodes — across field sizes (GF(16) and GF(256)), unit geometries,
-and randomized erasure/error patterns — and the same per-unit verdicts
-when a batch mixes units Reed-Solomon can and cannot correct.  The
-pure-Python backend is the reference; when numpy is installed the
-vectorized backend is held to its output bit for bit.
+``repro.codec.backend.encode_units`` / ``decode_units`` run the numpy
+kernels in the fused mode (the default) and the scalar Reed-Solomon code
+under ``REPRO_FUSED_KERNELS=0``.  Both modes must produce byte-identical
+codewords and decodes — across field sizes (GF(4), GF(16) and GF(256)),
+unit geometries, and randomized erasure/error patterns — and the same
+per-unit verdicts when a batch mixes units Reed-Solomon can and cannot
+correct.  The scalar mode is the reference; when numpy is installed the
+fused mode is held to its output bit for bit.
 
 This file must not import numpy at module scope: it is part of the
-no-numpy CI job, where only the fallback backend exists.
+no-numpy CI job, where both modes run the scalar path.
 """
 
 import random
+from contextlib import contextmanager
 
 import pytest
 
-from repro.codec.backend import available_backends, get_backend
+from repro.codec import backend
+from repro.codec.backend import decode_units, encode_units
 from repro.codec.matrix_unit import EncodingUnit, UnitLayout
 from repro.codec.reed_solomon import ReedSolomonCode, reed_solomon_code
-from repro.exceptions import DecodingError, EncodingError, ReedSolomonError
+from repro.exceptions import DecodingError, ReedSolomonError
 
 #: (n, k, symbol_bits) of the Reed-Solomon codes under test.
 RS_PARAMETERS = [
@@ -26,7 +30,14 @@ RS_PARAMETERS = [
     (15, 9, 4),    # more parity, GF(16)
     (255, 223, 8), # the classic GF(256) code
     (63, 45, 8),   # shortened GF(256)
+    (3, 1, 2),     # GF(4): four symbols per byte
 ]
+
+#: Codeword rows per unit; a multiple of 4 so every symbol width packs.
+ROWS = 8
+
+#: Kernel modes: fused (numpy when importable) and the scalar reference.
+MODES = ("1", "0")
 
 #: Unit geometries: the paper's default plus smaller GF(16)/GF(256) ones.
 LAYOUTS = [
@@ -48,112 +59,178 @@ LAYOUTS = [
 ]
 
 
-def backend_pairs():
-    """(reference, other) backend pairs to compare."""
-    python = get_backend("python")
-    return [(python, get_backend(name)) for name in available_backends()]
+@contextmanager
+def kernels(fused):
+    """Run the block under ``REPRO_FUSED_KERNELS=fused``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_FUSED_KERNELS", fused)
+        yield
 
 
-def random_rows(rng, count, width, symbol_bits):
-    limit = 1 << symbol_bits
-    return [[rng.randrange(limit) for _ in range(width)] for _ in range(count)]
+def symbols_of(data, symbol_bits):
+    """Bytes as symbols, most significant bits first."""
+    per_byte = 8 // symbol_bits
+    mask = (1 << symbol_bits) - 1
+    return [
+        (byte >> (symbol_bits * (per_byte - 1 - i))) & mask
+        for byte in data
+        for i in range(per_byte)
+    ]
+
+
+def payload_of(symbols, symbol_bits):
+    """Inverse of :func:`symbols_of`."""
+    per_byte = 8 // symbol_bits
+    return bytes(
+        sum(
+            symbol << (symbol_bits * (per_byte - 1 - i))
+            for i, symbol in enumerate(symbols[start : start + per_byte])
+        )
+        for start in range(0, len(symbols), per_byte)
+    )
+
+
+def random_units(rng, count, size):
+    return [bytes(rng.randrange(256) for _ in range(size)) for _ in range(count)]
 
 
 @pytest.mark.parametrize("n,k,symbol_bits", RS_PARAMETERS)
-def test_encode_rows_identical_across_backends(n, k, symbol_bits):
+def test_encode_units_identical_across_modes(n, k, symbol_bits):
     rs = reed_solomon_code(n, k, symbol_bits=symbol_bits)
     rng = random.Random(n * 31 + k)
-    rows = random_rows(rng, 25, k, symbol_bits)
-    reference = get_backend("python").encode_rows(rs, rows)
-    # Every row must equal the scalar encoder's output...
-    for row, codeword in zip(rows, reference):
-        assert codeword == rs.encode(row)
-    # ...and every backend must equal the reference.
-    for _, backend in backend_pairs():
-        assert backend.encode_rows(rs, rows) == reference
+    units = random_units(rng, 4, k * ROWS * symbol_bits // 8)
+    with kernels("0"):
+        reference = encode_units(rs, units, rows=ROWS, symbol_bits=symbol_bits)
+    for unit, columns in zip(units, reference):
+        # Data columns carry the unit's bytes unchanged (systematic code)...
+        assert b"".join(columns[:k]) == unit
+        # ...and every row equals the scalar encoder's output.
+        symbols = symbols_of(unit, symbol_bits)
+        column_symbols = [symbols_of(column, symbol_bits) for column in columns]
+        for row in range(ROWS):
+            data_row = [symbols[column * ROWS + row] for column in range(k)]
+            assert [column[row] for column in column_symbols] == rs.encode(data_row)
+    with kernels("1"):
+        assert encode_units(rs, units, rows=ROWS, symbol_bits=symbol_bits) == reference
 
 
 @pytest.mark.parametrize("n,k,symbol_bits", RS_PARAMETERS)
-def test_syndromes_and_erasure_decode_identical(n, k, symbol_bits):
+def test_erasure_and_error_decode_identical(n, k, symbol_bits):
     rs = reed_solomon_code(n, k, symbol_bits=symbol_bits)
     rng = random.Random(n * 17 + k)
-    python = get_backend("python")
-    codewords = python.encode_rows(rs, random_rows(rng, 20, k, symbol_bits))
-
     nsym = n - k
+    units = random_units(rng, 3, k * ROWS * symbol_bits // 8)
+    with kernels("0"):
+        encoded = encode_units(rs, units, rows=ROWS, symbol_bits=symbol_bits)
+
     for trial in range(4):
-        erasures = sorted(rng.sample(range(n), rng.randrange(0, nsym + 1)))
-        errors_budget = (nsym - len(erasures)) // 2
-        corrupted = []
-        for i, codeword in enumerate(codewords):
-            received = list(codeword)
-            for position in erasures:
-                received[position] = rng.randrange(1 << symbol_bits)
+        received = []
+        for columns in encoded:
+            # A random erasure pattern per unit, so the fused path must
+            # group rows by pattern.
+            erasures = set(rng.sample(range(n), rng.randrange(0, nsym + 1)))
+            errors_budget = (nsym - len(erasures)) // 2
+            matrix = [symbols_of(column, symbol_bits) for column in columns]
             # Random errors on some rows, within the correction budget.
-            if errors_budget and i % 3 == 0:
-                error_positions = rng.sample(
+            error_rows = range(0, ROWS, 3) if errors_budget else ()
+            for row in error_rows:
+                positions = rng.sample(
                     [p for p in range(n) if p not in erasures],
                     rng.randrange(1, errors_budget + 1),
                 )
-                for position in error_positions:
-                    received[position] ^= rng.randrange(1, 1 << symbol_bits)
-            corrupted.append(received)
+                for position in positions:
+                    matrix[position][row] ^= rng.randrange(1, 1 << symbol_bits)
+            received.append(
+                {
+                    c: payload_of(symbols, symbol_bits)
+                    for c, symbols in enumerate(matrix)
+                    if c not in erasures
+                }
+            )
+        for fused in MODES:
+            with kernels(fused):
+                assert (
+                    decode_units(rs, received, rows=ROWS, symbol_bits=symbol_bits)
+                    == units
+                )
 
-        reference_syndromes = python.syndromes_rows(rs, corrupted)
-        reference_decode = python.decode_rows(rs, corrupted, erasures)
-        assert reference_decode == codewords
-        for _, backend in backend_pairs():
-            assert backend.syndromes_rows(rs, corrupted) == reference_syndromes
-            assert backend.decode_rows(rs, corrupted, erasures) == codewords
 
-
-def test_decode_rows_raises_beyond_capability():
+def test_decode_units_gives_none_beyond_capability():
     rs = reed_solomon_code(15, 11, symbol_bits=4)
     rng = random.Random(99)
-    codeword = rs.encode([rng.randrange(16) for _ in range(11)])
-    # 5 erasures > 4 parity symbols: every backend must refuse.
-    for _, backend in backend_pairs():
-        with pytest.raises(ReedSolomonError):
-            backend.decode_rows(rs, [codeword], [0, 1, 2, 3, 4])
+    units = random_units(rng, 2, 11 * ROWS // 2)
+    with kernels("0"):
+        encoded = encode_units(rs, units, rows=ROWS, symbol_bits=4)
+    # 5 erasures > 4 parity symbols: every mode must refuse that unit.
+    received = [dict(enumerate(columns)) for columns in encoded]
+    for column in range(5):
+        del received[0][column]
+    for fused in MODES:
+        with kernels(fused):
+            assert decode_units(rs, received, rows=ROWS, symbol_bits=4) == [
+                None,
+                units[1],
+            ]
 
 
-def test_symbol_packing_roundtrip_identical():
-    rng = random.Random(5)
-    data = bytes(rng.randrange(256) for _ in range(96))
-    for symbol_bits in (2, 4, 8):
-        reference = get_backend("python").bytes_to_symbols(data, symbol_bits)
-        for _, backend in backend_pairs():
-            symbols = backend.bytes_to_symbols(data, symbol_bits)
-            assert symbols == reference
-            assert backend.symbols_to_bytes(symbols, symbol_bits) == data
+def test_each_mode_runs_one_codec_path(monkeypatch):
+    """The fused mode calls the numpy kernels; ``REPRO_FUSED_KERNELS=0``
+    never does, and still gives the same bytes."""
+    numpy_backend = backend.numpy_backend
+    if numpy_backend is None:
+        pytest.skip("numpy is not installed: both modes run the scalar path")
+    codec = EncodingUnit()
+    rng = random.Random(7)
+    datas = random_units(rng, 3, codec.layout.user_data_bytes)
+    received = [dict(enumerate(columns)) for columns in codec.encode_batch(datas)]
+    del received[1][4]
+
+    calls = []
+    for name in ("encode_units", "decode_units"):
+        kernel = getattr(numpy_backend, name)
+
+        def counted(*args, _kernel=kernel, _name=name, **kwargs):
+            calls.append(_name)
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(numpy_backend, name, counted)
+    with kernels("1"):
+        encoded = codec.encode_batch(datas)
+        assert codec.decode_batch(received) == datas
+    assert calls == ["encode_units", "decode_units"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy codec kernel called with REPRO_FUSED_KERNELS=0")
+
+    monkeypatch.setattr(numpy_backend, "encode_units", refuse)
+    monkeypatch.setattr(numpy_backend, "decode_units", refuse)
+    with kernels("0"):
+        assert codec.encode_batch(datas) == encoded
+        assert codec.decode_batch(received) == datas
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_unit_encode_identical_and_batch_consistent(layout):
     rng = random.Random(layout.user_data_bytes)
-    units = [
-        bytes(rng.randrange(256) for _ in range(layout.user_data_bytes))
-        for _ in range(7)
-    ]
-    per_backend = []
-    for name in available_backends():
-        codec = EncodingUnit(layout=layout, backend=name)
-        batch = codec.encode_batch(units)
-        # Batch output matches one-at-a-time output on the same backend.
-        assert batch == [codec.encode(unit) for unit in units]
-        per_backend.append(batch)
-    for other in per_backend[1:]:
-        assert other == per_backend[0]
+    units = random_units(rng, 7, layout.user_data_bytes)
+    codec = EncodingUnit(layout=layout)
+    per_mode = []
+    for fused in MODES:
+        with kernels(fused):
+            batch = codec.encode_batch(units)
+            # Batch output matches one-at-a-time output in the same mode.
+            assert batch == [codec.encode(unit) for unit in units]
+        per_mode.append(batch)
+    assert per_mode[0] == per_mode[1]
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_unit_decode_roundtrip_with_random_erasures(layout):
     rng = random.Random(layout.payload_bytes * 7)
-    units = [
-        bytes(rng.randrange(256) for _ in range(layout.user_data_bytes))
-        for _ in range(6)
-    ]
-    encoded = EncodingUnit(layout=layout, backend="python").encode_batch(units)
+    units = random_units(rng, 6, layout.user_data_bytes)
+    codec = EncodingUnit(layout=layout)
+    with kernels("0"):
+        encoded = codec.encode_batch(units)
     total = layout.total_molecules
     # Drop a random (correctable) set of columns per unit; patterns differ
     # between units so the batch path must group by erasure set.
@@ -163,43 +240,41 @@ def test_unit_decode_roundtrip_with_random_erasures(layout):
         received.append(
             {c: payload for c, payload in enumerate(columns) if c not in missing}
         )
-    decoded_per_backend = []
-    for name in available_backends():
-        codec = EncodingUnit(layout=layout, backend=name)
-        decoded = codec.decode_batch(received)
-        assert decoded == [codec.decode(unit) for unit in received]
-        decoded_per_backend.append(decoded)
-    assert all(decoded == units for decoded in decoded_per_backend)
+    for fused in MODES:
+        with kernels(fused):
+            decoded = codec.decode_batch(received)
+            assert decoded == [codec.decode(unit) for unit in received]
+        assert decoded == units
 
 
-def test_unit_decode_with_corrupted_column_matches_across_backends():
+def test_unit_decode_with_corrupted_column_matches_across_modes():
     layout = UnitLayout()
     rng = random.Random(1234)
     unit = bytes(rng.randrange(256) for _ in range(layout.user_data_bytes))
-    columns = EncodingUnit(layout=layout, backend="python").encode(unit)
+    codec = EncodingUnit(layout=layout)
+    with kernels("0"):
+        columns = codec.encode(unit)
     # Corrupt one full column (an error, not an erasure) and drop another.
     received = dict(enumerate(columns))
     received[3] = bytes((b ^ 0x5A) for b in received[3])
     del received[7]
-    for name in available_backends():
-        codec = EncodingUnit(layout=layout, backend=name)
-        assert codec.decode(received) == unit
+    for fused in MODES:
+        with kernels(fused):
+            assert codec.decode(received) == unit
 
 
 def test_unit_decode_batch_gives_none_exactly_where_decode_raises():
     """One batch mixing decodable and undecodable units, failures first, in
-    the middle and last: each backend answers ``None`` for exactly the units
-    ``decode()`` rejects, decodes the others as ``decode()`` and the python
-    backend do, and gives every unit the verdict it gets alone.  A malformed
+    the middle and last: each mode answers ``None`` for exactly the units
+    ``decode()`` rejects, decodes the others as ``decode()`` and the scalar
+    mode do, and gives every unit the verdict it gets alone.  A malformed
     column map fails the whole batch call with ``DecodingError``."""
     layout = UnitLayout()
     rng = random.Random(2718)
-    python = EncodingUnit(layout=layout, backend="python")
-    datas = [
-        bytes(rng.randrange(256) for _ in range(layout.user_data_bytes))
-        for _ in range(8)
-    ]
-    encoded = [dict(enumerate(columns)) for columns in python.encode_batch(datas)]
+    codec = EncodingUnit(layout=layout)
+    datas = random_units(rng, 8, layout.user_data_bytes)
+    with kernels("0"):
+        encoded = [dict(enumerate(columns)) for columns in codec.encode_batch(datas)]
 
     def received(index, *, corrupted=(), missing=(), extra=None):
         columns = dict(encoded[index])
@@ -225,38 +300,27 @@ def test_unit_decode_batch_gives_none_exactly_where_decode_raises():
         received(7, extra={9: encoded[7][9][:-1]}),
     ]
     units = [columns for columns, _ in cases]
-    reference = python.decode_batch(units)
-    for name in available_backends():
-        codec = EncodingUnit(layout=layout, backend=name)
-        decoded = codec.decode_batch(units)
-        assert [unit is None for unit in decoded] == [
-            error is not None for _, error in cases
-        ]
-        assert decoded == reference
-        assert decoded == [codec.decode_batch([columns])[0] for columns in units]
-        for unit, data, (columns, error) in zip(decoded, datas, cases):
-            if error is None:
-                assert unit == codec.decode(columns) == data
-            else:
-                with pytest.raises(error):
+    with kernels("0"):
+        reference = codec.decode_batch(units)
+    for fused in MODES:
+        with kernels(fused):
+            decoded = codec.decode_batch(units)
+            assert [unit is None for unit in decoded] == [
+                error is not None for _, error in cases
+            ]
+            assert decoded == reference
+            assert decoded == [codec.decode_batch([columns])[0] for columns in units]
+            for unit, data, (columns, error) in zip(decoded, datas, cases):
+                if error is None:
+                    assert unit == codec.decode(columns) == data
+                else:
+                    with pytest.raises(error):
+                        codec.decode(columns)
+            for columns in malformed:
+                with pytest.raises(DecodingError):
+                    codec.decode_batch([units[1], columns, units[0]])
+                with pytest.raises(DecodingError):
                     codec.decode(columns)
-        for columns in malformed:
-            with pytest.raises(DecodingError):
-                codec.decode_batch([units[1], columns, units[0]])
-            with pytest.raises(DecodingError):
-                codec.decode(columns)
-
-
-def test_explicit_numpy_request_without_numpy_raises():
-    if "numpy" in available_backends():
-        pytest.skip("numpy is installed in this environment")
-    with pytest.raises(EncodingError):
-        get_backend("numpy")
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(EncodingError):
-        get_backend("fortran")
 
 
 def test_reed_solomon_code_factory_and_field_cache_share_instances():

@@ -10,7 +10,6 @@ from repro.exceptions import ConfigError
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 EXPECTED_FLAGS = (
-    "REPRO_CODEC_BACKEND",
     "REPRO_FUSED_KERNELS",
     "REPRO_QOS_SCALE_REQUESTS",
     "REPRO_TRACING",
@@ -50,8 +49,8 @@ class TestRead:
         assert envflags.read("REPRO_FUSED_KERNELS") == "1"
 
     def test_set_value_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEC_BACKEND", "python")
-        assert envflags.read("REPRO_CODEC_BACKEND") == "python"
+        monkeypatch.setenv("REPRO_TRACING", "yes")
+        assert envflags.read("REPRO_TRACING") == "yes"
 
     def test_resolution_is_per_call(self, monkeypatch):
         monkeypatch.setenv("REPRO_QOS_SCALE_REQUESTS", "2")

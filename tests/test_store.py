@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import build_decode_workload
 
-from repro.codec.backend import available_backends
+from repro.codec import backend
 from repro.exceptions import StoreError
 from repro.observability.stages import collect_stages
 from repro.store import (
@@ -511,24 +511,11 @@ class TestInlineDecode:
             for block in targets
         }
 
-    def test_codec_backends_decode_identically(self, monkeypatch):
-        # A partition binds its codec backend when it is built, so each
-        # backend decodes a store built after its flag is set.
-        outputs = {}
-        for backend in available_backends():
-            monkeypatch.setenv("REPRO_CODEC_BACKEND", backend)
-            store, blocks, reads = build_decode_workload()
-            assert {
-                store.volume.partition(name)._unit_codec.backend.name
-                for name in store.volume.partition_names
-            } == {backend}
-            outputs[backend] = store.try_decode_blocks(blocks, reads)
-        assert not outputs["python"][1]
-        assert all(output == outputs["python"] for output in outputs.values())
-
     def test_fused_and_reference_kernels_decode_identically(
         self, decode_workload, monkeypatch
     ):
+        # The switch covers clustering, consensus and the Reed-Solomon
+        # codec alike.
         store, blocks, reads = decode_workload
         outputs = {}
         for flag in ("0", "1"):
@@ -536,6 +523,27 @@ class TestInlineDecode:
             outputs[flag] = store.try_decode_blocks(blocks, reads)
         assert outputs["0"] == outputs["1"]
         assert not outputs["1"][1]
+
+    def test_reference_mode_decodes_a_fused_build_on_the_scalar_codec(
+        self, monkeypatch
+    ):
+        # The codec reads the switch per call, so a store built under the
+        # fused default decodes through the scalar Reed-Solomon code once
+        # REPRO_FUSED_KERNELS=0 is set, never through the numpy kernels.
+        numpy_backend = backend.numpy_backend
+        if numpy_backend is None:
+            pytest.skip("numpy is not installed: the codec has one path")
+        monkeypatch.setenv("REPRO_FUSED_KERNELS", "1")
+        store, blocks, reads = build_decode_workload()
+        fused = store.try_decode_blocks(blocks, reads)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy codec kernel called with REPRO_FUSED_KERNELS=0")
+
+        monkeypatch.setenv("REPRO_FUSED_KERNELS", "0")
+        monkeypatch.setattr(numpy_backend, "decode_units", refuse)
+        assert store.try_decode_blocks(blocks, reads) == fused
+        assert not fused[1]
 
     def test_missing_partition_reads_fail_per_block(self, decode_workload):
         store, blocks, reads = decode_workload
