@@ -16,7 +16,7 @@ All row arithmetic runs in :mod:`repro.codec.backend`; the batch entry
 points (:meth:`EncodingUnit.encode_batch`, :meth:`EncodingUnit.decode_batch`)
 let a partition push every unit of a write or read through one codec call,
 on the numpy kernels by default and on the scalar Reed-Solomon code under
-``REPRO_FUSED_KERNELS=0``.
+``REPRO_FUSED_KERNELS=0`` or without numpy.
 """
 
 from __future__ import annotations

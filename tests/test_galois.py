@@ -175,8 +175,8 @@ class TestTableCache:
 
         code = ReedSolomonCode(15, 11, symbol_bits=4)
         tables = _FieldTables(code.field)
-        # The python backend reads code.field._exp directly; the numpy
-        # backend's arrays are views built from that same shared list.
+        # The scalar codec reads code.field._exp directly; the numpy
+        # kernels' arrays are built from that same shared list.
         assert code.field._exp is GaloisField.cached(4)._exp
         assert tables.exp.tolist() == code.field._exp
         assert tables.log.tolist() == code.field._log
