@@ -30,9 +30,11 @@ from repro.exceptions import ReedSolomonError
 from repro.fastpath import fused_kernels_enabled
 
 try:
-    from repro.codec.backend import numpy_backend
+    import numpy  # noqa: F401 - probes numpy; the kernels below import it
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     numpy_backend = None  # Both functions fall back to the scalar path.
+else:
+    from repro.codec.backend import numpy_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.codec.reed_solomon import ReedSolomonCode
@@ -43,7 +45,6 @@ def encode_units(
     padded_units: Sequence[bytes],
     *,
     rows: int,
-    symbol_bits: int,
 ) -> list[list[bytes]]:
     """Encode padded unit payloads into per-column molecule payloads.
 
@@ -53,9 +54,8 @@ def encode_units(
     ``n`` column payloads (data columns first, parity columns last).
     """
     if fused_kernels_enabled() and numpy_backend is not None:
-        return numpy_backend.encode_units(
-            code, padded_units, rows=rows, symbol_bits=symbol_bits
-        )
+        return numpy_backend.encode_units(code, padded_units, rows=rows)
+    symbol_bits = code.symbol_bits
     results: list[list[bytes]] = []
     for unit in padded_units:
         symbols = _unpack(unit, symbol_bits)
@@ -77,7 +77,6 @@ def decode_units(
     units_columns: Sequence[dict[int, bytes]],
     *,
     rows: int,
-    symbol_bits: int,
 ) -> list[bytes | None]:
     """Decode recovered column payloads back into gross unit data.
 
@@ -90,9 +89,8 @@ def decode_units(
     other units of the batch decode regardless.
     """
     if fused_kernels_enabled() and numpy_backend is not None:
-        return numpy_backend.decode_units(
-            code, units_columns, rows=rows, symbol_bits=symbol_bits
-        )
+        return numpy_backend.decode_units(code, units_columns, rows=rows)
+    symbol_bits = code.symbol_bits
     results: list[bytes | None] = []
     for columns in units_columns:
         erasures = [c for c in range(code.n) if c not in columns]

@@ -53,7 +53,6 @@ class _FieldTables:
     def __init__(self, field: "GaloisField") -> None:
         self.exp = np.asarray(field._exp, dtype=np.int32)
         self.log = np.asarray(field._log, dtype=np.int32)
-        self.max_value = field.max_value
 
 
 class _CodeTables:
@@ -175,7 +174,6 @@ def encode_units(
     padded_units: Sequence[bytes],
     *,
     rows: int,
-    symbol_bits: int,
 ) -> list[list[bytes]]:
     """Every unit of a batch through **one** parity matmul.
 
@@ -187,18 +185,16 @@ def encode_units(
     unit_count = len(padded_units)
     raw = np.frombuffer(b"".join(padded_units), dtype=np.uint8)
     # Column-major unit layout: molecule j holds symbols [j*rows, (j+1)*rows).
-    symbols = _unpack_bytes(raw.reshape(unit_count, -1), symbol_bits)
+    symbols = _unpack_bytes(raw.reshape(unit_count, -1), code.symbol_bits)
     data = (
         symbols.reshape(unit_count, code.k, rows)
         .transpose(0, 2, 1)
         .reshape(unit_count * rows, code.k)
     )
-    if data.size and data.max() > tables.field.max_value:
-        raise ReedSolomonError(f"symbol out of range for GF(2^{code.symbol_bits})")
     parity = _gf_matmul(tables.field, data, tables.parity_matrix)
     codewords = np.hstack((data, parity))
     columns = codewords.reshape(unit_count, rows, code.n).transpose(0, 2, 1)
-    packed = _pack_symbols(columns, symbol_bits)
+    packed = _pack_symbols(columns, code.symbol_bits)
     return [[bytes(column) for column in unit] for unit in packed]
 
 
@@ -207,7 +203,6 @@ def decode_units(
     units_columns: Sequence[dict[int, bytes]],
     *,
     rows: int,
-    symbol_bits: int,
 ) -> list[bytes | None]:
     """All units of a batch through **one** syndrome matmul.
 
@@ -224,6 +219,7 @@ def decode_units(
     if not units_columns:
         return []
     tables = _tables_for_code(code)
+    symbol_bits = code.symbol_bits
     payload_bytes = rows * symbol_bits // 8
     unit_count = len(units_columns)
     erasure_of_unit = [

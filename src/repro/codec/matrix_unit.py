@@ -144,12 +144,7 @@ class EncodingUnit:
                     f"{self.layout.user_data_bytes}"
                 )
         padded = [self._pad(user_data) for user_data in units]
-        return encode_units(
-            self._code,
-            padded,
-            rows=self.layout.symbols_per_molecule,
-            symbol_bits=self.layout.symbol_bits,
-        )
+        return encode_units(self._code, padded, rows=self.layout.symbols_per_molecule)
 
     def _pad(self, user_data: bytes) -> bytes:
         shortfall = self.layout.gross_data_bytes - len(user_data)
@@ -201,12 +196,7 @@ class EncodingUnit:
                         f"payload for column {column} has {len(payload)} bytes, "
                         f"expected {self.layout.payload_bytes}"
                     )
-        gross = decode_units(
-            self._code,
-            units,
-            rows=self.layout.symbols_per_molecule,
-            symbol_bits=self.layout.symbol_bits,
-        )
+        gross = decode_units(self._code, units, rows=self.layout.symbols_per_molecule)
         return [
             None if unit is None else unit[: self.layout.user_data_bytes]
             for unit in gross

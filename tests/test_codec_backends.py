@@ -7,7 +7,8 @@ codewords and decodes — across field sizes (GF(4), GF(16) and GF(256)),
 unit geometries, and randomized erasure/error patterns — and the same
 per-unit verdicts when a batch mixes units Reed-Solomon can and cannot
 correct.  The scalar mode is the reference; when numpy is installed the
-fused mode is held to its output bit for bit.
+fused mode is held to its output bit for bit, and its syndrome product
+must equal the scalar syndromes.
 
 This file must not import numpy at module scope: it is part of the
 no-numpy CI job, where both modes run the scalar path.
@@ -100,7 +101,7 @@ def test_encode_units_identical_across_modes(n, k, symbol_bits):
     rng = random.Random(n * 31 + k)
     units = random_units(rng, 4, k * ROWS * symbol_bits // 8)
     with kernels("0"):
-        reference = encode_units(rs, units, rows=ROWS, symbol_bits=symbol_bits)
+        reference = encode_units(rs, units, rows=ROWS)
     for unit, columns in zip(units, reference):
         # Data columns carry the unit's bytes unchanged (systematic code)...
         assert b"".join(columns[:k]) == unit
@@ -111,7 +112,7 @@ def test_encode_units_identical_across_modes(n, k, symbol_bits):
             data_row = [symbols[column * ROWS + row] for column in range(k)]
             assert [column[row] for column in column_symbols] == rs.encode(data_row)
     with kernels("1"):
-        assert encode_units(rs, units, rows=ROWS, symbol_bits=symbol_bits) == reference
+        assert encode_units(rs, units, rows=ROWS) == reference
 
 
 @pytest.mark.parametrize("n,k,symbol_bits", RS_PARAMETERS)
@@ -121,7 +122,7 @@ def test_erasure_and_error_decode_identical(n, k, symbol_bits):
     nsym = n - k
     units = random_units(rng, 3, k * ROWS * symbol_bits // 8)
     with kernels("0"):
-        encoded = encode_units(rs, units, rows=ROWS, symbol_bits=symbol_bits)
+        encoded = encode_units(rs, units, rows=ROWS)
 
     for trial in range(4):
         received = []
@@ -149,10 +150,65 @@ def test_erasure_and_error_decode_identical(n, k, symbol_bits):
             )
         for fused in MODES:
             with kernels(fused):
-                assert (
-                    decode_units(rs, received, rows=ROWS, symbol_bits=symbol_bits)
-                    == units
-                )
+                assert decode_units(rs, received, rows=ROWS) == units
+
+
+@pytest.mark.parametrize("n,k,symbol_bits", RS_PARAMETERS)
+def test_syndrome_matrix_matches_scalar_syndromes(n, k, symbol_bits):
+    """The fused decode picks its dirty rows from one product with the
+    code's syndrome matrix; on clean and corrupted rows alike that product
+    must equal the scalar decoder's syndromes."""
+    numpy_backend = backend.numpy_backend
+    if numpy_backend is None:
+        pytest.skip("numpy is not installed: the codec has no syndrome matrix")
+    import numpy as np
+
+    rs = reed_solomon_code(n, k, symbol_bits=symbol_bits)
+    rng = random.Random(n * 13 + k)
+    rows = []
+    for index in range(20):
+        row = rs.encode([rng.randrange(1 << symbol_bits) for _ in range(k)])
+        # Every fourth row stays a codeword; the others get 1..n-k errata.
+        if index % 4:
+            for position in rng.sample(range(n), rng.randrange(1, n - k + 1)):
+                row[position] ^= rng.randrange(1, 1 << symbol_bits)
+        rows.append(row)
+    tables = numpy_backend._tables_for_code(rs)
+    product = numpy_backend._gf_matmul(
+        tables.field, np.asarray(rows, dtype=np.int32), tables.syndrome_matrix
+    )
+    assert product.tolist() == [rs._syndromes(row)[1:] for row in rows]
+
+
+@pytest.mark.parametrize("n,k,symbol_bits", RS_PARAMETERS)
+def test_fused_decode_repairs_erasures_without_the_scalar_decoder(
+    n, k, symbol_bits, monkeypatch
+):
+    """Lost columns alone are repaired by the syndrome product and the
+    shared-erasure solve; a wrong syndrome or solve matrix would send the
+    rows to ``ReedSolomonCode.decode``, which is made to raise here."""
+    if backend.numpy_backend is None:
+        pytest.skip("numpy is not installed: both modes run the scalar path")
+    rs = reed_solomon_code(n, k, symbol_bits=symbol_bits)
+    rng = random.Random(n * 23 + k)
+    units = random_units(rng, 6, k * ROWS * symbol_bits // 8)
+    with kernels("0"):
+        encoded = encode_units(rs, units, rows=ROWS)
+    received = []
+    for index, columns in enumerate(encoded):
+        # The first unit loses every parity symbol's worth of columns.
+        count = n - k if index == 0 else rng.randrange(1, n - k + 1)
+        missing = set(rng.sample(range(n), count))
+        received.append(
+            {c: payload for c, payload in enumerate(columns) if c not in missing}
+        )
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an erasure-only row reached the scalar decoder")
+
+    monkeypatch.setattr(ReedSolomonCode, "decode", refuse)
+    with kernels("1"):
+        assert decode_units(rs, received, rows=ROWS) == units
 
 
 def test_decode_units_gives_none_beyond_capability():
@@ -160,17 +216,14 @@ def test_decode_units_gives_none_beyond_capability():
     rng = random.Random(99)
     units = random_units(rng, 2, 11 * ROWS // 2)
     with kernels("0"):
-        encoded = encode_units(rs, units, rows=ROWS, symbol_bits=4)
+        encoded = encode_units(rs, units, rows=ROWS)
     # 5 erasures > 4 parity symbols: every mode must refuse that unit.
     received = [dict(enumerate(columns)) for columns in encoded]
     for column in range(5):
         del received[0][column]
     for fused in MODES:
         with kernels(fused):
-            assert decode_units(rs, received, rows=ROWS, symbol_bits=4) == [
-                None,
-                units[1],
-            ]
+            assert decode_units(rs, received, rows=ROWS) == [None, units[1]]
 
 
 def test_each_mode_runs_one_codec_path(monkeypatch):
