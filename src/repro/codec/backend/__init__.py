@@ -11,7 +11,8 @@ through :func:`repro.fastpath.fused_kernels_enabled`, read per call:
 
 * fused (the default) with numpy importable: the table-based kernels of
   :mod:`repro.codec.backend.numpy_backend` (whole-matrix encode, one
-  syndrome product per batch, shared-erasure solve);
+  syndrome product per batch, closed-form error location and one
+  batched errata solve);
 * otherwise (``REPRO_FUSED_KERNELS=0``, or no numpy): the scalar
   reference, :class:`repro.codec.reed_solomon.ReedSolomonCode` row by
   row with pure-Python symbol packing.
@@ -85,8 +86,9 @@ def decode_units(
     unit.  Returns, per unit, the concatenated data-column bytes
     (including padding; the caller truncates to the user length), or
     ``None`` when Reed-Solomon cannot correct the unit: more erasures
-    than parity symbols, or a row the scalar decoder rejects.  The
-    other units of the batch decode regardless.
+    than parity symbols, or a row with no codeword within reach (within
+    ``(n - k - e) // 2`` changes of its ``n - e`` non-erased symbols).
+    The other units of the batch decode regardless.
     """
     if fused_kernels_enabled() and numpy_backend is not None:
         return numpy_backend.decode_units(code, units_columns, rows=rows)

@@ -11,15 +11,18 @@ the large majority of reads; reads whose address region is corrupted are
 routed to the nearest existing bucket by edit distance over the short
 signature.
 
-Three things keep the hot path fast at trace scale without changing a
+Four things keep the hot path fast at trace scale without changing a
 single clustering decision:
 
 * corrupted-signature routing consults a **deletion-neighborhood index**
   (the SymSpell construction: two signatures within edit distance ``k``
   share a variant obtained by deleting at most ``k`` characters from
   each), replacing the O(#buckets) linear scan per novel signature;
-* every read's k-mer set is computed **once** and reused across
+* every distinct read's k-mer set is computed **once** and reused across
   comparisons;
+* in the fused mode, a read that **repeats** an earlier read of its
+  bucket (about a third of a wetlab readout's reads) joins its twin's
+  cluster without a prefilter or pair test;
 * a (read, representative) pair that passes the k-mer prefilter goes
   through one pair test: the fused
   :func:`repro.pipeline.distance.within_screened` settles certain
@@ -237,27 +240,45 @@ def _agglomerate(
     builds all of the call's masks at once under one bit numbering (k-mer
     codes with numpy, order of first sight without): popcounts and
     intersection counts do not depend on which bit stands for which
-    k-mer, so neither do the clusters.
+    k-mer, so neither do the clusters.  Both modes build one k-mer set per
+    distinct read.
+
+    The fused mode sends a read that repeats an earlier read of its bucket
+    straight to that twin's cluster, with no test at all.  The greedy pass
+    would choose the same cluster: both tests are functions of the (read,
+    representative) pair, so every representative before the twin's
+    cluster fails the repeat as it failed the twin, and the twin's own
+    representative passed or is the twin itself (a read passes both tests
+    against itself).  The reference walks the representatives for every
+    read.
     """
     fused = fused_kernels_enabled()
     within = within_screened if fused else within_reference
     count = int.bit_count if fused else len
-    order = [index for members in bucket_reads.values() for index in members]
-    texts = [reads[index] for index in order]
+    texts = list(
+        dict.fromkeys(
+            reads[index] for members in bucket_reads.values() for index in members
+        )
+    )
     kmers: list[Any] = (
         kmer_masks(texts, _KMER_SIZE)
         if fused
         else [kmer_set(text, _KMER_SIZE) for text in texts]
     )
-    kmers_of = {index: (mine, count(mine)) for index, mine in zip(order, kmers)}
+    kmers_of = {text: (mine, count(mine)) for text, mine in zip(texts, kmers)}
 
     buckets: dict[str, list[ReadCluster]] = {}
     for key, members in bucket_reads.items():
         clusters: list[ReadCluster] = []
         representatives: list[tuple[str, Any, int]] = []
+        cluster_of: dict[str, ReadCluster] = {}
         for index in members:
             read = reads[index]
-            mine, size = kmers_of[index]
+            twin = cluster_of.get(read)
+            if twin is not None:
+                twin.reads.append(read)
+                continue
+            mine, size = kmers_of[read]
             for cluster, (other, theirs, other_size) in zip(
                 clusters, representatives
             ):
@@ -269,8 +290,11 @@ def _agglomerate(
                     cluster.reads.append(read)
                     break
             else:
-                clusters.append(ReadCluster(signature=key, reads=[read]))
+                cluster = ReadCluster(signature=key, reads=[read])
+                clusters.append(cluster)
                 representatives.append((read, mine, size))
+            if fused:
+                cluster_of[read] = cluster
         buckets[key] = clusters
     return buckets
 
