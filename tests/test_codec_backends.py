@@ -7,8 +7,9 @@ codewords and decodes — across field sizes (GF(4), GF(16) and GF(256)),
 unit geometries, and randomized erasure/error patterns — and the same
 per-unit verdicts when a batch mixes units Reed-Solomon can and cannot
 correct.  The scalar mode is the reference; when numpy is installed the
-fused mode is held to its output bit for bit, and its syndrome product
-must equal the scalar syndromes.
+fused mode is held to its output bit for bit, its syndrome product
+must equal the scalar syndromes, and it must repair erasures and locate
+up to two errors per row without the scalar decoder.
 
 This file must not import numpy at module scope: it is part of the
 no-numpy CI job, where both modes run the scalar path.
@@ -209,6 +210,55 @@ def test_fused_decode_repairs_erasures_without_the_scalar_decoder(
     monkeypatch.setattr(ReedSolomonCode, "decode", refuse)
     with kernels("1"):
         assert decode_units(rs, received, rows=ROWS) == units
+
+
+@pytest.mark.parametrize("n,k,symbol_bits", [(15, 11, 4), (3, 1, 2)])
+def test_fused_decode_locates_errors_without_the_scalar_decoder(
+    n, k, symbol_bits, monkeypatch
+):
+    """Rows with errors at unknown positions get them in closed form: with
+    ``ReedSolomonCode.decode`` made to raise, the fused mode gives every
+    unit the scalar mode's answer, ``None`` included.  Each unit loses 0-4
+    columns and takes 0-4 errors per row, so some rows are beyond
+    capability: the scalar mode refuses some units and miscorrects others."""
+    if backend.numpy_backend is None:
+        pytest.skip("numpy is not installed: both modes run the scalar path")
+    rs = reed_solomon_code(n, k, symbol_bits=symbol_bits)
+    rng = random.Random(n * 29 + k)
+    units = random_units(rng, 150, k * ROWS * symbol_bits // 8)
+    with kernels("0"):
+        encoded = encode_units(rs, units, rows=ROWS)
+    received = []
+    for columns in encoded:
+        erasures = set(rng.sample(range(n), min(n, rng.randrange(0, 5))))
+        kept = [p for p in range(n) if p not in erasures]
+        most = rng.randrange(0, 5)  # this unit's most errors in one row
+        matrix = [symbols_of(column, symbol_bits) for column in columns]
+        for row in range(ROWS):
+            count = min(len(kept), rng.randrange(0, most + 1))
+            for position in rng.sample(kept, count):
+                matrix[position][row] ^= rng.randrange(1, 1 << symbol_bits)
+        received.append(
+            {
+                c: payload_of(symbols, symbol_bits)
+                for c, symbols in enumerate(matrix)
+                if c not in erasures
+            }
+        )
+    with kernels("0"):
+        reference = decode_units(rs, received, rows=ROWS)
+    outcomes = {
+        "refused" if got is None else "decoded" if got == data else "miscorrected"
+        for got, data in zip(reference, units)
+    }
+    assert outcomes == {"refused", "decoded", "miscorrected"}
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a row reached the scalar decoder")
+
+    monkeypatch.setattr(ReedSolomonCode, "decode", refuse)
+    with kernels("1"):
+        assert decode_units(rs, received, rows=ROWS) == reference
 
 
 def test_decode_units_gives_none_beyond_capability():

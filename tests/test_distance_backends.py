@@ -260,6 +260,40 @@ class TestGreedyPass:
         )
         assert clusters == [[farther, query], [nearer], [unrelated]]
 
+    @pytest.mark.parametrize("fused", MODES)
+    def test_repeated_reads_join_their_twins_clusters(self, fused, monkeypatch):
+        """A read that started a cluster behind a foreign representative,
+        and one that joined a later representative only through an indel
+        pair test, each repeat: every repeat lands in its twin's cluster,
+        and the fused mode runs no pair test for it."""
+        monkeypatch.setenv("REPRO_FUSED_KERNELS", fused)
+        rng = random.Random(17)
+        starter = self.SIGNATURE + _random_read(rng, 120)
+        # Close in k-mers, but 20 substitutions from ``starter``: the
+        # prefilter passes and the pair test fails.
+        foreign = _substitute(_substitute(starter, range(96, 116)), range(96, 116))
+        shifted = starter[:40] + starter[41:] + "G"
+        bound = DEFAULT_MAX_READ_DISTANCE
+        assert levenshtein_distance(foreign, starter) > bound
+        assert sum(map(ne, starter, shifted)) > bound
+        assert levenshtein_distance(starter, shifted) == 2
+        calls = []
+        screened = clustering.within_screened
+
+        def counted(*args):
+            calls.append(args)
+            return screened(*args)
+
+        monkeypatch.setattr(clustering, "within_screened", counted)
+        once = self._clusters([foreign, starter, shifted])
+        tests_once = len(calls)
+        clusters = self._clusters([foreign, starter, shifted, starter, shifted])
+        assert once == [[starter, shifted], [foreign]]
+        assert clusters == [[starter, shifted, starter, shifted], [foreign]]
+        if fused == "1":
+            assert tests_once == 3
+            assert len(calls) == 2 * tests_once
+
     AT_THRESHOLD = ("ACGTACAGGGATGAAGAAA", "ACGTACCGGATGAAGAAA")
 
     @pytest.mark.parametrize("fused", MODES)
