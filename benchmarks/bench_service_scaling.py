@@ -13,10 +13,10 @@ of the serving-layer subsystem:
 * the simulation is fully deterministic under a fixed seed (a rerun
   reproduces every reported number bit-for-bit).
 
-It also records how a run's memory grows with its trace: RSS growth
-during ``run()`` on ``serve-mixed``-shaped traces of three lengths, each
-served in a fresh process (peak RSS is per process).  That record is
-informational; nothing gates it.
+It also records how a run's memory grows with its trace: peak-RSS
+growth during ``run()`` on ``serve-mixed``-shaped traces of three
+lengths, each served in a fresh process that reads its own peak (see
+:func:`peak_rss_bytes`).  That record is informational; nothing gates it.
 
 Pure Python end to end — this benchmark runs with or without numpy.
 """
@@ -216,12 +216,33 @@ def test_service_scaling():
     )
 
 
+def peak_rss_bytes() -> int:
+    """This process's own peak resident set size, in bytes.
+
+    ``VmHWM`` in ``/proc/self/status`` belongs to the process's own
+    address space.  ``ru_maxrss`` is the fallback where that file does
+    not exist; on Linux a child process starts with its parent's
+    ``ru_maxrss``, so a probe that a large process starts would read the
+    parent's peak there and record no growth.
+    """
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    # ru_maxrss counts kilobytes on Linux and bytes on macOS.
+    unit = 1 if sys.platform == "darwin" else 1024
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit
+
+
 def rss_growth(requests: int) -> dict:
     """Peak-RSS growth while serving a ``serve-mixed``-shaped trace.
 
     The trace has 5% updates and 1% puts, popularity follows size, and
     it is served under ``batched+cache``.  Meaningful only in a fresh
-    process: ``ru_maxrss`` is the process's peak so far.
+    process: :func:`peak_rss_bytes` is the process's peak so far.
     """
     store, catalog = build_store()
     trace = multi_tenant_trace(
@@ -244,12 +265,10 @@ def rss_growth(requests: int) -> dict:
             tracing=False,
         ),
     )
-    # ru_maxrss counts kilobytes on Linux and bytes on macOS.
-    unit = 1 if sys.platform == "darwin" else 1024
     gc.collect()
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit
+    before = peak_rss_bytes()
     pipeline.run(trace, "batched+cache")
-    growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit - before
+    growth = peak_rss_bytes() - before
     return {
         "requests": requests,
         "rss_growth_mb": round(growth / 2**20, 1),
