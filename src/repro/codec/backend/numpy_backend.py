@@ -338,7 +338,7 @@ def decode_units(
     syndrome product checks every solved row.  A unit with more erasures
     than parity symbols, or with a row no codeword lies within reach of,
     gives ``None``.  A row with errors that could hold more than two
-    (more than ``4 + e`` parity symbols for ``e`` erasures) goes to the
+    (at least ``6 + e`` parity symbols for ``e`` erasures) goes to the
     scalar ``ReedSolomonCode.decode`` instead.  See
     :func:`repro.codec.backend.decode_units` for the contract.
     """
